@@ -158,15 +158,10 @@ def cli(argv: list[str]) -> int:
 def main() -> None:
     threads = os.environ.get(THREADS_ENV)
     if threads:
-        # the BLAS pools are already up by the time this runs, so cap them
-        # directly; the env vars still cover any later-loaded libraries
+        # numpy is not loaded yet (the package imports lazily), so the BLAS
+        # pools start with these sizes
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-        try:
-            import threadpoolctl
-            threadpoolctl.threadpool_limits(int(threads))
-        except ImportError:
-            pass
+            os.environ[var] = threads
     sys.exit(cli(sys.argv[1:]))
 
 

@@ -42,6 +42,3 @@ RATE_STUDY = {
     "replicas": 5,
     "seed": 20240,
 }
-
-# iterative-backend residual tolerance
-CG_TOLERANCE = 1e-10

@@ -128,6 +128,17 @@ def _initial_state(problem: EnsembleProblem) -> EnsembleState:
     return EnsembleState(n=0, t=0.0, u=u)
 
 
+def _per_member(members: Sequence[EnsembleMember], fn) -> list:
+    """fn applied to each member in turn; a ValueError is re-raised naming the member."""
+    out = []
+    for j, m in enumerate(members):
+        try:
+            out.append(fn(m))
+        except ValueError as exc:
+            raise ValueError(f"member {j}: {exc}") from exc
+    return out
+
+
 class _SharedMatrixStepper:
     """Per-problem workspace for the shared-matrix scheme; caches what time allows."""
 
@@ -143,20 +154,23 @@ class _SharedMatrixStepper:
         if self.static and self._cache is not None:
             return self._cache
         space, members = self.space, self.problem.members
-        a_bar = fem.assemble_stiffness(space, ensemble_mean_coeff(members), t1)
+        coeffs = np.stack(_per_member(
+            members, lambda m: fem.coefficient_values(space, m.a, t1)))
+        c_bar = coeffs.mean(axis=0)
+        a_bar = fem.assemble_stiffness(space, c_bar, t1)
         system = sparse.add_scaled(self.mass, 1.0 / self.dt, a_bar, 1.0)
         constraint = fem.DirichletConstraint(system, space, self.problem.dirichlet_tags)
-        fluctuation = []
-        loads = []
-        gvals = []
-        for j, m in enumerate(members):
-            try:
-                fluctuation.append(sparse.add_scaled(
-                    fem.assemble_stiffness(space, m.a, t1), 1.0, a_bar, -1.0))
-                loads.append(fem.assemble_load(space, m.f, t1))
-                gvals.append(constraint.boundary_values(m.g, t1))
-            except ValueError as exc:
-                raise ValueError(f"member {j}: {exc}") from exc
+        # every member's A(a_j) - A(abar) from one product W @ (C - cbar)^T, applied as
+        # one block-diagonal matrix; temporaries are dropped as soon as they are used
+        # so that a wide group's peak memory stays near that of the stability gate
+        deviation = np.subtract(coeffs.reshape(len(members), -1).T, c_bar.reshape(-1, 1),
+                                order="C")
+        del coeffs
+        products = space.stiffness_operator().weights @ deviation
+        del deviation
+        fluctuation = sparse.block_diagonal(a_bar, products.T)
+        loads = _per_member(members, lambda m: fem.assemble_load(space, m.f, t1))
+        gvals = _per_member(members, lambda m: constraint.boundary_values(m.g, t1))
         pieces = (constraint, fluctuation, np.column_stack(loads), np.column_stack(gvals))
         if self.static:
             self._cache = pieces
@@ -166,8 +180,7 @@ class _SharedMatrixStepper:
         t1 = (state.n + 1) * self.dt
         constraint, fluctuation, loads, gvals = self._pieces(t1)
         rhs = loads + (self.mass @ state.u) / self.dt
-        for j, d in enumerate(fluctuation):
-            rhs[:, j] -= d @ state.u[:, j]
+        rhs -= (fluctuation @ state.u.ravel(order="F")).reshape(rhs.shape, order="F")
         if not np.isfinite(rhs).all():
             j = int(np.nonzero(~np.isfinite(rhs).all(axis=0))[0][0])
             raise ValueError(f"non-finite right-hand side for member {j} at step {state.n + 1}")
@@ -236,21 +249,16 @@ class _BackwardEulerStepper:
     def _pieces(self, t1: float):
         if self.static and self._cache is not None:
             return self._cache
-        space, members = self.space, self.problem.members
-        constraints = []
-        loads = []
-        gvals = []
-        for j, m in enumerate(members):
-            try:
-                system = sparse.add_scaled(
-                    self.mass, 1.0 / self.dt, fem.assemble_stiffness(space, m.a, t1), 1.0)
-                constraint = fem.DirichletConstraint(system, space,
-                                                     self.problem.dirichlet_tags)
-                loads.append(fem.assemble_load(space, m.f, t1))
-                gvals.append(constraint.boundary_values(m.g, t1))
-                constraints.append(constraint)
-            except ValueError as exc:
-                raise ValueError(f"member {j}: {exc}") from exc
+        space = self.space
+
+        def member_pieces(m: EnsembleMember):
+            system = sparse.add_scaled(
+                self.mass, 1.0 / self.dt, fem.assemble_stiffness(space, m.a, t1), 1.0)
+            constraint = fem.DirichletConstraint(system, space, self.problem.dirichlet_tags)
+            return (constraint, fem.assemble_load(space, m.f, t1),
+                    constraint.boundary_values(m.g, t1))
+
+        constraints, loads, gvals = zip(*_per_member(self.problem.members, member_pieces))
         pieces = (constraints, np.column_stack(loads), np.column_stack(gvals))
         if self.static:
             self._cache = pieces

@@ -65,6 +65,7 @@ class FeSpace:
     areas: np.ndarray = field(repr=False, default=None)
     _inv_jt: np.ndarray = field(repr=False, default=None)
     _tabs: dict[int, _Tabulation] = field(repr=False, default_factory=dict)
+    _stiffness: "_StiffnessOperator | None" = field(repr=False, default=None)
 
     @property
     def interior_dofs(self) -> np.ndarray:
@@ -91,6 +92,45 @@ class FeSpace:
                               weights=rule.weights)
             self._tabs[rule.order] = tab
         return tab
+
+    def stiffness_operator(self) -> "_StiffnessOperator":
+        if self._stiffness is None:
+            self._stiffness = _StiffnessOperator(self)
+        return self._stiffness
+
+
+class _StiffnessOperator:
+    """Linear map from coefficient values at the assembly points to stiffness CSR data.
+
+    Row k of `weights` holds, for CSR slot k of the stiffness pattern, the
+    quadrature weight times area times grad phi_i . grad phi_j of every
+    (element, point) pair that couples DOFs i and j; so A(c).data = weights @ c
+    for the coefficient values c, flattened from shape (nt, nq).
+    """
+
+    def __init__(self, space: FeSpace):
+        tab = space.tabulation(space.assembly_rule)
+        nt, nq, nl = tab.grad.shape[:3]
+        n = space.dof_count
+        rows = np.repeat(space.cell_dofs, nl, axis=1)  # (nt, nl*nl), local pairs (a, b)
+        cols = np.tile(space.cell_dofs, (1, nl))
+        keys, slot = np.unique((rows * np.int64(n) + cols).ravel(), return_inverse=True)
+        index_dtype = np.int32 if keys.size <= np.iinfo(np.int32).max else np.int64
+        self.shape = (n, n)
+        self.indices = (keys % n).astype(index_dtype)
+        self.indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(index_dtype)
+        local = np.einsum("tqai,tqbi,q,t->tqab", tab.grad, tab.grad, tab.weights,
+                          space.areas, optimize=True)
+        pairs = (nt, nq, nl * nl)
+        slots = np.broadcast_to(slot.reshape(nt, 1, nl * nl), pairs)
+        points = np.broadcast_to(np.arange(nt * nq).reshape(nt, nq, 1), pairs)
+        self.weights = sp.csr_matrix((local.ravel(), (slots.ravel(), points.ravel())),
+                                     shape=(keys.size, nt * nq))
+
+    def matrix(self, values: np.ndarray) -> sp.csr_matrix:
+        """Stiffness matrix for coefficient values of shape (nt, nq)."""
+        return sp.csr_matrix((self.weights @ values.ravel(), self.indices, self.indptr),
+                             shape=self.shape)
 
 
 def build_space(mesh: Mesh, degree: int) -> FeSpace:
@@ -172,16 +212,24 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     return _scatter_matrix(space, local)
 
 
-def assemble_stiffness(space: FeSpace, coeff: Field, t: float) -> sp.csr_matrix:
-    """Weighted stiffness matrix, entry (i, j) = integral of coeff * grad phi_i . grad phi_j."""
+def coefficient_values(space: FeSpace, coeff: Field, t: float) -> np.ndarray:
+    """Values of a coefficient at the assembly quadrature points, shape (nt, nq)."""
     tab = space.tabulation(space.assembly_rule)
     c = _evaluate(coeff, tab.xq, tab.yq, t)
     if not np.isfinite(c).all():
         bad = int(np.nonzero(~np.isfinite(c).all(axis=1))[0][0])
         raise ValueError(f"coefficient evaluated non-finite on element {bad} at t={t}")
-    local = np.einsum("tqai,tqbi,tq,q,t->tab", tab.grad, tab.grad, c, tab.weights,
-                      space.areas, optimize=True)
-    return _scatter_matrix(space, local)
+    return c
+
+
+def assemble_stiffness(space: FeSpace, coeff: Field | np.ndarray, t: float) -> sp.csr_matrix:
+    """Weighted stiffness matrix, entry (i, j) = integral of coeff * grad phi_i . grad phi_j.
+
+    `coeff` is a field, evaluated at time t, or its values at the assembly
+    points as returned by `coefficient_values`.
+    """
+    c = coefficient_values(space, coeff, t) if callable(coeff) else coeff
+    return space.stiffness_operator().matrix(c)
 
 
 def assemble_load(space: FeSpace, f: Field, t: float) -> np.ndarray:
@@ -281,12 +329,3 @@ class DirichletConstraint:
         out[self.bdofs] = gvals
         return out
 
-
-def apply_dirichlet(system: sp.csr_matrix, rhs: np.ndarray, space: FeSpace, g: Field,
-                    t: float, tags: Sequence[BoundaryTag]) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Pin tagged boundary DOFs to g(., t), returning the constrained system and lifted rhs."""
-    constraint = DirichletConstraint(system, space, tags)
-    gvals = constraint.boundary_values(g, t)
-    if rhs.ndim == 2:
-        gvals = np.repeat(gvals[:, None], rhs.shape[1], axis=1)
-    return constraint.matrix, constraint.lift(np.asarray(rhs, dtype=float), gvals)

@@ -86,12 +86,20 @@ def add_scaled(a, alpha: float, b, beta: float) -> sp.csr_matrix:
     return _as_csr(alpha * a + beta * b)
 
 
-def matvec(a, x: np.ndarray) -> np.ndarray:
-    a = _as_csr(a)
-    x = np.asarray(x)
-    if x.shape[0] != a.shape[1]:
-        raise ValueError(f"dimension mismatch: matrix {a.shape}, vector {x.shape}")
-    return a @ x
+def block_diagonal(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal CSR with J copies of `pattern`'s sparsity; block j holds data[j].
+
+    `data` has shape (J, pattern.nnz). Built straight from offsets of the
+    shared index arrays, so no per-block or COO intermediates are made.
+    """
+    j_count, nnz = data.shape
+    n = pattern.shape[0]
+    index_dtype = np.int32 if nnz * j_count <= np.iinfo(np.int32).max else np.int64
+    offsets = np.arange(j_count, dtype=index_dtype)[:, None]
+    indptr = np.append((pattern.indptr[:-1].astype(index_dtype) + nnz * offsets).ravel(),
+                       nnz * j_count)
+    indices = (pattern.indices.astype(index_dtype) + n * offsets).ravel()
+    return sp.csr_matrix((data.ravel(), indices, indptr), shape=(n * j_count, n * j_count))
 
 
 def _validate_square_finite(a: sp.csr_matrix) -> None:
@@ -259,7 +267,3 @@ def spd_factorize(a, method: str = "cholesky", ordering: str = "rcm",
         return ConjugateGradientSolver(a, tol=tol)
     raise ValueError(f"unknown method {method!r}")
 
-
-def solve_block(factor: SpdFactorization, block: np.ndarray) -> np.ndarray:
-    """Solve every column of the block against one prepared factorization."""
-    return factor.solve(block)

@@ -71,21 +71,13 @@ def _coefficient_values(coeffs: Sequence[Field], x, y, t: float) -> np.ndarray:
     return np.stack(rows)
 
 
-def estimate_bounds(coeffs: Sequence[Field], grid: SamplingGrid) -> StabilityReport:
-    """Sampled coercivity floor and deviation band for a group of coefficients.
-
-    theta is the smaller of the members' floor and the mean's floor;
-    theta_minus is measured over positive times only, since deviations may
-    vanish identically at t=0.
-    """
-    if len(coeffs) < 1:
-        raise ValueError("need at least one coefficient")
+def _reduce_bounds(values, grid: SamplingGrid) -> StabilityReport:
+    """Bounds from a group's coefficient values, one (members, points) array per time level."""
     coercivity_members = np.inf
     coercivity_mean = np.inf
     theta_plus = 0.0
     theta_minus = np.inf
-    for t in grid.times:
-        vals = _coefficient_values(coeffs, grid.x, grid.y, t)
+    for t, vals in zip(grid.times, values):
         mean = vals.mean(axis=0)
         coercivity_members = min(coercivity_members, float(vals.min()))
         coercivity_mean = min(coercivity_mean, float(mean.min()))
@@ -103,9 +95,17 @@ def estimate_bounds(coeffs: Sequence[Field], grid: SamplingGrid) -> StabilityRep
                            coercivity_mean=coercivity_mean, sampling=grid.describe())
 
 
-def check_condition(report: StabilityReport) -> bool:
-    """True iff the coercivity floor strictly exceeds the deviation bound."""
-    return report.margin > 0.0
+def estimate_bounds(coeffs: Sequence[Field], grid: SamplingGrid) -> StabilityReport:
+    """Sampled coercivity floor and deviation band for a group of coefficients.
+
+    theta is the smaller of the members' floor and the mean's floor;
+    theta_minus is measured over positive times only, since deviations may
+    vanish identically at t=0. Each coefficient is evaluated once per time level.
+    """
+    if len(coeffs) < 1:
+        raise ValueError("need at least one coefficient")
+    return _reduce_bounds(
+        (_coefficient_values(coeffs, grid.x, grid.y, t) for t in grid.times), grid)
 
 
 def partition_ensemble(coeffs: Sequence[Field], grid: SamplingGrid) -> list[list[int]]:
@@ -114,16 +114,17 @@ def partition_ensemble(coeffs: Sequence[Field], grid: SamplingGrid) -> list[list
     Members are swept in order of their mean signed deviation from the global
     average; a new group opens whenever adding the next member would break the
     condition within the current group. Singletons always pass, so the sweep
-    terminates, provided every coefficient is individually coercive.
+    terminates, provided every coefficient is individually coercive. Each
+    coefficient is evaluated once per time level; every trial group is then
+    tested on those values.
     """
-    j_count = len(coeffs)
-    scores = np.zeros(j_count)
-    for t in grid.times:
-        vals = _coefficient_values(coeffs, grid.x, grid.y, t)
-        for j in range(j_count):
-            if vals[j].min() <= 0.0:
-                raise ValueError(
-                    f"member {j} has a non-positive coefficient; cannot be grouped")
+    values = [_coefficient_values(coeffs, grid.x, grid.y, t) for t in grid.times]
+    scores = np.zeros(len(coeffs))
+    for vals in values:
+        nonpositive = np.nonzero(vals.min(axis=1) <= 0.0)[0]
+        if nonpositive.size:
+            raise ValueError(f"member {nonpositive[0]} has a non-positive coefficient; "
+                             "cannot be grouped")
         scores += (vals - vals.mean(axis=0)).mean(axis=1)
     order = np.argsort(scores, kind="stable")
 
@@ -131,7 +132,7 @@ def partition_ensemble(coeffs: Sequence[Field], grid: SamplingGrid) -> list[list
     current: list[int] = []
     for j in order:
         trial = current + [int(j)]
-        if estimate_bounds([coeffs[i] for i in trial], grid).satisfied:
+        if _reduce_bounds((vals[trial] for vals in values), grid).satisfied:
             current = trial
         else:
             if current:

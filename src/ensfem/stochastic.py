@@ -9,6 +9,7 @@ comparisons in `mc_rate_study` well defined.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -246,8 +247,10 @@ def run_emc(config: EmcConfig, observer=None) -> EmcResult:
 
     With `partition` enabled a failing gate splits the ensemble into stable
     subgroups, each advanced by its own shared-matrix run; otherwise the run
-    refuses with a StabilityError carrying the report.
+    refuses with a StabilityError carrying the report. The reported wall time
+    covers the whole call: sampling, the gate, stepping and the reductions.
     """
+    start = time.perf_counter()
     members, _ = build_emc_members(config)
     mesh = uniform_triangulation(config.nx, config.nx)
     space = build_space(mesh, config.degree)
@@ -258,9 +261,10 @@ def run_emc(config: EmcConfig, observer=None) -> EmcResult:
     degenerate = config.samples < 2
     std = np.zeros_like(mean) if degenerate else final.std(axis=1, ddof=1)
     qoi = qoi_integral(space, final)
+    stats = replace(run_stats, wall_time=time.perf_counter() - start)
     return EmcResult(mean_field=mean, std_field=std, std_degenerate=degenerate,
                      qoi_samples=np.asarray(qoi), stability=report,
-                     stats=run_stats, space=space, config=config, groups=groups)
+                     stats=stats, space=space, config=config, groups=groups)
 
 
 def log_log_fit(j_values: Sequence[float], errors: Sequence[float]) -> tuple[float, float]:

@@ -8,7 +8,8 @@ from ensfem import sparse
 from ensfem.ensemble import (EnsembleMember, EnsembleProblem, EnsembleState, TimeGrid,
                              ensemble_mean_coeff, ensemble_solve, ensemble_step,
                              independent_solve, trajectory_errors)
-from ensfem.fem import build_space, constant_field, error_l2, l2_norm, zero_field
+from ensfem.fem import (assemble_stiffness, build_space, constant_field, error_l2, l2_norm,
+                        zero_field)
 from ensfem.mesh import BoundaryTag, uniform_triangulation
 
 from _dense_oracle import shared_matrix_step
@@ -123,6 +124,31 @@ class TestSingleStep:
         problem = small_problem([member], steps=2)
         state = EnsembleState(n=0, t=0.0, u=np.zeros((problem.space.dof_count, 1)))
         with pytest.raises(sparse.NotSpdError, match="step 1"):
+            ensemble_step(problem, state)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_block_fluctuation_matches_member_loop(self, degree):
+        from ensfem.ensemble import _SharedMatrixStepper
+        members = [EnsembleMember(
+            a=lambda x, y, t, c=c: 1.0 + c * np.sin(np.asarray(x) * np.asarray(y) + t),
+            f=zero_field, g=zero_field, u0=zero_field) for c in (0.6, 0.2, 0.35, 0.9)]
+        problem = small_problem(members, nx=4, degree=degree)
+        t1 = problem.grid.dt
+        _, fluctuation, _, _ = _SharedMatrixStepper(problem)._pieces(t1)
+        u = np.random.default_rng(4).normal(size=(problem.space.dof_count, len(members)))
+        block = (fluctuation @ u.ravel(order="F")).reshape(u.shape, order="F")
+        a_bar = assemble_stiffness(problem.space, ensemble_mean_coeff(members), t1)
+        for j, m in enumerate(members):
+            loop = (assemble_stiffness(problem.space, m.a, t1) - a_bar) @ u[:, j]
+            assert np.abs(block[:, j] - loop).max() < 1e-13
+
+    def test_nonfinite_coefficient_names_member(self):
+        members = [heat_member(), EnsembleMember(
+            a=lambda x, y, t: np.full(np.shape(x), np.inf), f=zero_field, g=zero_field,
+            u0=zero_field)]
+        problem = small_problem(members)
+        state = EnsembleState(n=0, t=0.0, u=np.zeros((problem.space.dof_count, 2)))
+        with pytest.raises(ValueError, match="member 1"):
             ensemble_step(problem, state)
 
 

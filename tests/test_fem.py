@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from ensfem import sparse
-from ensfem.fem import (DirichletConstraint, apply_dirichlet, assemble_load,
-                        assemble_mass, assemble_stiffness, build_space,
+from ensfem.fem import (DirichletConstraint, assemble_load, assemble_mass,
+                        assemble_stiffness, build_space, coefficient_values,
                         constant_field, error_h1_semi, error_l2, integrate,
                         l2_project, zero_field)
 from ensfem.mesh import BoundaryTag, refine_uniform, uniform_triangulation
@@ -124,6 +124,34 @@ class TestStiffness:
         ref = p1_stiffness(mesh.vertices, mesh.triangles, coeff, 0.7)
         assert np.allclose(a, ref, atol=1e-13)
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_operator_form_matches_einsum_scatter(self, degree):
+        space = build_space(uniform_triangulation(5, 3), degree)
+        coeff = lambda x, y, t: 1.0 + 0.4 * np.sin(3.0 * np.asarray(x) + t) * np.asarray(y)
+        ref = einsum_scatter_stiffness(space, coeff, 0.3)
+        a = assemble_stiffness(space, coeff, 0.3)
+        assert np.array_equal(a.indptr, ref.indptr)
+        assert np.array_equal(a.indices, ref.indices)
+        assert np.abs(a.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
+        values = assemble_stiffness(space, coefficient_values(space, coeff, 0.3), 0.3)
+        assert np.array_equal(values.data, a.data)
+
+
+def einsum_scatter_stiffness(space, coeff, t):
+    """Reference assembly: local matrices by einsum, scattered via COO, duplicates summed."""
+    tab = space.tabulation(space.assembly_rule)
+    c = np.broadcast_to(np.asarray(coeff(tab.xq, tab.yq, t), dtype=float), tab.xq.shape)
+    local = np.einsum("tqai,tqbi,tq,q,t->tab", tab.grad, tab.grad, c, tab.weights,
+                      space.areas, optimize=True)
+    nl = space.cell_dofs.shape[1]
+    rows = np.repeat(space.cell_dofs, nl, axis=1).ravel()
+    cols = np.tile(space.cell_dofs, (1, nl)).ravel()
+    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
+                        shape=(space.dof_count, space.dof_count)).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
 
 class TestLoad:
     def test_zero_source(self, space_p2):
@@ -175,11 +203,20 @@ class TestL2Projection:
             assert 6.5 < coarse / fine < 9.5
 
 
+def constrain(system, rhs, space, g, tags):
+    """Constrained system and lifted rhs, with g pinned on the tagged boundary DOFs."""
+    constraint = DirichletConstraint(system, space, tags)
+    gvals = constraint.boundary_values(g, 0.0)
+    if rhs.ndim == 2:
+        gvals = np.repeat(gvals[:, None], rhs.shape[1], axis=1)
+    return constraint.matrix, constraint.lift(rhs, gvals)
+
+
 class TestDirichlet:
     def test_homogeneous_matches_row_deletion(self, space_p1):
         a = assemble_stiffness(space_p1, constant_field(1.0), 0.0)
         b = assemble_load(space_p1, constant_field(1.0), 0.0)
-        a_c, b_c = apply_dirichlet(a, b, space_p1, zero_field, 0.0, tuple(BoundaryTag))
+        a_c, b_c = constrain(a, b, space_p1, zero_field, tuple(BoundaryTag))
         x = sparse.spd_factorize(a_c).solve(b_c)
         free = space_p1.interior_dofs
         dense = np.linalg.solve(a.toarray()[np.ix_(free, free)], b[free])
@@ -191,7 +228,7 @@ class TestDirichlet:
         lin = lambda x, y, t: x + y
         a = assemble_stiffness(space, constant_field(1.0), 0.0)
         b = np.zeros(space.dof_count)
-        a_c, b_c = apply_dirichlet(a, b, space, lin, 0.0, tuple(BoundaryTag))
+        a_c, b_c = constrain(a, b, space, lin, tuple(BoundaryTag))
         x = sparse.spd_factorize(a_c).solve(b_c)
         exact = space.dof_coords[:, 0] + space.dof_coords[:, 1]
         assert np.abs(x - exact).max() < 1e-10
@@ -210,8 +247,8 @@ class TestDirichlet:
         a = assemble_stiffness(space_p2, constant_field(2.0), 0.0)
         m = assemble_mass(space_p2)
         system = (m + a).tocsr()
-        a_c, _ = apply_dirichlet(system, np.zeros(space_p2.dof_count), space_p2,
-                                 zero_field, 0.0, (BoundaryTag.LEFT, BoundaryTag.TOP))
+        a_c, _ = constrain(system, np.zeros(space_p2.dof_count), space_p2,
+                           zero_field, (BoundaryTag.LEFT, BoundaryTag.TOP))
         assert abs(a_c - a_c.T).max() < 1e-14
         sparse.spd_factorize(a_c)
 
@@ -220,8 +257,8 @@ class TestDirichlet:
         m = assemble_mass(space_p1)
         system = (m + a).tocsr()
         rhs = np.random.default_rng(3).normal(size=(space_p1.dof_count, 4))
-        a_c, rhs_c = apply_dirichlet(system, rhs, space_p1, constant_field(2.0), 0.0,
-                                     tuple(BoundaryTag))
+        a_c, rhs_c = constrain(system, rhs, space_p1, constant_field(2.0),
+                               tuple(BoundaryTag))
         bdofs = space_p1.tagged_dofs(tuple(BoundaryTag))
         assert np.allclose(rhs_c[bdofs], 2.0)
         x = sparse.spd_factorize(a_c).solve(rhs_c)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,3 +199,43 @@ class TestCli:
         assert len(record["mean_field"]) == record["mesh"]["dof_count"]
         assert set(record["stability"]) == {"theta", "theta_plus", "theta_minus",
                                             "satisfied", "margin"}
+
+
+def _python(code, env_extra=None):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "ENSFEM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    env.update(env_extra or {})
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestThreadKnob:
+    def test_importing_cli_loads_no_numpy(self):
+        out = _python("import sys, ensfem.cli; print('numpy' in sys.modules)")
+        assert out.strip() == "False"
+
+    def test_threads_env_is_set_before_numpy_loads(self, tmp_path):
+        # record OPENBLAS_NUM_THREADS at the moment numpy is first imported
+        code = f"""
+import importlib.abc, json, os, sys
+seen = {{}}
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "numpy":
+            seen.setdefault("threads", os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Probe())
+import ensfem.cli
+sys.argv = ["ensfem", "converge", "--levels", "1", "--degree", "1",
+            "--out", {str(tmp_path / "c.csv")!r}]
+try:
+    ensfem.cli.main()
+except SystemExit as exc:
+    seen["code"] = exc.code
+print(json.dumps(seen))
+"""
+        seen = json.loads(_python(code, {"ENSFEM_THREADS": "1"}).strip().splitlines()[-1])
+        assert seen == {"threads": "1", "code": 0}

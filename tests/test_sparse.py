@@ -5,8 +5,8 @@ import scipy.sparse as sp
 from ensfem import sparse
 from ensfem.fem import assemble_mass, assemble_stiffness, build_space, constant_field
 from ensfem.mesh import uniform_triangulation
-from ensfem.sparse import (NotSpdError, add_scaled, counters, matvec,
-                           reset_counters, solve_block, spd_factorize)
+from ensfem.sparse import (NotSpdError, add_scaled, counters, reset_counters,
+                           spd_factorize)
 
 
 @pytest.fixture(autouse=True)
@@ -78,7 +78,7 @@ class TestFactorize:
 class TestSolveBlock:
     def test_inverse_columnwise(self):
         a = fem_system(nx=2)
-        x = solve_block(spd_factorize(a), np.eye(a.shape[0]))
+        x = spd_factorize(a).solve(np.eye(a.shape[0]))
         assert np.abs(a @ x - np.eye(a.shape[0])).max() < 1e-10
 
     def test_single_column_consistency(self):
@@ -92,7 +92,7 @@ class TestSolveBlock:
     def test_block_residuals(self):
         a = fem_system(nx=4)
         b = np.random.default_rng(2).normal(size=(a.shape[0], 8))
-        x = solve_block(spd_factorize(a), b)
+        x = spd_factorize(a).solve(b)
         assert np.abs(a @ x - b).max() <= 1e-10 * np.abs(b).max()
 
     def test_solve_counter_counts_columns(self):
@@ -110,24 +110,15 @@ class TestSolveBlock:
             f.solve(np.ones(3))
 
 
-class TestMatvec:
-    def test_zero_vector(self):
-        assert not matvec(fem_system(), np.zeros(25)).any()
-
-    def test_identity(self):
-        x = np.arange(4.0)
-        assert np.array_equal(matvec(sp.eye(4, format="csr"), x), x)
-
-    def test_against_dense(self):
-        rng = np.random.default_rng(5)
-        dense = rng.normal(size=(5, 5))
-        dense = dense + dense.T
-        x = rng.normal(size=5)
-        assert np.allclose(matvec(sp.csr_matrix(dense), x), dense @ x, atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matvec(sp.eye(4, format="csr"), np.ones(5))
+class TestBlockDiagonal:
+    def test_matches_scipy_block_diag(self):
+        pattern = fem_system(nx=3)
+        data = np.random.default_rng(9).normal(size=(4, pattern.nnz))
+        blocks = [sp.csr_matrix((d, pattern.indices, pattern.indptr), shape=pattern.shape)
+                  for d in data]
+        got = sparse.block_diagonal(pattern, data)
+        assert got.shape == (4 * pattern.shape[0],) * 2
+        assert abs(got - sp.block_diag(blocks, format="csr")).max() == 0.0
 
 
 class TestReuseAndOrdering:

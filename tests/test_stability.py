@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ensfem.ensemble import TimeGrid
 from ensfem.fem import build_space, constant_field
 from ensfem.mesh import uniform_triangulation
-from ensfem.stability import (SamplingGrid, check_condition, estimate_bounds,
-                              partition_ensemble)
+from ensfem.stability import SamplingGrid, estimate_bounds, partition_ensemble
+from ensfem.stochastic import RandomFieldSpec, draw_samples, sample_coefficient
 
 
 @pytest.fixture
@@ -79,9 +81,9 @@ class TestEstimateBounds:
 
 class TestCheckCondition:
     def test_cases(self, grid):
-        assert check_condition(estimate_bounds([const(0.7)], grid))
-        assert not check_condition(estimate_bounds([const(1.0), const(3.0)], grid))
-        assert check_condition(estimate_bounds([const(2.0), const(2.5)], grid))
+        assert estimate_bounds([const(0.7)], grid).satisfied
+        assert not estimate_bounds([const(1.0), const(3.0)], grid).satisfied
+        assert estimate_bounds([const(2.0), const(2.5)], grid).satisfied
 
 
 class TestPartition:
@@ -134,3 +136,38 @@ def _partitions(items):
         for k in range(len(sub)):
             yield sub[:k] + [[first] + sub[k]] + sub[k + 1:]
         yield [[first]] + sub
+
+
+def closure_greedy(coeffs, grid):
+    """Reference partition: the greedy sweep re-evaluating every member of every trial group."""
+    scores = np.zeros(len(coeffs))
+    for t in grid.times:
+        vals = np.stack([np.broadcast_to(np.asarray(a(grid.x, grid.y, float(t)), float),
+                                         grid.x.shape) for a in coeffs])
+        scores += (vals - vals.mean(axis=0)).mean(axis=1)
+    groups, current = [], []
+    for j in np.argsort(scores, kind="stable"):
+        trial = current + [int(j)]
+        if estimate_bounds([coeffs[i] for i in trial], grid).satisfied:
+            current = trial
+        else:
+            if current:
+                groups.append(sorted(current))
+            current = [int(j)]
+    if current:
+        groups.append(sorted(current))
+    return sorted(groups, key=lambda g: g[0])
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 30),
+       sigma=st.floats(0.05, 0.21), nx=st.sampled_from([4, 6]))
+def test_partition_of_sampled_family(seed, count, sigma, nx):
+    spec = RandomFieldSpec(sigma=sigma)
+    coeffs = [sample_coefficient(spec, d) for d in draw_samples(seed, count, spec.n_modes)]
+    grid = SamplingGrid.from_space(build_space(uniform_triangulation(nx, nx), 1))
+    groups = partition_ensemble(coeffs, grid)
+    assert sorted(i for g in groups for i in g) == list(range(count))
+    for g in groups:
+        assert estimate_bounds([coeffs[i] for i in g], grid).satisfied
+    assert groups == closure_greedy(coeffs, grid)

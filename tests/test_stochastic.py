@@ -1,8 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+
+from ensfem import stochastic
 
 from ensfem.fem import build_space
 from ensfem.mesh import uniform_triangulation
@@ -182,6 +185,39 @@ class TestRunEmc:
         result = run_emc(config)
         assert result.stats.factorizations == config.time_grid().steps
         assert result.stats.block_solves == config.time_grid().steps
+
+    def test_wall_time_covers_the_gate(self, monkeypatch):
+        # a slow coefficient makes the gate take measurable time
+        def slow_coefficient(spec, draw):
+            coeff = sample_coefficient(spec, draw)
+
+            def slow(x, y, t):
+                time.sleep(0.01)
+                return coeff(x, y, t)
+            return slow
+
+        timed = {}
+
+        def timed_gate(*args, **kwargs):
+            start = time.perf_counter()
+            out = gate(*args, **kwargs)
+            timed["gate"] = time.perf_counter() - start
+            return out
+
+        def timed_solve(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            timed["stepping"] = out[1].wall_time
+            return out
+
+        gate, solve = stochastic.gate_and_group, stochastic.solve_sampled_groups
+        monkeypatch.setattr(stochastic, "sample_coefficient", slow_coefficient)
+        monkeypatch.setattr(stochastic, "gate_and_group", timed_gate)
+        monkeypatch.setattr(stochastic, "solve_sampled_groups", timed_solve)
+        start = time.perf_counter()
+        result = run_emc(tiny_config(samples=6))
+        total = time.perf_counter() - start
+        assert timed["gate"] >= 0.05
+        assert timed["gate"] + timed["stepping"] <= result.stats.wall_time <= total
 
     def test_mismatched_dt_rejected(self):
         with pytest.raises(ValueError, match="divide"):
