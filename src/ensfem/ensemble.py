@@ -116,15 +116,16 @@ def ensemble_mean_coeff(members: Sequence[EnsembleMember]) -> Field:
 
 
 def _initial_state(problem: EnsembleProblem) -> EnsembleState:
-    space = problem.space
+    space, members = problem.space, problem.members
     m = fem.assemble_mass(space)
-    loads = np.column_stack(
-        [fem.assemble_load(space, member.u0, 0.0) for member in problem.members])
+    loads = _shared_columns([member.u0 for member in members],
+                            lambda u0: fem.assemble_load(space, u0, 0.0))
     u = sparse.spd_factorize(m).solve(loads)
     bdofs = space.tagged_dofs(problem.dirichlet_tags)
     xb, yb = space.dof_coords[bdofs, 0], space.dof_coords[bdofs, 1]
-    for j, member in enumerate(problem.members):
-        u[bdofs, j] = np.broadcast_to(np.asarray(member.g(xb, yb, 0.0), float), xb.shape)
+    u[bdofs] = _shared_columns(
+        [member.g for member in members],
+        lambda g: np.broadcast_to(np.asarray(g(xb, yb, 0.0), float), xb.shape))
     return EnsembleState(n=0, t=0.0, u=u)
 
 
@@ -137,6 +138,26 @@ def _per_member(members: Sequence[EnsembleMember], fn) -> list:
         except ValueError as exc:
             raise ValueError(f"member {j}: {exc}") from exc
     return out
+
+
+def _shared_columns(fields: Sequence[Field], fn) -> np.ndarray:
+    """Column j holds fn(fields[j]); fn runs once per distinct field.
+
+    Members that hold the same callable (by identity) share its column, so
+    data common to an ensemble is assembled once. A ValueError is re-raised
+    naming the first member that holds the failing field.
+    """
+    first: dict[int, int] = {}  # id of a field -> its column in `values`
+    values, columns = [], []
+    for j, field in enumerate(fields):
+        if id(field) not in first:
+            first[id(field)] = len(values)
+            try:
+                values.append(fn(field))
+            except ValueError as exc:
+                raise ValueError(f"member {j}: {exc}") from exc
+        columns.append(first[id(field)])
+    return np.column_stack(values)[:, columns]
 
 
 class _SharedMatrixStepper:
@@ -169,9 +190,11 @@ class _SharedMatrixStepper:
         products = space.stiffness_operator().weights @ deviation
         del deviation
         fluctuation = sparse.block_diagonal(a_bar, products.T)
-        loads = _per_member(members, lambda m: fem.assemble_load(space, m.f, t1))
-        gvals = _per_member(members, lambda m: constraint.boundary_values(m.g, t1))
-        pieces = (constraint, fluctuation, np.column_stack(loads), np.column_stack(gvals))
+        loads = _shared_columns([m.f for m in members],
+                                lambda f: fem.assemble_load(space, f, t1))
+        gvals = _shared_columns([m.g for m in members],
+                                lambda g: constraint.boundary_values(g, t1))
+        pieces = (constraint, fluctuation, loads, gvals)
         if self.static:
             self._cache = pieces
         return pieces
@@ -249,17 +272,20 @@ class _BackwardEulerStepper:
     def _pieces(self, t1: float):
         if self.static and self._cache is not None:
             return self._cache
-        space = self.space
+        space, members = self.space, self.problem.members
 
-        def member_pieces(m: EnsembleMember):
+        def member_constraint(m: EnsembleMember):
             system = sparse.add_scaled(
                 self.mass, 1.0 / self.dt, fem.assemble_stiffness(space, m.a, t1), 1.0)
-            constraint = fem.DirichletConstraint(system, space, self.problem.dirichlet_tags)
-            return (constraint, fem.assemble_load(space, m.f, t1),
-                    constraint.boundary_values(m.g, t1))
+            return fem.DirichletConstraint(system, space, self.problem.dirichlet_tags)
 
-        constraints, loads, gvals = zip(*_per_member(self.problem.members, member_pieces))
-        pieces = (constraints, np.column_stack(loads), np.column_stack(gvals))
+        constraints = _per_member(members, member_constraint)
+        loads = _shared_columns([m.f for m in members],
+                                lambda f: fem.assemble_load(space, f, t1))
+        # every constraint eliminates the same DOFs, so any of them evaluates g
+        gvals = _shared_columns([m.g for m in members],
+                                lambda g: constraints[0].boundary_values(g, t1))
+        pieces = (constraints, loads, gvals)
         if self.static:
             self._cache = pieces
         return pieces

@@ -1,10 +1,12 @@
 """Sparse SPD algebra: one factorization reused against dense blocks of right-hand sides.
 
-The direct backend permutes with reverse Cuthill-McKee and runs a banded
-Cholesky factorization (LAPACK pbtrf/pbtrs), which is exact-pivot Cholesky and
-fails loudly on indefinite input. A Jacobi-preconditioned conjugate-gradient
-backend with the same `solve` surface is available for systems too large to
-factor directly.
+The backend permutes with reverse Cuthill-McKee and runs a banded Cholesky
+factorization (LAPACK pbtrf), which is exact-pivot Cholesky and fails loudly on
+indefinite input. A vector or a narrow block is solved by LAPACK pbtrs, two
+level-2 band sweeps per column. A block of at least `TILE` columns is solved
+by a level-3 tiled path instead: the band factor is viewed as block
+lower-bidiagonal with square tiles, each diagonal tile is inverted once per
+factor, and both sweeps are two matrix products per tile over all columns.
 
 Module-level counters record every factorization and block solve so that
 solver-call laws can be asserted by tests and reported per run.
@@ -18,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dtrtri
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+
+#: column count from which a block solve runs the tiled level-3 path; also the
+#: smallest tile edge of that path
+TILE = 32
 
 
 class NotSpdError(ValueError):
@@ -112,14 +120,15 @@ def _validate_square_finite(a: sp.csr_matrix) -> None:
 
 class _BandedPlan:
     """Pattern-only preprocessing for the banded backend: permutation plus the
-    scatter map from CSR data slots into banded storage. Valid for any matrix
-    with the same sparsity pattern, so repeated factorizations of an evolving
-    or reused matrix skip the ordering work.
+    scatter map from CSR data slots into banded storage, and on demand the
+    gather map from banded storage into the tiles of the multi-column solve.
+    Valid for any matrix with the same sparsity pattern, so repeated
+    factorizations of an evolving or reused matrix skip the ordering work.
 
     Lower-banded layout: this LAPACK build runs pbtrf an order of magnitude
     faster on lower storage than on upper."""
 
-    __slots__ = ("perm", "bandwidth", "mask", "ab_rows", "ab_cols", "n")
+    __slots__ = ("perm", "bandwidth", "mask", "ab_rows", "ab_cols", "n", "_tiles")
 
     def __init__(self, a: sp.csr_matrix, ordering: str):
         n = a.shape[0]
@@ -142,11 +151,40 @@ class _BandedPlan:
         self.ab_cols = rows
         self.perm = perm
         self.n = n
+        self._tiles = None
 
     def banded(self, data: np.ndarray) -> np.ndarray:
         ab = np.zeros((self.bandwidth + 1, self.n), order="F")
         ab[self.ab_rows, self.ab_cols] = data[self.mask]
         return ab
+
+    def tiles(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gather indices of the diagonal and sub-diagonal tiles of a band factor.
+
+        Tiles are square with edge nb = max(bandwidth + 1, TILE), so the band
+        factor L is block lower-bidiagonal: block row k holds the lower
+        triangular D_k and, for k >= 1, S_k to its left. The indices address
+        the factor's column-major banded storage extended by a trailing 0 and 1;
+        rows past n gather zeros, with ones on the diagonal of the last tile.
+        Shapes are (K, nb, nb) for D and (K - 1, nb, nb) for S.
+        """
+        if self._tiles is None:
+            n, width = self.n, self.bandwidth + 1
+            nb = max(width, TILE)
+            count = -(-n // nb)
+            zero, one = width * n, width * n + 1
+            index_dtype = np.int32 if one <= np.iinfo(np.int32).max else np.int64
+            r = np.arange(nb)[:, None]
+            c = np.arange(nb)[None, :]
+            i = np.arange(count)[:, None, None] * nb + r  # global row of each tile entry
+            j = i - r + c                                   # global column, diagonal tile
+            d = r - c
+            diagonal = np.where((d >= 0) & (d < width) & (i < n), j * width + d,
+                                np.where((d == 0) & (i >= n), one, zero))
+            d = d + nb                                      # S_k sits one tile to the left
+            sub = np.where((d < width) & (i < n), (j - nb) * width + d, zero)[1:]
+            self._tiles = (diagonal.astype(index_dtype), sub.astype(index_dtype))
+        return self._tiles
 
 
 def _banded_plan(a: sp.csr_matrix, ordering: str) -> _BandedPlan:
@@ -164,7 +202,10 @@ def _banded_plan(a: sp.csr_matrix, ordering: str) -> _BandedPlan:
 
 
 class CholeskyFactor:
-    """Banded Cholesky factorization of a sparse SPD matrix, immutable after construction."""
+    """Banded Cholesky factorization of a sparse SPD matrix, immutable after construction.
+
+    The first solve of a block of at least `TILE` columns caches the factor's
+    inverted diagonal tiles; later wide solves reuse them."""
 
     def __init__(self, a, ordering: str = "rcm"):
         a = _as_csr(a)
@@ -178,8 +219,10 @@ class CholeskyFactor:
             pivot = int(m.group(1)) if m else -1
             raise NotSpdError(f"matrix is not positive definite (pivot {pivot})",
                               pivot=pivot) from exc
+        self._plan = plan
         self._perm = plan.perm
         self._n = plan.n
+        self._tiles = None
         _count_factorization()
 
     @property
@@ -191,79 +234,52 @@ class CholeskyFactor:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self._n:
             raise ValueError(f"dimension mismatch: factor {self.shape}, rhs {b.shape}")
-        xp = cho_solve_banded((self._cb, True), b[self._perm], check_finite=False)
-        x = np.empty_like(xp)
-        x[self._perm] = xp
+        if b.ndim == 2 and b.shape[1] >= TILE:
+            x = self._solve_tiled(b)
+        else:
+            xp = cho_solve_banded((self._cb, True), b[self._perm], check_finite=False)
+            x = np.empty_like(xp)
+            x[self._perm] = xp
         _count_solve(1 if b.ndim == 1 else b.shape[1])
         return x
 
+    def _tile_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inverted diagonal tiles D_k^-1 and sub-diagonal tiles S_k, made on first use."""
+        if self._tiles is None:
+            diagonal, sub = self._plan.tiles()
+            banded = np.append(self._cb.ravel(order="F"), (0.0, 1.0))
+            inverses = banded[diagonal]
+            for tile in inverses:
+                # tile.T is the column-major upper triangle D_k^T; inverting it in
+                # place leaves D_k^-1 in the row-major tile
+                _, info = dtrtri(tile.T, lower=0, overwrite_c=1)
+                if info:
+                    raise LinAlgError(f"dtrtri failed with info {info}")
+            self._tiles = (inverses, banded[sub])
+        return self._tiles
 
-class ConjugateGradientSolver:
-    """Jacobi-preconditioned CG over a block of right-hand sides, same surface as the factor."""
-
-    def __init__(self, a, tol: float = 1e-10, maxiter: int | None = None):
-        a = _as_csr(a)
-        _validate_square_finite(a)
-        diag = a.diagonal()
-        if np.any(diag <= 0):
-            pivot = int(np.argmax(diag <= 0)) + 1
-            raise NotSpdError(f"matrix is not positive definite (pivot {pivot})", pivot=pivot)
-        self._a = a
-        self._minv = 1.0 / diag
-        self._tol = tol
-        self._maxiter = maxiter if maxiter is not None else 10 * a.shape[0]
-        _count_factorization()
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self._a.shape[0]:
-            raise ValueError(f"dimension mismatch: operator {self.shape}, rhs {b.shape}")
-        squeeze = b.ndim == 1
-        bb = b[:, None] if squeeze else b
-        x = np.zeros_like(bb)
-        r = bb - self._a @ x
-        z = self._minv[:, None] * r
-        p = z.copy()
-        rz = np.einsum("ij,ij->j", r, z)
-        bnorm = np.linalg.norm(bb, axis=0)
-        target = self._tol * np.where(bnorm > 0, bnorm, 1.0)
-        for _ in range(self._maxiter):
-            if np.all(np.linalg.norm(r, axis=0) <= target):
-                break
-            ap = self._a @ p
-            pap = np.einsum("ij,ij->j", p, ap)
-            alpha = np.where(pap > 0, rz / np.where(pap > 0, pap, 1.0), 0.0)
-            x += alpha * p
-            r -= alpha * ap
-            z = self._minv[:, None] * r
-            rz_new = np.einsum("ij,ij->j", r, z)
-            beta = np.where(rz > 0, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
-            p = z + beta * p
-            rz = rz_new
-        else:
-            raise RuntimeError(f"CG did not reach tolerance {self._tol} "
-                               f"within {self._maxiter} iterations")
-        _count_solve(bb.shape[1])
-        return x[:, 0] if squeeze else x
+    def _solve_tiled(self, b: np.ndarray) -> np.ndarray:
+        inverses, sub = self._tile_factors()
+        count, nb, _ = inverses.shape
+        z = np.zeros((count * nb, b.shape[1]))
+        z[:self._n] = b[self._perm]
+        z = z.reshape(count, nb, -1)
+        y = np.empty_like(z)
+        # forward, L y = b: Y_k = D_k^-1 (B_k - S_k Y_{k-1})
+        for k in range(count):
+            if k:
+                z[k] -= sub[k - 1] @ y[k - 1]
+            np.matmul(inverses[k], z[k], out=y[k])
+        # backward, L^T x = y: X_k = D_k^-T (Y_k - S_{k+1}^T X_{k+1}), X overwriting B
+        for k in reversed(range(count)):
+            if k < count - 1:
+                y[k] -= sub[k].T @ z[k + 1]
+            np.matmul(inverses[k].T, y[k], out=z[k])
+        x = np.empty((self._n, b.shape[1]))
+        x[self._perm] = z.reshape(count * nb, -1)[:self._n]
+        return x
 
 
-SpdFactorization = CholeskyFactor | ConjugateGradientSolver
-
-
-def spd_factorize(a, method: str = "cholesky", ordering: str = "rcm",
-                  tol: float = 1e-10) -> SpdFactorization:
-    """Prepare a reusable solver for a sparse SPD matrix.
-
-    `method="cholesky"` is the direct banded backend; `method="cg"` returns the
-    iterative fallback (relative residual `tol`) behind the same interface.
-    """
-    if method == "cholesky":
-        return CholeskyFactor(a, ordering=ordering)
-    if method == "cg":
-        return ConjugateGradientSolver(a, tol=tol)
-    raise ValueError(f"unknown method {method!r}")
-
+def spd_factorize(a, ordering: str = "rcm") -> CholeskyFactor:
+    """Factorize a sparse SPD matrix once for reuse against any number of right-hand sides."""
+    return CholeskyFactor(a, ordering=ordering)

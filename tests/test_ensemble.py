@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ensfem import sparse
+from ensfem import fem, sparse
 from ensfem.ensemble import (EnsembleMember, EnsembleProblem, EnsembleState, TimeGrid,
                              ensemble_mean_coeff, ensemble_solve, ensemble_step,
                              independent_solve, trajectory_errors)
@@ -230,6 +232,44 @@ class TestSolvers:
         record = json.loads(json.dumps(stats.to_json_dict()))
         assert set(record) == {"factorizations", "block_solves", "wall_time_s"}
         assert record["factorizations"] == 3
+
+    def test_shared_load_assembled_once(self, monkeypatch):
+        calls = []
+        original = fem.assemble_load
+        monkeypatch.setattr(fem, "assemble_load",
+                            lambda *args: calls.append(args[1]) or original(*args))
+        source = lambda x, y, t: np.asarray(x) * (1.0 + t)
+        start = lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y)
+        members = [EnsembleMember(a=constant_field(1.0 + 0.1 * k), f=source, g=zero_field,
+                                  u0=start) for k in range(6)]
+        problem = small_problem(members, steps=3)
+        for solver in (ensemble_solve, independent_solve):
+            calls.clear()
+            traj, _ = solver(problem)
+            assert calls == [start] + [source] * 3  # one per time level, not per member
+            first = traj[0].u
+            assert np.array_equal(first, np.repeat(first[:, :1], len(members), axis=1))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(sparse.TILE, sparse.TILE + 8))
+def test_member_permutation_permutes_columns(seed, count):
+    # J >= TILE, so every block solve runs the tiled path
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.0, 0.4, count)
+    loads = rng.uniform(-1.0, 1.0, count)
+    members = [EnsembleMember(
+        a=lambda x, y, t, c=c: 1.0 + c * np.sin(3.0 * np.asarray(x) + np.asarray(y)),
+        f=lambda x, y, t, s=s: s * np.ones(np.shape(x)), g=zero_field,
+        u0=lambda x, y, t, s=s: s * np.sin(np.pi * x) * np.sin(np.pi * y),
+        time_invariant=True) for c, s in zip(scales, loads)]
+    order = rng.permutation(count)
+    space = build_space(uniform_triangulation(6, 6), 1)
+    grid = TimeGrid(t_final=0.1, steps=3)
+    final = [ensemble_solve(EnsembleProblem(members=ms, space=space, grid=grid),
+                            keep_trajectory=False)[0][-1].u
+             for ms in (members, [members[k] for k in order])]
+    assert np.abs(final[1] - final[0][:, order]).max() <= 1e-12
 
 
 class TestInitialState:

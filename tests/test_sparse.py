@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_solve_banded
 
 from ensfem import sparse
-from ensfem.fem import assemble_mass, assemble_stiffness, build_space, constant_field
-from ensfem.mesh import uniform_triangulation
+from ensfem.fem import (DirichletConstraint, assemble_mass, assemble_stiffness, build_space,
+                        constant_field)
+from ensfem.mesh import BoundaryTag, uniform_triangulation
 from ensfem.sparse import (NotSpdError, add_scaled, counters, reset_counters,
                            spd_factorize)
 
@@ -144,29 +146,70 @@ class TestReuseAndOrdering:
             spd_factorize(fem_system(), ordering="amd")
 
 
-class TestConjugateGradientBackend:
-    def test_same_interface_and_answers(self):
-        a = fem_system(nx=6)
-        b = np.random.default_rng(9).normal(size=(a.shape[0], 5))
-        direct = spd_factorize(a).solve(b)
-        iterative = spd_factorize(a, method="cg").solve(b)
-        assert np.abs(a @ iterative - b).max() <= 1e-9 * np.abs(b).max()
-        assert np.abs(direct - iterative).max() < 1e-7
+def banded_reference(factor, b):
+    """The pbtrs solve of the factor's banded storage, whatever the column count."""
+    x = np.empty_like(b)
+    x[factor._perm] = cho_solve_banded((factor._cb, True), b[factor._perm])
+    return x
 
-    def test_counts_like_the_direct_backend(self):
-        a = fem_system(nx=2)
-        f = spd_factorize(a, method="cg")
-        f.solve(np.ones((a.shape[0], 4)))
+
+def constrained_system(nx, degree):
+    space = build_space(uniform_triangulation(nx, nx), degree)
+    system = add_scaled(assemble_mass(space), 10.0,
+                        assemble_stiffness(space, constant_field(1.0), 0.0), 1.0)
+    return DirichletConstraint(system, space, tuple(BoundaryTag)).matrix
+
+
+class TestTiledSolve:
+    # (nx, degree): n=81 over three tiles with a padded last one; n=25 in one tile;
+    # P2 over nine tiles of edge 34 (band width 33); P2 with band width 117 > TILE
+    @pytest.mark.parametrize("nx, degree", [(8, 1), (4, 1), (8, 2), (16, 2)])
+    @pytest.mark.parametrize("ordering", ["rcm", "natural"])
+    def test_matches_banded_solve(self, nx, degree, ordering):
+        a = constrained_system(nx, degree)
+        f = spd_factorize(a, ordering=ordering)
+        rng = np.random.default_rng(nx * degree)
+        for j in (31, 32, 33, 64):
+            b = rng.normal(size=(a.shape[0], j))
+            x, ref = f.solve(b), banded_reference(f, b)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_tile_shape(self):
+        f = spd_factorize(constrained_system(16, 2))
+        f.solve(np.ones((f.shape[0], sparse.TILE)))
+        bandwidth = f._cb.shape[0] - 1
+        assert bandwidth + 1 > sparse.TILE
+        assert f._tiles[0].shape[1:] == (bandwidth + 1,) * 2
+
+    def test_chosen_by_column_count(self):
+        f = spd_factorize(constrained_system(8, 1))
+        f.solve(np.ones(f.shape[0]))
+        f.solve(np.ones((f.shape[0], sparse.TILE - 1)))
+        assert f._tiles is None
+        f.solve(np.ones((f.shape[0], sparse.TILE)))
+        assert f._tiles is not None
+
+    def test_fortran_and_strided_blocks(self):
+        a = constrained_system(8, 2)
+        f = spd_factorize(a)
+        b = np.random.default_rng(3).normal(size=(a.shape[0], 80))
+        ref = banded_reference(f, b)
+        for block, want in ((np.asfortranarray(b), ref), (b[:, ::2], ref[:, ::2]),
+                            (b[:, 5:70], ref[:, 5:70])):
+            x = f.solve(block)
+            assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_residual(self):
+        a = constrained_system(12, 1)
+        b = np.random.default_rng(4).normal(size=(a.shape[0], 48))
+        x = spd_factorize(a).solve(b)
+        assert np.abs(a @ x - b).max() <= 1e-10 * np.abs(b).max()
+
+    def test_counts_one_block_solve(self):
+        a = constrained_system(8, 1)
+        f = spd_factorize(a)
+        f.solve(np.ones((a.shape[0], 64)))
         snap = counters()
         assert snap.factorizations == 1
         assert snap.block_solves == 1
-        assert snap.rhs_columns == 4
-
-    def test_rejects_nonpositive_diagonal(self):
-        m = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -2.0]]))
-        with pytest.raises(NotSpdError):
-            spd_factorize(m, method="cg")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            spd_factorize(fem_system(), method="lu")
+        assert snap.rhs_columns == 64
