@@ -160,16 +160,39 @@ def _shared_columns(fields: Sequence[Field], fn) -> np.ndarray:
     return np.column_stack(values)[:, columns]
 
 
-class _SharedMatrixStepper:
-    """Per-problem workspace for the shared-matrix scheme; caches what time allows."""
+class _Stepper:
+    """Workspace common to both schemes, built once per problem.
+
+    Every system a step factorizes is M/dt + A on the space's fixed pattern,
+    so one Dirichlet constraint serves the whole run: each new system is
+    written into it by `refill`, and the factorization's ordering, cached on
+    its matrix object, is computed once.
+    """
 
     def __init__(self, problem: EnsembleProblem):
         self.problem = problem
         self.space = problem.space
         self.dt = problem.grid.dt
         self.mass = fem.assemble_mass(self.space)
+        self.scaled_mass = self.mass.data * (1.0 / self.dt)
+        self.constraint = fem.DirichletConstraint(self.mass, self.space,
+                                                  problem.dirichlet_tags)
         self.static = all(m.time_invariant for m in problem.members)
         self._cache = None
+
+    def _system(self, stiffness) -> np.ndarray:
+        """Data of M/dt + A for a stiffness matrix A, which shares the mass pattern."""
+        return self.scaled_mass + stiffness.data
+
+
+class _SharedMatrixStepper(_Stepper):
+    """Per-problem workspace for the shared-matrix scheme; caches what time allows."""
+
+    def __init__(self, problem: EnsembleProblem):
+        super().__init__(problem)
+        # A(a_j) - A(abar) of every member as one block-diagonal matrix, made on
+        # first use and overwritten in place at each later time level
+        self.fluctuation = None
 
     def _pieces(self, t1: float):
         if self.static and self._cache is not None:
@@ -178,23 +201,26 @@ class _SharedMatrixStepper:
         coeffs = np.stack(_per_member(
             members, lambda m: fem.coefficient_values(space, m.a, t1)))
         c_bar = coeffs.mean(axis=0)
-        a_bar = fem.assemble_stiffness(space, c_bar, t1)
-        system = sparse.add_scaled(self.mass, 1.0 / self.dt, a_bar, 1.0)
-        constraint = fem.DirichletConstraint(system, space, self.problem.dirichlet_tags)
-        # every member's A(a_j) - A(abar) from one product W @ (C - cbar)^T, applied as
-        # one block-diagonal matrix; temporaries are dropped as soon as they are used
-        # so that a wide group's peak memory stays near that of the stability gate
+        constraint = self.constraint
+        constraint.refill(self._system(fem.assemble_stiffness(space, c_bar, t1)))
+        # every member's A(a_j) - A(abar) from one product W @ (C - cbar)^T;
+        # temporaries are dropped as soon as they are used so that a wide
+        # group's peak memory stays near that of the stability gate
         deviation = np.subtract(coeffs.reshape(len(members), -1).T, c_bar.reshape(-1, 1),
                                 order="C")
         del coeffs
         products = space.stiffness_operator().weights @ deviation
         del deviation
-        fluctuation = sparse.block_diagonal(a_bar, products.T)
+        if self.fluctuation is None:
+            self.fluctuation = sparse.block_diagonal(self.mass, products.T)
+        else:
+            np.copyto(self.fluctuation.data.reshape(len(members), -1), products.T)
+        del products
         loads = _shared_columns([m.f for m in members],
                                 lambda f: fem.assemble_load(space, f, t1))
         gvals = _shared_columns([m.g for m in members],
                                 lambda g: constraint.boundary_values(g, t1))
-        pieces = (constraint, fluctuation, loads, gvals)
+        pieces = (constraint, self.fluctuation, loads, gvals)
         if self.static:
             self._cache = pieces
         return pieces
@@ -258,44 +284,32 @@ def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
     return _run(problem, stepper.step, observer, keep_trajectory)
 
 
-class _BackwardEulerStepper:
+class _BackwardEulerStepper(_Stepper):
     """Reference path: each member gets its own system matrix and factorization."""
-
-    def __init__(self, problem: EnsembleProblem):
-        self.problem = problem
-        self.space = problem.space
-        self.dt = problem.grid.dt
-        self.mass = fem.assemble_mass(self.space)
-        self.static = all(m.time_invariant for m in problem.members)
-        self._cache = None
 
     def _pieces(self, t1: float):
         if self.static and self._cache is not None:
             return self._cache
         space, members = self.space, self.problem.members
-
-        def member_constraint(m: EnsembleMember):
-            system = sparse.add_scaled(
-                self.mass, 1.0 / self.dt, fem.assemble_stiffness(space, m.a, t1), 1.0)
-            return fem.DirichletConstraint(system, space, self.problem.dirichlet_tags)
-
-        constraints = _per_member(members, member_constraint)
+        systems = _per_member(
+            members, lambda m: self._system(fem.assemble_stiffness(space, m.a, t1)))
         loads = _shared_columns([m.f for m in members],
                                 lambda f: fem.assemble_load(space, f, t1))
-        # every constraint eliminates the same DOFs, so any of them evaluates g
         gvals = _shared_columns([m.g for m in members],
-                                lambda g: constraints[0].boundary_values(g, t1))
-        pieces = (constraints, loads, gvals)
+                                lambda g: self.constraint.boundary_values(g, t1))
+        pieces = (systems, loads, gvals)
         if self.static:
             self._cache = pieces
         return pieces
 
     def step(self, state: EnsembleState) -> EnsembleState:
         t1 = (state.n + 1) * self.dt
-        constraints, loads, gvals = self._pieces(t1)
+        systems, loads, gvals = self._pieces(t1)
         rhs = loads + (self.mass @ state.u) / self.dt
         u1 = np.empty_like(state.u)
-        for j, constraint in enumerate(constraints):
+        constraint = self.constraint
+        for j, system in enumerate(systems):
+            constraint.refill(system)
             col = constraint.lift(rhs[:, j], gvals[:, j])
             u1[:, j] = sparse.spd_factorize(constraint.matrix).solve(col)
         return EnsembleState(n=state.n + 1, t=t1, u=u1)

@@ -66,6 +66,7 @@ class FeSpace:
     _inv_jt: np.ndarray = field(repr=False, default=None)
     _tabs: dict[int, _Tabulation] = field(repr=False, default_factory=dict)
     _stiffness: "_StiffnessOperator | None" = field(repr=False, default=None)
+    _load: "sp.csr_matrix | None" = field(repr=False, default=None)
 
     @property
     def interior_dofs(self) -> np.ndarray:
@@ -98,6 +99,23 @@ class FeSpace:
             self._stiffness = _StiffnessOperator(self)
         return self._stiffness
 
+    def load_operator(self) -> sp.csr_matrix:
+        """Linear map from source values at the data-rule points to the load vector.
+
+        Entry (i, (t, q)) is the quadrature weight times area times phi_i at point
+        q of element t, so the load of values f, flattened from shape (nt, nq),
+        is `load_operator() @ f`.
+        """
+        if self._load is None:
+            tab = self.tabulation(self.data_rule)
+            nt, nq = tab.xq.shape
+            local = np.einsum("qa,q,t->taq", tab.phi, tab.weights, self.areas)
+            rows = np.broadcast_to(self.cell_dofs[:, :, None], local.shape)
+            points = np.broadcast_to(np.arange(nt * nq).reshape(nt, 1, nq), local.shape)
+            self._load = sp.csr_matrix((local.ravel(), (rows.ravel(), points.ravel())),
+                                       shape=(self.dof_count, nt * nq))
+        return self._load
+
 
 class _StiffnessOperator:
     """Linear map from coefficient values at the assembly points to stiffness CSR data.
@@ -105,7 +123,10 @@ class _StiffnessOperator:
     Row k of `weights` holds, for CSR slot k of the stiffness pattern, the
     quadrature weight times area times grad phi_i . grad phi_j of every
     (element, point) pair that couples DOFs i and j; so A(c).data = weights @ c
-    for the coefficient values c, flattened from shape (nt, nq).
+    for the coefficient values c, flattened from shape (nt, nq). The pattern
+    couples every pair of DOFs that share an element, which makes it the
+    pattern of every matrix the space assembles; `slots` maps each element's
+    local pair (a, b), flattened to a * nl + b, to its CSR slot.
     """
 
     def __init__(self, space: FeSpace):
@@ -116,6 +137,7 @@ class _StiffnessOperator:
         cols = np.tile(space.cell_dofs, (1, nl))
         keys, slot = np.unique((rows * np.int64(n) + cols).ravel(), return_inverse=True)
         index_dtype = np.int32 if keys.size <= np.iinfo(np.int32).max else np.int64
+        self.slots = slot.reshape(nt, nl * nl).astype(index_dtype)
         self.shape = (n, n)
         self.indices = (keys % n).astype(index_dtype)
         self.indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(index_dtype)
@@ -127,10 +149,13 @@ class _StiffnessOperator:
         self.weights = sp.csr_matrix((local.ravel(), (slots.ravel(), points.ravel())),
                                      shape=(keys.size, nt * nq))
 
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with the given data on this pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
     def matrix(self, values: np.ndarray) -> sp.csr_matrix:
         """Stiffness matrix for coefficient values of shape (nt, nq)."""
-        return sp.csr_matrix((self.weights @ values.ravel(), self.indices, self.indptr),
-                             shape=self.shape)
+        return self.csr(self.weights @ values.ravel())
 
 
 def build_space(mesh: Mesh, degree: int) -> FeSpace:
@@ -193,23 +218,19 @@ def _evaluate(fn: Field, xq: np.ndarray, yq: np.ndarray, t: float) -> np.ndarray
     return np.broadcast_to(vals, xq.shape)
 
 
-def _scatter_matrix(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
-    nl = space.cell_dofs.shape[1]
-    rows = np.repeat(space.cell_dofs, nl, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, nl)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(space.dof_count, space.dof_count)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
-
-
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
-    """Mass matrix, entry (i, j) = integral of phi_i * phi_j."""
+    """Mass matrix, entry (i, j) = integral of phi_i * phi_j.
+
+    Its pattern is the stiffness pattern slot for slot, so the data of any
+    combination of mass and stiffness matrices is the same combination of
+    their data arrays.
+    """
     tab = space.tabulation(space.assembly_rule)
     local_ref = np.einsum("qa,qb,q->ab", tab.phi, tab.phi, tab.weights)
-    local = space.areas[:, None, None] * local_ref[None, :, :]
-    return _scatter_matrix(space, local)
+    local = space.areas[:, None] * local_ref.reshape(1, -1)
+    op = space.stiffness_operator()
+    return op.csr(np.bincount(op.slots.ravel(), weights=local.ravel(),
+                              minlength=op.indices.size))
 
 
 def coefficient_values(space: FeSpace, coeff: Field, t: float) -> np.ndarray:
@@ -239,9 +260,7 @@ def assemble_load(space: FeSpace, f: Field, t: float) -> np.ndarray:
     if not np.isfinite(fv).all():
         bad = int(np.nonzero(~np.isfinite(fv).all(axis=1))[0][0])
         raise ValueError(f"source evaluated non-finite on element {bad} at t={t}")
-    local = np.einsum("tq,qa,q,t->ta", fv, tab.phi, tab.weights, space.areas)
-    return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(),
-                       minlength=space.dof_count)
+    return space.load_operator() @ fv.ravel()
 
 
 def l2_project(space: FeSpace, g: Field, t: float = 0.0) -> np.ndarray:
@@ -300,22 +319,58 @@ class DirichletConstraint:
 
     The constrained matrix keeps the full dimension: tagged rows and columns are
     zeroed with a unit diagonal, so it stays SPD, and the dropped couplings are
-    moved into each right-hand-side column by `lift`.
+    moved into each right-hand-side column by `lift`. Which system slot each
+    entry of the constrained matrix and of `coupling` comes from depends only
+    on the sparsity pattern, so these slot maps are made once and `refill`
+    rewrites both in place from new data on that pattern. The matrix object,
+    and with it the ordering a factorization caches on it, lives as long as
+    the constraint.
     """
 
     def __init__(self, matrix: sp.csr_matrix, space: FeSpace,
                  tags: Sequence[BoundaryTag]):
         self.space = space
         self.bdofs = space.tagged_dofs(tags)
-        n = space.dof_count
-        free = np.ones(n)
-        free[self.bdofs] = 0.0
-        pinned = np.zeros(n)
-        pinned[self.bdofs] = 1.0
-        d_free = sp.diags(free)
-        self.coupling = matrix[:, self.bdofs].tocsr()
-        self.matrix = (d_free @ matrix @ d_free + sp.diags(pinned)).tocsr()
-        self.matrix.sort_indices()
+        matrix = sp.csr_matrix(matrix, copy=True)
+        matrix.sum_duplicates()  # canonical slot order: rows, then sorted columns
+        n, nb = space.dof_count, self.bdofs.size
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        cols = matrix.indices
+        pinned = np.full(n, -1)  # column of each tagged DOF in `coupling`, -1 if free
+        pinned[self.bdofs] = np.arange(nb)
+        # constrained pattern: the free-free slots plus a unit diagonal on each
+        # tagged DOF, whose slot map entry is a placeholder overwritten by 1
+        kept = np.nonzero((pinned[rows] < 0) & (pinned[cols] < 0))[0]
+        r = np.concatenate([rows[kept], self.bdofs])
+        c = np.concatenate([cols[kept], self.bdofs])
+        order = np.lexsort((c, r))
+        self._matrix_slots = np.concatenate([kept, np.zeros(nb, dtype=kept.dtype)])[order]
+        self._unit_slots = np.nonzero(order >= kept.size)[0]
+        self._coupling_slots = np.nonzero(pinned[cols] >= 0)[0]
+        self._nnz = matrix.nnz
+
+        def empty_csr(row, col, width):  # entries in CSR order, data left to refill
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
+            return sp.csr_matrix((np.empty(row.size), col, indptr), shape=(n, width))
+
+        self.matrix = empty_csr(r[order], c[order], n)
+        coupled = self._coupling_slots
+        self.coupling = empty_csr(rows[coupled], pinned[cols[coupled]], nb)
+        self.refill(matrix.data)
+
+    def refill(self, data: np.ndarray) -> None:
+        """Rewrite the constrained matrix and `coupling` in place from new system data.
+
+        `data` holds the entries of a system on the pattern this constraint was
+        built from, in canonical CSR slot order.
+        """
+        if data.shape != (self._nnz,):
+            raise ValueError(f"system data of shape {data.shape}, want ({self._nnz},)")
+        # the slots are in range by construction; "clip" skips the buffered
+        # bounds check of the default mode
+        np.take(data, self._matrix_slots, out=self.matrix.data, mode="clip")
+        self.matrix.data[self._unit_slots] = 1.0
+        np.take(data, self._coupling_slots, out=self.coupling.data, mode="clip")
 
     def boundary_values(self, g: Field, t: float) -> np.ndarray:
         xb = self.space.dof_coords[self.bdofs, 0]

@@ -3,10 +3,13 @@
 The backend permutes with reverse Cuthill-McKee and runs a banded Cholesky
 factorization (LAPACK pbtrf), which is exact-pivot Cholesky and fails loudly on
 indefinite input. A vector or a narrow block is solved by LAPACK pbtrs, two
-level-2 band sweeps per column. A block of at least `TILE` columns is solved
-by a level-3 tiled path instead: the band factor is viewed as block
-lower-bidiagonal with square tiles, each diagonal tile is inverted once per
-factor, and both sweeps are two matrix products per tile over all columns.
+level-2 band sweeps per column. A wide block is solved by a level-3 tiled path
+instead: the band factor is viewed as block lower-bidiagonal with square tiles
+of edge nb = max(band width + 1, `TILE`), each diagonal tile is inverted once
+per factor, and both sweeps are two matrix products per tile over all columns.
+A block is wide from max(`TILE`, nb // 2) columns on: a band-sized tile is
+half zeros, and below that count its inversion and products cost more than
+the pbtrs sweeps they replace.
 
 Module-level counters record every factorization and block solve so that
 solver-call laws can be asserted by tests and reported per run.
@@ -24,7 +27,7 @@ from scipy.linalg.lapack import dtrtri
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
-#: column count from which a block solve runs the tiled level-3 path; also the
+#: smallest column count of a block solved by the tiled level-3 path, and the
 #: smallest tile edge of that path
 TILE = 32
 
@@ -128,7 +131,7 @@ class _BandedPlan:
     Lower-banded layout: this LAPACK build runs pbtrf an order of magnitude
     faster on lower storage than on upper."""
 
-    __slots__ = ("perm", "bandwidth", "mask", "ab_rows", "ab_cols", "n", "_tiles")
+    __slots__ = ("perm", "bandwidth", "edge", "mask", "ab_rows", "ab_cols", "n", "_tiles")
 
     def __init__(self, a: sp.csr_matrix, ordering: str):
         n = a.shape[0]
@@ -147,6 +150,7 @@ class _BandedPlan:
         self.mask = rows <= cols  # keep one triangle; store at (i-j, j) of the lower form
         rows, cols = rows[self.mask], cols[self.mask]
         self.bandwidth = int(np.max(cols - rows)) if len(rows) else 0
+        self.edge = max(self.bandwidth + 1, TILE)  # tile edge nb of the multi-column solve
         self.ab_rows = cols - rows
         self.ab_cols = rows
         self.perm = perm
@@ -169,8 +173,7 @@ class _BandedPlan:
         Shapes are (K, nb, nb) for D and (K - 1, nb, nb) for S.
         """
         if self._tiles is None:
-            n, width = self.n, self.bandwidth + 1
-            nb = max(width, TILE)
+            n, width, nb = self.n, self.bandwidth + 1, self.edge
             count = -(-n // nb)
             zero, one = width * n, width * n + 1
             index_dtype = np.int32 if one <= np.iinfo(np.int32).max else np.int64
@@ -204,8 +207,8 @@ def _banded_plan(a: sp.csr_matrix, ordering: str) -> _BandedPlan:
 class CholeskyFactor:
     """Banded Cholesky factorization of a sparse SPD matrix, immutable after construction.
 
-    The first solve of a block of at least `TILE` columns caches the factor's
-    inverted diagonal tiles; later wide solves reuse them."""
+    The first solve of a block of at least `tiled_columns` columns caches the
+    factor's inverted diagonal tiles; later wide solves reuse them."""
 
     def __init__(self, a, ordering: str = "rcm"):
         a = _as_csr(a)
@@ -229,12 +232,17 @@ class CholeskyFactor:
     def shape(self) -> tuple[int, int]:
         return (self._n, self._n)
 
+    @property
+    def tiled_columns(self) -> int:
+        """Smallest column count of a block that `solve` runs on the tiled path."""
+        return max(TILE, self._plan.edge // 2)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for a vector or an n-by-J block of right-hand sides."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self._n:
             raise ValueError(f"dimension mismatch: factor {self.shape}, rhs {b.shape}")
-        if b.ndim == 2 and b.shape[1] >= TILE:
+        if b.ndim == 2 and b.shape[1] >= self.tiled_columns:
             x = self._solve_tiled(b)
         else:
             xp = cho_solve_banded((self._cb, True), b[self._perm], check_finite=False)

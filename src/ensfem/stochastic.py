@@ -153,7 +153,7 @@ class EmcResult:
     qoi_samples: np.ndarray
     stability: StabilityReport
     stats: SolveStats
-    space: FeSpace
+    dof_count: int
     config: EmcConfig
     groups: list[list[int]]
 
@@ -172,7 +172,7 @@ class EmcResult:
             "replica": cfg.replica,
             "samples": cfg.samples,
             "mesh": {"nx": cfg.nx, "ny": cfg.nx, "degree": cfg.degree,
-                     "dof_count": int(self.space.dof_count)},
+                     "dof_count": self.dof_count},
             "dt": cfg.dt,
             "t_final": cfg.t_final,
             "groups": self.groups,
@@ -264,7 +264,8 @@ def run_emc(config: EmcConfig, observer=None) -> EmcResult:
     stats = replace(run_stats, wall_time=time.perf_counter() - start)
     return EmcResult(mean_field=mean, std_field=std, std_degenerate=degenerate,
                      qoi_samples=np.asarray(qoi), stability=report,
-                     stats=stats, space=space, config=config, groups=groups)
+                     stats=stats, dof_count=int(space.dof_count), config=config,
+                     groups=groups)
 
 
 def log_log_fit(j_values: Sequence[float], errors: Sequence[float]) -> tuple[float, float]:

@@ -60,6 +60,17 @@ class TestMeanCoefficient:
         assert expected == pytest.approx(1.96154, abs=5e-5)
 
 
+# time-dependent members for the dense reference path of `_dense_oracle`
+DENSE_MEMBERS = [
+    dict(a=lambda x, y, t: 1.0 + 0.4 * np.sin(np.asarray(x) + t),
+         f=lambda x, y, t: np.asarray(x) * np.asarray(y) + t,
+         g=lambda x, y, t: 0.2 * np.asarray(y) * t),
+    dict(a=lambda x, y, t: 2.0 + 0.3 * np.asarray(y),
+         f=lambda x, y, t: np.cos(np.asarray(y)) - 0.5 * t,
+         g=lambda x, y, t: 0.1 * np.asarray(x) ** 2),
+]
+
+
 class TestSingleStep:
     def test_single_member_equals_backward_euler(self):
         rng = np.random.default_rng(0)
@@ -87,14 +98,7 @@ class TestSingleStep:
     def test_matches_dense_reimplementation(self):
         mesh = uniform_triangulation(2, 2)
         space = build_space(mesh, 1)
-        members = [
-            dict(a=lambda x, y, t: 1.0 + 0.4 * np.sin(np.asarray(x) + t),
-                 f=lambda x, y, t: np.asarray(x) * np.asarray(y) + t,
-                 g=lambda x, y, t: 0.2 * np.asarray(y) * t),
-            dict(a=lambda x, y, t: 2.0 + 0.3 * np.asarray(y),
-                 f=lambda x, y, t: np.cos(np.asarray(y)) - 0.5 * t,
-                 g=lambda x, y, t: 0.1 * np.asarray(x) ** 2),
-        ]
+        members = DENSE_MEMBERS
         ens_members = [EnsembleMember(a=m["a"], f=m["f"], g=m["g"], u0=zero_field)
                        for m in members]
         problem = EnsembleProblem(members=ens_members, space=space,
@@ -249,6 +253,57 @@ class TestSolvers:
             assert calls == [start] + [source] * 3  # one per time level, not per member
             first = traj[0].u
             assert np.array_equal(first, np.repeat(first[:, :1], len(members), axis=1))
+
+
+class TestFixedPattern:
+    """Both steppers build the system structure once and refill only its data per step."""
+
+    @staticmethod
+    def time_dependent_problem(steps):
+        members = [EnsembleMember(a=m["a"], f=m["f"], g=m["g"],
+                                  u0=lambda x, y, t: np.asarray(x) * np.asarray(y))
+                   for m in DENSE_MEMBERS]
+        mesh = uniform_triangulation(2, 2)
+        return mesh, EnsembleProblem(members=members, space=build_space(mesh, 1),
+                                     grid=TimeGrid(t_final=0.1 * steps, steps=steps))
+
+    @pytest.mark.parametrize("solver, per_step", [(ensemble_solve, 1), (independent_solve, 2)])
+    def test_structure_built_once(self, monkeypatch, solver, per_step):
+        orderings, constraints = [], []
+        rcm = sparse.reverse_cuthill_mckee
+        monkeypatch.setattr(sparse, "reverse_cuthill_mckee",
+                            lambda *args, **kw: orderings.append(1) or rcm(*args, **kw))
+        init = fem.DirichletConstraint.__init__
+
+        def counted(self, *args, **kw):
+            constraints.append(1)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(fem.DirichletConstraint, "__init__", counted)
+        _, problem = self.time_dependent_problem(steps=6)
+        _, stats = solver(problem)
+        assert stats.factorizations == 6 * per_step
+        assert len(orderings) == 2  # the initial mass projection and the stepping system
+        assert len(constraints) == 1
+
+    def test_runs_match_dense_steps(self):
+        # every refilled step against a dense rebuild of that step; a one-member
+        # group of the shared scheme is backward Euler for that member
+        mesh, problem = self.time_dependent_problem(steps=4)
+        bdofs = problem.space.tagged_dofs(tuple(BoundaryTag))
+
+        def dense_step(members, u, t1):
+            return shared_matrix_step(mesh.vertices, mesh.triangles, members, u,
+                                      dt=0.1, t1=t1, bdofs=bdofs)
+
+        shared, _ = ensemble_solve(problem)
+        independent, _ = independent_solve(problem)
+        for prev, cur in zip(shared, shared[1:]):
+            assert np.abs(cur.u - dense_step(DENSE_MEMBERS, prev.u, cur.t)).max() < 1e-12
+        for prev, cur in zip(independent, independent[1:]):
+            ref = np.column_stack([dense_step([m], prev.u[:, [j]], cur.t)
+                                   for j, m in enumerate(DENSE_MEMBERS)])
+            assert np.abs(cur.u - ref).max() < 1e-12
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensfem import sparse
 from ensfem.fem import (DirichletConstraint, assemble_load, assemble_mass,
@@ -83,6 +85,19 @@ class TestMass:
         sparse.spd_factorize(assemble_mass(space))  # raises NotSpdError on failure
 
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_on_stiffness_pattern(self, degree):
+        space = build_space(uniform_triangulation(5, 3), degree)
+        m = assemble_mass(space)
+        a = assemble_stiffness(space, constant_field(1.0), 0.0)
+        assert np.array_equal(m.indptr, a.indptr)
+        assert np.array_equal(m.indices, a.indices)
+        tab = space.tabulation(space.assembly_rule)
+        local_ref = np.einsum("qa,qb,q->ab", tab.phi, tab.phi, tab.weights)
+        ref = scatter(space, space.areas[:, None, None] * local_ref[None])
+        assert np.abs(m - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 class TestStiffness:
     def test_constants_in_kernel(self, space_p2):
         a = assemble_stiffness(space_p2, constant_field(1.0), 0.0)
@@ -143,6 +158,11 @@ def einsum_scatter_stiffness(space, coeff, t):
     c = np.broadcast_to(np.asarray(coeff(tab.xq, tab.yq, t), dtype=float), tab.xq.shape)
     local = np.einsum("tqai,tqbi,tq,q,t->tab", tab.grad, tab.grad, c, tab.weights,
                       space.areas, optimize=True)
+    return scatter(space, local)
+
+
+def scatter(space, local):
+    """Local (nt, nl, nl) matrices scattered via COO into CSR, duplicates summed."""
     nl = space.cell_dofs.shape[1]
     rows = np.repeat(space.cell_dofs, nl, axis=1).ravel()
     cols = np.tile(space.cell_dofs, (1, nl)).ravel()
@@ -167,6 +187,18 @@ class TestLoad:
     def test_nonfinite_source_rejected(self, space_p1):
         with pytest.raises(ValueError, match="element"):
             assemble_load(space_p1, lambda x, y, t: np.full(np.shape(x), np.inf), 0.0)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_operator_matches_einsum_bincount(self, degree):
+        space = build_space(uniform_triangulation(5, 3), degree)
+        f = lambda x, y, t: np.exp(np.asarray(x) - t) * np.cos(3.0 * np.asarray(y))
+        tab = space.tabulation(space.data_rule)
+        local = np.einsum("tq,qa,q,t->ta", f(tab.xq, tab.yq, 0.3), tab.phi, tab.weights,
+                          space.areas)
+        ref = np.bincount(space.cell_dofs.ravel(), weights=local.ravel(),
+                          minlength=space.dof_count)
+        load = assemble_load(space, f, 0.3)
+        assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestL2Projection:
@@ -263,6 +295,45 @@ class TestDirichlet:
         assert np.allclose(rhs_c[bdofs], 2.0)
         x = sparse.spd_factorize(a_c).solve(rhs_c)
         assert np.allclose(x[bdofs], 2.0, atol=1e-12)
+
+
+    def test_refill_rejects_data_off_pattern(self, space_p1):
+        a = assemble_stiffness(space_p1, constant_field(1.0), 0.0)
+        constraint = DirichletConstraint(a, space_p1, tuple(BoundaryTag))
+        with pytest.raises(ValueError, match="shape"):
+            constraint.refill(np.ones(a.nnz + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(degree=st.sampled_from([1, 2]), nx=st.integers(1, 5), ny=st.integers(1, 5),
+       tags=st.sets(st.sampled_from(list(BoundaryTag))), seed=st.integers(0, 2 ** 32 - 1),
+       scales=st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)))
+def test_refilled_constraint_equals_fresh(degree, nx, ny, tags, seed, scales):
+    space = build_space(uniform_triangulation(nx, ny), degree)
+    tags = tuple(sorted(tags, key=lambda tag: tag.value))
+    rng = np.random.default_rng(seed)
+    shape = space.tabulation(space.assembly_rule).xq.shape
+    systems = [(s * assemble_mass(space) + assemble_stiffness(
+                    space, rng.uniform(0.1, 10.0, shape), 0.0)).tocsr() for s in scales]
+    refilled = DirichletConstraint(systems[0], space, tags)
+    refilled.refill(systems[1].data)
+    fresh = DirichletConstraint(systems[1], space, tags)
+    for got, want in ((refilled.matrix, fresh.matrix), (refilled.coupling, fresh.coupling)):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+    rhs = rng.normal(size=(space.dof_count, 2))
+    gvals = rng.normal(size=(fresh.bdofs.size, 2))
+    assert np.array_equal(refilled.lift(rhs, gvals), fresh.lift(rhs, gvals))
+    # the elimination itself, as zeroing products of the system
+    free = np.ones(space.dof_count)
+    free[fresh.bdofs] = 0.0
+    keep = sp.diags(free)
+    ref = keep @ systems[1] @ keep + sp.diags(1.0 - free)
+    assert np.array_equal(fresh.matrix.toarray(), ref.toarray())
+    assert np.array_equal(fresh.coupling.toarray(), systems[1][:, fresh.bdofs].toarray())
+    dense = fresh.matrix.toarray()
+    assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
 
 
 class TestErrorNorms:

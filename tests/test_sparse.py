@@ -162,21 +162,22 @@ def constrained_system(nx, degree):
 
 class TestTiledSolve:
     # (nx, degree): n=81 over three tiles with a padded last one; n=25 in one tile;
-    # P2 over nine tiles of edge 34 (band width 33); P2 with band width 117 > TILE
+    # P2 over nine tiles of edge 34 (band width 33); P2 with band width 117 > TILE,
+    # tiled from 59 columns; the natural orderings have wider bands still
     @pytest.mark.parametrize("nx, degree", [(8, 1), (4, 1), (8, 2), (16, 2)])
     @pytest.mark.parametrize("ordering", ["rcm", "natural"])
     def test_matches_banded_solve(self, nx, degree, ordering):
         a = constrained_system(nx, degree)
         f = spd_factorize(a, ordering=ordering)
         rng = np.random.default_rng(nx * degree)
-        for j in (31, 32, 33, 64):
+        for j in sorted({31, 32, 33, 64, f.tiled_columns}):
             b = rng.normal(size=(a.shape[0], j))
             x, ref = f.solve(b), banded_reference(f, b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_tile_shape(self):
         f = spd_factorize(constrained_system(16, 2))
-        f.solve(np.ones((f.shape[0], sparse.TILE)))
+        f.solve(np.ones((f.shape[0], f.tiled_columns)))
         bandwidth = f._cb.shape[0] - 1
         assert bandwidth + 1 > sparse.TILE
         assert f._tiles[0].shape[1:] == (bandwidth + 1,) * 2
@@ -187,6 +188,19 @@ class TestTiledSolve:
         f.solve(np.ones((f.shape[0], sparse.TILE - 1)))
         assert f._tiles is None
         f.solve(np.ones((f.shape[0], sparse.TILE)))
+        assert f._tiles is not None
+
+    # (nx, degree, band width): up to band width 63 the tiled path starts at TILE
+    # columns; above it at half the band-sized tile edge
+    @pytest.mark.parametrize("nx, degree, bandwidth, tiled_from",
+                             [(8, 1, 7, 32), (8, 2, 33, 32), (16, 2, 117, 59)])
+    def test_chosen_by_band_width(self, nx, degree, bandwidth, tiled_from):
+        f = spd_factorize(constrained_system(nx, degree))
+        assert f._cb.shape[0] - 1 == bandwidth
+        assert f.tiled_columns == tiled_from
+        f.solve(np.ones((f.shape[0], tiled_from - 1)))
+        assert f._tiles is None
+        f.solve(np.ones((f.shape[0], tiled_from)))
         assert f._tiles is not None
 
     def test_fortran_and_strided_blocks(self):

@@ -1,13 +1,15 @@
+import gc
 import json
 import math
 import time
+import types
 
 import numpy as np
 import pytest
 
 from ensfem import stochastic
 
-from ensfem.fem import build_space
+from ensfem.fem import FeSpace, build_space
 from ensfem.mesh import uniform_triangulation
 from ensfem.stochastic import (EmcConfig, RandomFieldSpec, SQRT3, StabilityError,
                                draw_samples, kl_eigenvalues, log_log_fit,
@@ -165,6 +167,20 @@ class TestRunEmc:
         a = json.dumps(run_emc(tiny_config()).to_json_dict())
         b = json.dumps(run_emc(tiny_config()).to_json_dict())
         assert a == b
+
+    def test_result_holds_no_space(self):
+        # a caller holding many results must not hold each run's cached operators
+        result = run_emc(tiny_config())
+        seen, stack = set(), [result]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                                   types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, FeSpace)
+            stack.extend(gc.get_referents(obj))
+        assert result.to_json_dict()["mesh"]["dof_count"] == result.dof_count == 25
 
     def test_stability_gate_refuses_wild_fields(self):
         config = tiny_config(spec=RandomFieldSpec(a0=3.0, sigma=1.0), samples=8, seed=3)
