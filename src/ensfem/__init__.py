@@ -14,7 +14,7 @@ import importlib
 # public name -> defining submodule
 _EXPORTS = {
     **dict.fromkeys(("EnsembleMember", "EnsembleProblem", "EnsembleState", "SolveStats",
-                     "TimeGrid", "ensemble_mean_coeff", "ensemble_solve", "ensemble_step",
+                     "TimeGrid", "ensemble_solve", "ensemble_step",
                      "independent_solve", "trajectory_errors"), "ensemble"),
     **dict.fromkeys(("FeSpace", "assemble_load", "assemble_mass", "assemble_stiffness",
                      "build_space", "constant_field", "error_h1_semi", "error_l2",

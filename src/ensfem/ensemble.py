@@ -8,9 +8,10 @@ right-hand-side column:
 
     (M/dt + A(abar, t1)) u_j(t1) = F_j(t1) + M u_j(t0)/dt - (A(a_j, t1) - A(abar, t1)) u_j(t0)
 
-with Dirichlet lifting at t1. `independent_solve` is the reference baseline
-that advances every member by standard backward Euler with its own coefficient
-matrix and factorization.
+with Dirichlet lifting at t1. A run may split the members into groups, each
+with its own mean; all groups step in lockstep. `independent_solve` is the
+reference baseline, standard backward Euler for every member: the same scheme
+on one-member groups, whose deviation from their mean is zero.
 """
 from __future__ import annotations
 
@@ -102,31 +103,18 @@ class SolveStats:
 Observer = Callable[[EnsembleState], None]
 
 
-def ensemble_mean_coeff(members: Sequence[EnsembleMember]) -> Field:
-    """Pointwise arithmetic mean of the members' diffusion coefficients."""
-    coeffs = [m.a for m in members]
+def _column_indexers(groups: Sequence[Sequence[int]], size: int) -> list[slice | np.ndarray]:
+    """Each group's member columns: a slice for consecutive members, else an index array.
 
-    def mean(x, y, t):
-        acc = np.zeros(np.shape(x))
-        for a in coeffs:
-            acc = acc + a(x, y, t)
-        return acc / len(coeffs)
-
-    return mean
-
-
-def _initial_state(problem: EnsembleProblem) -> EnsembleState:
-    space, members = problem.space, problem.members
-    m = fem.assemble_mass(space)
-    loads = _shared_columns([member.u0 for member in members],
-                            lambda u0: fem.assemble_load(space, u0, 0.0))
-    u = sparse.spd_factorize(m).solve(loads)
-    bdofs = space.tagged_dofs(problem.dirichlet_tags)
-    xb, yb = space.dof_coords[bdofs, 0], space.dof_coords[bdofs, 1]
-    u[bdofs] = _shared_columns(
-        [member.g for member in members],
-        lambda g: np.broadcast_to(np.asarray(g(xb, yb, 0.0), float), xb.shape))
-    return EnsembleState(n=0, t=0.0, u=u)
+    Raises ValueError unless the groups cover the members 0..size-1 exactly once.
+    """
+    arrays = [np.asarray(g) for g in groups]
+    if not (arrays and all(a.ndim == 1 and a.size and a.dtype.kind in "iu" for a in arrays)
+            and np.array_equal(np.sort(np.concatenate(arrays)), np.arange(size))):
+        raise ValueError(f"groups must cover the members 0..{size - 1} exactly once")
+    return [slice(int(a[0]), int(a[0]) + a.size)
+            if np.array_equal(a, np.arange(a[0], a[0] + a.size)) else a.astype(np.intp)
+            for a in arrays]
 
 
 def _per_member(members: Sequence[EnsembleMember], fn) -> list:
@@ -160,17 +148,22 @@ def _shared_columns(fields: Sequence[Field], fn) -> np.ndarray:
     return np.column_stack(values)[:, columns]
 
 
-class _Stepper:
-    """Workspace common to both schemes, built once per problem.
+class _GroupedStepper:
+    """The scheme for one problem and one partition of its members into groups.
 
-    Every system a step factorizes is M/dt + A on the space's fixed pattern,
-    so one Dirichlet constraint serves the whole run: each new system is
-    written into it by `refill`, and the factorization's ordering, cached on
-    its matrix object, is computed once.
+    All groups advance in lockstep. Each group's system is M/dt + A(mean of
+    its members' coefficients), and each member's deviation from its own
+    group's mean acts on its right-hand-side column; a one-member group has
+    a deviation of exactly zero and so takes a backward-Euler step. Every
+    system sits on the space's fixed pattern, so one Dirichlet constraint
+    serves the whole run: each group's system is written into it by `refill`
+    in turn, and the factorization's ordering, cached on its matrix object,
+    is computed once.
     """
 
-    def __init__(self, problem: EnsembleProblem):
+    def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]]):
         self.problem = problem
+        self.groups = _column_indexers(groups, problem.size)
         self.space = problem.space
         self.dt = problem.grid.dt
         self.mass = fem.assemble_mass(self.space)
@@ -178,36 +171,36 @@ class _Stepper:
         self.constraint = fem.DirichletConstraint(self.mass, self.space,
                                                   problem.dirichlet_tags)
         self.static = all(m.time_invariant for m in problem.members)
+        # A(a_j) - A(mean of j's group) of every member as one block-diagonal
+        # matrix, made on first use and overwritten in place at each later time level
+        self.fluctuation = None
         self._cache = None
 
-    def _system(self, stiffness) -> np.ndarray:
-        """Data of M/dt + A for a stiffness matrix A, which shares the mass pattern."""
-        return self.scaled_mass + stiffness.data
-
-
-class _SharedMatrixStepper(_Stepper):
-    """Per-problem workspace for the shared-matrix scheme; caches what time allows."""
-
-    def __init__(self, problem: EnsembleProblem):
-        super().__init__(problem)
-        # A(a_j) - A(abar) of every member as one block-diagonal matrix, made on
-        # first use and overwritten in place at each later time level
-        self.fluctuation = None
+    def initial_state(self) -> EnsembleState:
+        """L2 projection of each member's u0, tagged boundary DOFs overwritten by g(., 0)."""
+        space, members, constraint = self.space, self.problem.members, self.constraint
+        mass = sparse.spd_factorize(self.mass)
+        u = _shared_columns([m.u0 for m in members],
+                            lambda u0: mass.solve(fem.assemble_load(space, u0, 0.0)))
+        u[constraint.bdofs] = _shared_columns([m.g for m in members],
+                                              lambda g: constraint.boundary_values(g, 0.0))
+        return EnsembleState(n=0, t=0.0, u=u)
 
     def _pieces(self, t1: float):
         if self.static and self._cache is not None:
             return self._cache
         space, members = self.space, self.problem.members
         coeffs = np.stack(_per_member(
-            members, lambda m: fem.coefficient_values(space, m.a, t1)))
-        c_bar = coeffs.mean(axis=0)
-        constraint = self.constraint
-        constraint.refill(self._system(fem.assemble_stiffness(space, c_bar, t1)))
-        # every member's A(a_j) - A(abar) from one product W @ (C - cbar)^T;
+            members, lambda m: fem.coefficient_values(space, m.a, t1))).reshape(len(members), -1)
+        systems = []
+        for group in self.groups:
+            c_bar = coeffs[group].mean(axis=0)
+            systems.append(self.scaled_mass + fem.assemble_stiffness(space, c_bar, t1).data)
+            coeffs[group] -= c_bar  # each member's deviation from its group's mean
+        # every member's A(a_j) - A(c_bar) from one product W @ (C - c_bar)^T;
         # temporaries are dropped as soon as they are used so that a wide
         # group's peak memory stays near that of the stability gate
-        deviation = np.subtract(coeffs.reshape(len(members), -1).T, c_bar.reshape(-1, 1),
-                                order="C")
+        deviation = np.ascontiguousarray(coeffs.T)
         del coeffs
         products = space.stiffness_operator().weights @ deviation
         del deviation
@@ -219,46 +212,60 @@ class _SharedMatrixStepper(_Stepper):
         loads = _shared_columns([m.f for m in members],
                                 lambda f: fem.assemble_load(space, f, t1))
         gvals = _shared_columns([m.g for m in members],
-                                lambda g: constraint.boundary_values(g, t1))
-        pieces = (constraint, self.fluctuation, loads, gvals)
+                                lambda g: self.constraint.boundary_values(g, t1))
+        pieces = (systems, self.fluctuation, loads, gvals)
         if self.static:
             self._cache = pieces
         return pieces
 
     def step(self, state: EnsembleState) -> EnsembleState:
-        t1 = (state.n + 1) * self.dt
-        constraint, fluctuation, loads, gvals = self._pieces(t1)
+        n1 = state.n + 1
+        t1 = n1 * self.dt
+        systems, fluctuation, loads, gvals = self._pieces(t1)
         rhs = loads + (self.mass @ state.u) / self.dt
         rhs -= (fluctuation @ state.u.ravel(order="F")).reshape(rhs.shape, order="F")
         if not np.isfinite(rhs).all():
             j = int(np.nonzero(~np.isfinite(rhs).all(axis=0))[0][0])
-            raise ValueError(f"non-finite right-hand side for member {j} at step {state.n + 1}")
-        rhs = constraint.lift(rhs, gvals)
-        try:
-            factor = sparse.spd_factorize(constraint.matrix)
-        except sparse.NotSpdError as exc:
-            raise sparse.NotSpdError(
-                f"shared system not SPD at step {state.n + 1}: {exc}", exc.pivot) from exc
-        return EnsembleState(n=state.n + 1, t=t1, u=factor.solve(rhs))
+            raise ValueError(f"non-finite right-hand side for member {j} at step {n1}")
+        u1 = np.empty_like(state.u)
+        constraint = self.constraint
+        for k, (group, system) in enumerate(zip(self.groups, systems)):
+            constraint.refill(system)
+            lifted = constraint.lift(rhs[:, group], gvals[:, group])
+            try:
+                factor = sparse.spd_factorize(constraint.matrix)
+            except sparse.NotSpdError as exc:
+                indices = np.arange(self.problem.size)[group]
+                who = (f"member {indices[0]}" if indices.size == 1
+                       else f"group {k} ({indices.size} members)")
+                raise sparse.NotSpdError(f"system of {who} not SPD at step {n1}: {exc}",
+                                         exc.pivot) from exc
+            solved = factor.solve(lifted)
+            if len(self.groups) == 1:
+                return EnsembleState(n=n1, t=t1, u=solved)  # one group: no copy into u1
+            u1[:, group] = solved
+        return EnsembleState(n=n1, t=t1, u=u1)
 
 
 def ensemble_step(problem: EnsembleProblem, state: EnsembleState) -> EnsembleState:
     """Advance all members by one shared-matrix step (one factorization, one block solve)."""
     if state.n >= problem.grid.steps:
         raise ValueError(f"state is already at the final step {state.n}")
-    return _SharedMatrixStepper(problem).step(state)
+    return _GroupedStepper(problem, [range(problem.size)]).step(state)
 
 
-def _run(problem: EnsembleProblem, step_fn, observer: Observer | None,
-         keep_trajectory: bool) -> tuple[list[EnsembleState], SolveStats]:
+def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
+           observer: Observer | None,
+           keep_trajectory: bool) -> tuple[list[EnsembleState], SolveStats]:
     start = time.perf_counter()
-    state = _initial_state(problem)
+    stepper = _GroupedStepper(problem, groups)
+    state = stepper.initial_state()
     before = sparse.counters()
     trajectory = [state]
     if observer is not None:
         observer(state)
     for _ in range(problem.grid.steps):
-        state = step_fn(state)
+        state = stepper.step(state)
         if keep_trajectory:
             trajectory.append(state)
         else:
@@ -273,53 +280,24 @@ def _run(problem: EnsembleProblem, step_fn, observer: Observer | None,
 
 
 def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
-                   keep_trajectory: bool = True) -> tuple[list[EnsembleState], SolveStats]:
-    """Advance the whole group over the time grid with one factorization per step.
+                   keep_trajectory: bool = True, groups: Sequence[Sequence[int]] | None = None,
+                   ) -> tuple[list[EnsembleState], SolveStats]:
+    """Advance the members over the time grid with one factorization per group and step.
 
-    Initial data is the L2 projection of each member's u0 with tagged boundary
-    DOFs overwritten by g(., 0). The reported counts cover the stepping loop
+    `groups` partitions the member indices; by default all members form one
+    group. Initial data is the L2 projection of each member's u0 with tagged
+    boundary DOFs overwritten by g(., 0). The observer sees every member's
+    column at each time level. The reported counts cover the stepping loop
     (initialization factorizes the mass matrix once on top of them).
     """
-    stepper = _SharedMatrixStepper(problem)
-    return _run(problem, stepper.step, observer, keep_trajectory)
-
-
-class _BackwardEulerStepper(_Stepper):
-    """Reference path: each member gets its own system matrix and factorization."""
-
-    def _pieces(self, t1: float):
-        if self.static and self._cache is not None:
-            return self._cache
-        space, members = self.space, self.problem.members
-        systems = _per_member(
-            members, lambda m: self._system(fem.assemble_stiffness(space, m.a, t1)))
-        loads = _shared_columns([m.f for m in members],
-                                lambda f: fem.assemble_load(space, f, t1))
-        gvals = _shared_columns([m.g for m in members],
-                                lambda g: self.constraint.boundary_values(g, t1))
-        pieces = (systems, loads, gvals)
-        if self.static:
-            self._cache = pieces
-        return pieces
-
-    def step(self, state: EnsembleState) -> EnsembleState:
-        t1 = (state.n + 1) * self.dt
-        systems, loads, gvals = self._pieces(t1)
-        rhs = loads + (self.mass @ state.u) / self.dt
-        u1 = np.empty_like(state.u)
-        constraint = self.constraint
-        for j, system in enumerate(systems):
-            constraint.refill(system)
-            col = constraint.lift(rhs[:, j], gvals[:, j])
-            u1[:, j] = sparse.spd_factorize(constraint.matrix).solve(col)
-        return EnsembleState(n=state.n + 1, t=t1, u=u1)
+    return _solve(problem, [range(problem.size)] if groups is None else groups,
+                  observer, keep_trajectory)
 
 
 def independent_solve(problem: EnsembleProblem, observer: Observer | None = None,
                       keep_trajectory: bool = True) -> tuple[list[EnsembleState], SolveStats]:
     """Advance every member by standard backward Euler: J factorizations per step."""
-    stepper = _BackwardEulerStepper(problem)
-    return _run(problem, stepper.step, observer, keep_trajectory)
+    return _solve(problem, [[j] for j in range(problem.size)], observer, keep_trajectory)
 
 
 def trajectory_errors(problem: EnsembleProblem, trajectory: Sequence[EnsembleState],

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from . import defaults, fem
-from .ensemble import (EnsembleMember, EnsembleProblem, EnsembleState, SolveStats,
-                       TimeGrid, ensemble_solve)
+from .ensemble import (EnsembleMember, EnsembleProblem, SolveStats, TimeGrid,
+                       ensemble_solve)
 from .fem import FeSpace, Field, build_space, integrate
 from .mesh import BoundaryTag, uniform_triangulation
 from .stability import SamplingGrid, StabilityReport, estimate_bounds, partition_ensemble
@@ -224,30 +224,22 @@ def gate_and_group(config: EmcConfig, members: Sequence[EnsembleMember],
 def solve_sampled_groups(config: EmcConfig, members: Sequence[EnsembleMember],
                          space: FeSpace, groups: Sequence[Sequence[int]],
                          observer=None) -> tuple[np.ndarray, SolveStats]:
-    """Advance each group by the shared-matrix scheme; returns the final block."""
-    grid = config.time_grid()
-    final = np.empty((space.dof_count, len(members)))
-    factorizations = 0
-    block_solves = 0
-    wall = 0.0
-    for group in groups:
-        problem = EnsembleProblem(members=[members[j] for j in group], space=space,
-                                  grid=grid, dirichlet_tags=tuple(BoundaryTag))
-        trajectory, stats = ensemble_solve(problem, observer=observer,
-                                           keep_trajectory=False)
-        final[:, list(group)] = trajectory[-1].u
-        factorizations += stats.factorizations
-        block_solves += stats.block_solves
-        wall += stats.wall_time
-    return final, SolveStats(factorizations, block_solves, wall)
+    """Advance the groups in lockstep by the shared-matrix scheme; returns the final block."""
+    problem = EnsembleProblem(members=members, space=space, grid=config.time_grid(),
+                              dirichlet_tags=tuple(BoundaryTag))
+    trajectory, stats = ensemble_solve(problem, observer=observer, keep_trajectory=False,
+                                       groups=groups)
+    # callers reduce across columns (mean, spread); a C-ordered block fixes
+    # the summation order of those reductions whatever the stepping layout
+    return np.ascontiguousarray(trajectory[-1].u), stats
 
 
 def run_emc(config: EmcConfig, observer=None) -> EmcResult:
     """Sample the coefficients, gate on stability, and advance all samples together.
 
     With `partition` enabled a failing gate splits the ensemble into stable
-    subgroups, each advanced by its own shared-matrix run; otherwise the run
-    refuses with a StabilityError carrying the report. The reported wall time
+    subgroups, each with its own shared matrix, all stepped in lockstep;
+    otherwise the run refuses with a StabilityError carrying the report. The reported wall time
     covers the whole call: sampling, the gate, stepping and the reductions.
     """
     start = time.perf_counter()
@@ -296,21 +288,10 @@ class RateStudyResult:
 
 
 def _mean_trajectory(config: EmcConfig) -> np.ndarray:
-    """Sample-averaged DOF field at every time level, shape (N+1, ndof).
-
-    Column sums are accumulated across group runs, so the average is over the
-    whole ensemble even when the stability gate forced a partition.
-    """
-    grid = config.time_grid()
-    sums: list[np.ndarray | None] = [None]
-
-    def record(state: EnsembleState) -> None:
-        if sums[0] is None:
-            sums[0] = np.zeros((grid.steps + 1, state.u.shape[0]))
-        sums[0][state.n] += state.u.sum(axis=1)
-
-    run_emc(config, observer=record)
-    return sums[0] / config.samples
+    """Sample-averaged DOF field at every time level, shape (N+1, ndof)."""
+    levels: list[np.ndarray] = []
+    run_emc(config, observer=lambda state: levels.append(state.u.mean(axis=1)))
+    return np.array(levels)
 
 
 def mc_rate_study(config: EmcConfig, j_list: Sequence[int] | None = None,

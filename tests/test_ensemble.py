@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from ensfem import fem, sparse
 from ensfem.ensemble import (EnsembleMember, EnsembleProblem, EnsembleState, TimeGrid,
-                             ensemble_mean_coeff, ensemble_solve, ensemble_step,
+                             _GroupedStepper, ensemble_solve, ensemble_step,
                              independent_solve, trajectory_errors)
-from ensfem.fem import (assemble_stiffness, build_space, constant_field, error_l2, l2_norm,
-                        zero_field)
+from ensfem.fem import (assemble_stiffness, build_space, coefficient_values, constant_field,
+                        error_l2, l2_norm, zero_field)
 from ensfem.mesh import BoundaryTag, uniform_triangulation
+from ensfem.stochastic import EmcConfig, RandomFieldSpec, run_emc
 
 from _dense_oracle import shared_matrix_step
 
@@ -37,27 +38,6 @@ class TestTimeGrid:
     def test_invalid(self):
         with pytest.raises(ValueError):
             TimeGrid(t_final=1.0, steps=0)
-
-
-class TestMeanCoefficient:
-    def test_identical_members(self):
-        members = [heat_member(2.5), heat_member(2.5)]
-        mean = ensemble_mean_coeff(members)
-        assert mean(0.3, 0.7, 0.1) == pytest.approx(2.5, rel=1e-15)
-
-    def test_two_constants(self):
-        members = [heat_member(1.0), heat_member(3.0)]
-        assert ensemble_mean_coeff(members)(0.5, 0.5, 0.0) == pytest.approx(2.0)
-
-    def test_perturbed_family_spot_value(self):
-        eps = (0.6207, 0.1841, 0.2691)
-        members = [EnsembleMember(
-            a=lambda x, y, t, c=1.0 + e: 1.0 + c * math.sin(t) * np.sin(np.asarray(x) * np.asarray(y)),
-            f=zero_field, g=zero_field, u0=zero_field) for e in eps]
-        mean = ensemble_mean_coeff(members)
-        expected = 1.0 + (1.0 + sum(eps) / 3.0) * math.sin(1.0) ** 2
-        assert mean(1.0, 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(1.96154, abs=5e-5)
 
 
 # time-dependent members for the dense reference path of `_dense_oracle`
@@ -134,19 +114,23 @@ class TestSingleStep:
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_block_fluctuation_matches_member_loop(self, degree):
-        from ensfem.ensemble import _SharedMatrixStepper
         members = [EnsembleMember(
             a=lambda x, y, t, c=c: 1.0 + c * np.sin(np.asarray(x) * np.asarray(y) + t),
             f=zero_field, g=zero_field, u0=zero_field) for c in (0.6, 0.2, 0.35, 0.9)]
         problem = small_problem(members, nx=4, degree=degree)
-        t1 = problem.grid.dt
-        _, fluctuation, _, _ = _SharedMatrixStepper(problem)._pieces(t1)
-        u = np.random.default_rng(4).normal(size=(problem.space.dof_count, len(members)))
-        block = (fluctuation @ u.ravel(order="F")).reshape(u.shape, order="F")
-        a_bar = assemble_stiffness(problem.space, ensemble_mean_coeff(members), t1)
-        for j, m in enumerate(members):
-            loop = (assemble_stiffness(problem.space, m.a, t1) - a_bar) @ u[:, j]
-            assert np.abs(block[:, j] - loop).max() < 1e-13
+        space, t1 = problem.space, problem.grid.dt
+        u = np.random.default_rng(4).normal(size=(space.dof_count, len(members)))
+        for groups in ([[0, 1, 2, 3]], [[0, 2], [3, 1]], [[0], [1], [2], [3]]):
+            _, fluctuation, _, _ = _GroupedStepper(problem, groups)._pieces(t1)
+            block = (fluctuation @ u.ravel(order="F")).reshape(u.shape, order="F")
+            for group in groups:
+                a_bar = assemble_stiffness(space, np.mean(
+                    [coefficient_values(space, members[j].a, t1) for j in group], axis=0), t1)
+                for j in group:
+                    loop = (assemble_stiffness(space, members[j].a, t1) - a_bar) @ u[:, j]
+                    assert np.abs(block[:, j] - loop).max() < 1e-13
+                    if len(group) == 1:
+                        assert not block[:, j].any()  # a singleton deviates by exactly 0.0
 
     def test_nonfinite_coefficient_names_member(self):
         members = [heat_member(), EnsembleMember(
@@ -159,11 +143,63 @@ class TestSingleStep:
 
 
 def _independent_step(problem, state):
-    from ensfem.ensemble import _BackwardEulerStepper
-    return _BackwardEulerStepper(problem).step(state).u
+    return _GroupedStepper(problem, [[j] for j in range(problem.size)]).step(state).u
 
 
 class TestSolvers:
+    def test_independent_nonfinite_data_names_member_and_step(self):
+        nan = lambda x, y, t: np.full(np.shape(x), np.nan)
+        # a source is checked where its load is assembled
+        problem = small_problem([heat_member(), heat_member(f=nan)])
+        with pytest.raises(ValueError, match="member 1"):
+            independent_solve(problem)
+        # boundary data reach the solver unchecked; the right-hand side check stops them
+        problem = small_problem([heat_member(), heat_member(g=nan)])
+        with pytest.raises(ValueError, match="member 1 at step 1"):
+            independent_solve(problem)
+
+    def test_independent_indefinite_system_names_member_and_step(self):
+        problem = small_problem([heat_member(), heat_member(a=-50.0)], steps=2)
+        with pytest.raises(sparse.NotSpdError, match="member 1 not SPD at step 1"):
+            independent_solve(problem)
+
+    def test_indefinite_group_named(self):
+        problem = small_problem([heat_member(), heat_member(-80.0), heat_member(-80.0)])
+        with pytest.raises(sparse.NotSpdError, match=r"group 1 \(2 members\) not SPD at step 1"):
+            ensemble_solve(problem, groups=[[0], [1, 2]])
+
+    @pytest.mark.parametrize("groups", [[], [[0, 1]], [[0], [0, 1, 2]], [[0, 1, 2], []],
+                                        [[0, 1], [3]], [[0.0, 1.0, 2.0]]])
+    def test_groups_must_cover_members_once(self, groups):
+        problem = small_problem([heat_member()] * 3)
+        with pytest.raises(ValueError, match="exactly once"):
+            ensemble_solve(problem, groups=groups)
+
+    def test_groups_step_in_lockstep(self):
+        # each group's columns are those of a separate run of that group alone,
+        # bit for bit; singleton groups are the backward-Euler run
+        members = [EnsembleMember(a=lambda x, y, t, c=c: 1.0 + c * np.asarray(y) + 0.1 * t,
+                                  f=lambda x, y, t, c=c: c * np.asarray(x),
+                                  g=lambda x, y, t, c=c: c * t * np.ones(np.shape(x)),
+                                  u0=lambda x, y, t, c=c: c * np.sin(np.pi * x) * y)
+                   for c in (0.2, 0.7, 0.4, 0.9, 0.5)]
+        problem = small_problem(members, nx=5, steps=4)
+        groups = [[3, 0], [4], [1, 2]]
+        seen = []
+        traj, stats = ensemble_solve(problem, groups=groups,
+                                     observer=lambda st: seen.append(st.u.shape))
+        assert seen == [(problem.space.dof_count, 5)] * 5
+        assert stats.factorizations == stats.block_solves == 4 * len(groups)
+        for group in groups:
+            alone, _ = ensemble_solve(EnsembleProblem(
+                members=[members[j] for j in group], space=problem.space, grid=problem.grid))
+            for mine, ref in zip(traj, alone):
+                assert np.array_equal(mine.u[:, group], ref.u)
+        singletons, _ = ensemble_solve(problem, groups=[[j] for j in range(5)])
+        independent, _ = independent_solve(problem)
+        for mine, ref in zip(singletons, independent):
+            assert np.array_equal(mine.u, ref.u)
+
     def test_zero_data_stays_zero(self):
         problem = small_problem([heat_member(), heat_member(3.0)])
         traj, _ = ensemble_solve(problem)
@@ -256,7 +292,7 @@ class TestSolvers:
 
 
 class TestFixedPattern:
-    """Both steppers build the system structure once and refill only its data per step."""
+    """A run builds the system structure once and refills only its data per step."""
 
     @staticmethod
     def time_dependent_problem(steps):
@@ -267,7 +303,8 @@ class TestFixedPattern:
         return mesh, EnsembleProblem(members=members, space=build_space(mesh, 1),
                                      grid=TimeGrid(t_final=0.1 * steps, steps=steps))
 
-    @pytest.mark.parametrize("solver, per_step", [(ensemble_solve, 1), (independent_solve, 2)])
+    @pytest.mark.parametrize("solver, per_step", [(ensemble_solve, 1), (independent_solve, 2),
+                                                  pytest.param(run_emc, None, id="run_emc")])
     def test_structure_built_once(self, monkeypatch, solver, per_step):
         orderings, constraints = [], []
         rcm = sparse.reverse_cuthill_mckee
@@ -280,9 +317,18 @@ class TestFixedPattern:
             init(self, *args, **kw)
 
         monkeypatch.setattr(fem.DirichletConstraint, "__init__", counted)
-        _, problem = self.time_dependent_problem(steps=6)
-        _, stats = solver(problem)
-        assert stats.factorizations == 6 * per_step
+        if solver is run_emc:
+            # the wild fields of the partition test: several groups step in lockstep
+            config = EmcConfig(spec=RandomFieldSpec(a0=3.0, sigma=1.0), samples=8, seed=3,
+                               nx=4, dt=0.05, t_final=0.2, partition=True)
+            result = run_emc(config)
+            assert len(result.groups) >= 2
+            stats, want = result.stats, config.time_grid().steps * len(result.groups)
+        else:
+            _, problem = self.time_dependent_problem(steps=6)
+            _, stats = solver(problem)
+            want = 6 * per_step
+        assert stats.factorizations == want
         assert len(orderings) == 2  # the initial mass projection and the stepping system
         assert len(constraints) == 1
 

@@ -196,6 +196,16 @@ class TestRunEmc:
         assert sorted(i for g in result.groups for i in g) == list(range(8))
         assert np.isfinite(result.mean_field).all()
 
+    def test_partitioned_observer_sees_full_block(self):
+        config = tiny_config(spec=RandomFieldSpec(a0=3.0, sigma=1.0), samples=8, seed=3,
+                             partition=True)
+        seen = []
+        result = run_emc(config, observer=lambda st: seen.append((st.n, st.u.copy())))
+        assert len(result.groups) > 1
+        assert [n for n, _ in seen] == list(range(config.time_grid().steps + 1))
+        assert all(u.shape == (result.dof_count, 8) for _, u in seen)
+        assert np.array_equal(seen[-1][1].mean(axis=1), result.mean_field)
+
     def test_stats_counters_accumulate(self):
         config = tiny_config(samples=3)
         result = run_emc(config)
