@@ -14,8 +14,8 @@ import importlib
 # public name -> defining submodule
 _EXPORTS = {
     **dict.fromkeys(("EnsembleMember", "EnsembleProblem", "EnsembleState", "SolveStats",
-                     "TimeGrid", "ensemble_solve", "ensemble_step",
-                     "independent_solve", "trajectory_errors"), "ensemble"),
+                     "TimeGrid", "ensemble_solve", "independent_solve",
+                     "trajectory_errors"), "ensemble"),
     **dict.fromkeys(("FeSpace", "assemble_load", "assemble_mass", "assemble_stiffness",
                      "build_space", "constant_field", "error_h1_semi", "error_l2",
                      "l2_project", "zero_field"), "fem"),
@@ -23,8 +23,8 @@ _EXPORTS = {
                      "uniform_triangulation"), "mesh"),
     **dict.fromkeys(("NotSpdError", "add_scaled", "counters", "reset_counters",
                      "spd_factorize"), "sparse"),
-    **dict.fromkeys(("SamplingGrid", "StabilityReport", "estimate_bounds",
-                     "partition_ensemble"), "stability"),
+    **dict.fromkeys(("SamplingGrid", "StabilityReport", "coefficient_block",
+                     "estimate_bounds", "partition_ensemble"), "stability"),
     **dict.fromkeys(("EmcConfig", "EmcResult", "RandomFieldSpec", "SampleDraw",
                      "StabilityError", "draw_samples", "kl_eigenvalues", "mc_rate_study",
                      "qoi_integral", "run_emc", "sample_coefficient"), "stochastic"),

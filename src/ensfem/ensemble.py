@@ -102,6 +102,10 @@ class SolveStats:
 
 Observer = Callable[[EnsembleState], None]
 
+#: members per product when the deviations are mapped to fluctuation data; small,
+#: so that the product's temporaries add little to the data it fills
+_CHUNK = 8
+
 
 def _column_indexers(groups: Sequence[Sequence[int]], size: int) -> list[slice | np.ndarray]:
     """Each group's member columns: a slice for consecutive members, else an index array.
@@ -117,23 +121,23 @@ def _column_indexers(groups: Sequence[Sequence[int]], size: int) -> list[slice |
             for a in arrays]
 
 
-def _per_member(members: Sequence[EnsembleMember], fn) -> list:
-    """fn applied to each member in turn; a ValueError is re-raised naming the member."""
+def _per_member(members: Sequence[EnsembleMember], fn, step: int) -> list:
+    """fn applied to each member in turn; a ValueError is re-raised naming the member and step."""
     out = []
     for j, m in enumerate(members):
         try:
             out.append(fn(m))
         except ValueError as exc:
-            raise ValueError(f"member {j}: {exc}") from exc
+            raise ValueError(f"member {j} at step {step}: {exc}") from exc
     return out
 
 
-def _shared_columns(fields: Sequence[Field], fn) -> np.ndarray:
+def _shared_columns(fields: Sequence[Field], fn, step: int) -> np.ndarray:
     """Column j holds fn(fields[j]); fn runs once per distinct field.
 
     Members that hold the same callable (by identity) share its column, so
     data common to an ensemble is assembled once. A ValueError is re-raised
-    naming the first member that holds the failing field.
+    naming the first member that holds the failing field, and the step.
     """
     first: dict[int, int] = {}  # id of a field -> its column in `values`
     values, columns = [], []
@@ -143,7 +147,7 @@ def _shared_columns(fields: Sequence[Field], fn) -> np.ndarray:
             try:
                 values.append(fn(field))
             except ValueError as exc:
-                raise ValueError(f"member {j}: {exc}") from exc
+                raise ValueError(f"member {j} at step {step}: {exc}") from exc
         columns.append(first[id(field)])
     return np.column_stack(values)[:, columns]
 
@@ -154,16 +158,21 @@ class _GroupedStepper:
     All groups advance in lockstep. Each group's system is M/dt + A(mean of
     its members' coefficients), and each member's deviation from its own
     group's mean acts on its right-hand-side column; a one-member group has
-    a deviation of exactly zero and so takes a backward-Euler step. Every
-    system sits on the space's fixed pattern, so one Dirichlet constraint
-    serves the whole run: each group's system is written into it by `refill`
-    in turn, and the factorization's ordering, cached on its matrix object,
-    is computed once.
+    a deviation of exactly zero and so takes a backward-Euler step, solved as
+    a vector. Every system sits on the space's fixed pattern, so one Dirichlet
+    constraint serves the whole run: each group's system is written into it
+    by `refill` in turn, and the factorization's ordering, cached on its
+    matrix object, is computed once.
     """
 
-    def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]]):
+    def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]],
+                 coefficients: list[np.ndarray] | None = None):
         self.problem = problem
         self.groups = _column_indexers(groups, problem.size)
+        # the columns each group's solve reads and writes: a singleton's are one
+        # index, so it is lifted and solved as a vector, not as an (n, 1) block
+        self.columns = [g.start if isinstance(g, slice) and g.stop - g.start == 1 else g
+                        for g in self.groups]
         self.space = problem.space
         self.dt = problem.grid.dt
         self.mass = fem.assemble_mass(self.space)
@@ -171,8 +180,25 @@ class _GroupedStepper:
         self.constraint = fem.DirichletConstraint(self.mass, self.space,
                                                   problem.dirichlet_tags)
         self.static = all(m.time_invariant for m in problem.members)
+        if coefficients is not None:
+            if not (isinstance(coefficients, list) and len(coefficients) == 1):
+                raise ValueError("coefficient values are handed over as a one-element list")
+            coefficients = coefficients.pop()
+            points = self.space.tabulation(self.space.assembly_rule).xq.size
+            if not self.static:
+                raise ValueError("coefficient values need time-invariant members")
+            if coefficients.shape != (problem.size, points):
+                raise ValueError(f"coefficient values of shape {coefficients.shape}, "
+                                 f"want ({problem.size}, {points})")
+            finite = np.isfinite(coefficients).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"member {int(np.argmin(finite))}: coefficient values "
+                                 "are non-finite")
+        self._coefficients = coefficients
         # A(a_j) - A(mean of j's group) of every member as one block-diagonal
-        # matrix, made on first use and overwritten in place at each later time level
+        # matrix, made on first use (after the initial projection, so that the
+        # two do not add up in peak memory) and overwritten in place at each
+        # later time level
         self.fluctuation = None
         self._cache = None
 
@@ -181,38 +207,43 @@ class _GroupedStepper:
         space, members, constraint = self.space, self.problem.members, self.constraint
         mass = sparse.spd_factorize(self.mass)
         u = _shared_columns([m.u0 for m in members],
-                            lambda u0: mass.solve(fem.assemble_load(space, u0, 0.0)))
-        u[constraint.bdofs] = _shared_columns([m.g for m in members],
-                                              lambda g: constraint.boundary_values(g, 0.0))
+                            lambda u0: mass.solve(fem.assemble_load(space, u0, 0.0)), 0)
+        u[constraint.bdofs] = _shared_columns(
+            [m.g for m in members], lambda g: constraint.boundary_values(g, 0.0), 0)
         return EnsembleState(n=0, t=0.0, u=u)
 
-    def _pieces(self, t1: float):
+    def _pieces(self, n1: int):
         if self.static and self._cache is not None:
             return self._cache
-        space, members = self.space, self.problem.members
-        coeffs = np.stack(_per_member(
-            members, lambda m: fem.coefficient_values(space, m.a, t1))).reshape(len(members), -1)
+        space, members, t1 = self.space, self.problem.members, n1 * self.dt
+        coeffs, self._coefficients = self._coefficients, None
+        if coeffs is None:
+            coeffs = np.stack(_per_member(
+                members, lambda m: fem.coefficient_values(space, m.a, t1), n1))
+            coeffs = coeffs.reshape(len(members), -1)
         systems = []
         for group in self.groups:
             c_bar = coeffs[group].mean(axis=0)
             systems.append(self.scaled_mass + fem.assemble_stiffness(space, c_bar, t1).data)
             coeffs[group] -= c_bar  # each member's deviation from its group's mean
-        # every member's A(a_j) - A(c_bar) from one product W @ (C - c_bar)^T;
-        # temporaries are dropped as soon as they are used so that a wide
-        # group's peak memory stays near that of the stability gate
-        deviation = np.ascontiguousarray(coeffs.T)
-        del coeffs
-        products = space.stiffness_operator().weights @ deviation
-        del deviation
+        # every member's A(a_j) - A(c_bar) is W @ (a_j - c_bar), made a few
+        # members at a time straight into the fluctuation data, so that no
+        # second copy of the deviations and no (slots, J) product block is held
         if self.fluctuation is None:
-            self.fluctuation = sparse.block_diagonal(self.mass, products.T)
+            data = np.empty((len(members), self.mass.nnz))
         else:
-            np.copyto(self.fluctuation.data.reshape(len(members), -1), products.T)
-        del products
+            data = self.fluctuation.data.reshape(len(members), -1)
+        weights = space.stiffness_operator().weights
+        for start in range(0, len(members), _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            data[chunk] = (weights @ coeffs[chunk].T).T
+        del coeffs
+        if self.fluctuation is None:
+            self.fluctuation = sparse.block_diagonal(self.mass, data)
         loads = _shared_columns([m.f for m in members],
-                                lambda f: fem.assemble_load(space, f, t1))
+                                lambda f: fem.assemble_load(space, f, t1), n1)
         gvals = _shared_columns([m.g for m in members],
-                                lambda g: self.constraint.boundary_values(g, t1))
+                                lambda g: self.constraint.boundary_values(g, t1), n1)
         pieces = (systems, self.fluctuation, loads, gvals)
         if self.static:
             self._cache = pieces
@@ -221,7 +252,7 @@ class _GroupedStepper:
     def step(self, state: EnsembleState) -> EnsembleState:
         n1 = state.n + 1
         t1 = n1 * self.dt
-        systems, fluctuation, loads, gvals = self._pieces(t1)
+        systems, fluctuation, loads, gvals = self._pieces(n1)
         rhs = loads + (self.mass @ state.u) / self.dt
         rhs -= (fluctuation @ state.u.ravel(order="F")).reshape(rhs.shape, order="F")
         if not np.isfinite(rhs).all():
@@ -229,36 +260,29 @@ class _GroupedStepper:
             raise ValueError(f"non-finite right-hand side for member {j} at step {n1}")
         u1 = np.empty_like(state.u)
         constraint = self.constraint
-        for k, (group, system) in enumerate(zip(self.groups, systems)):
+        for k, (columns, system) in enumerate(zip(self.columns, systems)):
             constraint.refill(system)
-            lifted = constraint.lift(rhs[:, group], gvals[:, group])
+            lifted = constraint.lift(rhs[:, columns], gvals[:, columns])
             try:
                 factor = sparse.spd_factorize(constraint.matrix)
             except sparse.NotSpdError as exc:
-                indices = np.arange(self.problem.size)[group]
-                who = (f"member {indices[0]}" if indices.size == 1
-                       else f"group {k} ({indices.size} members)")
+                who = (f"member {columns}" if lifted.ndim == 1 else
+                       f"group {k} ({lifted.shape[1]} members)")
                 raise sparse.NotSpdError(f"system of {who} not SPD at step {n1}: {exc}",
                                          exc.pivot) from exc
             solved = factor.solve(lifted)
-            if len(self.groups) == 1:
+            if len(self.groups) == 1 and solved.ndim == 2:
                 return EnsembleState(n=n1, t=t1, u=solved)  # one group: no copy into u1
-            u1[:, group] = solved
+            u1[:, columns] = solved
         return EnsembleState(n=n1, t=t1, u=u1)
 
 
-def ensemble_step(problem: EnsembleProblem, state: EnsembleState) -> EnsembleState:
-    """Advance all members by one shared-matrix step (one factorization, one block solve)."""
-    if state.n >= problem.grid.steps:
-        raise ValueError(f"state is already at the final step {state.n}")
-    return _GroupedStepper(problem, [range(problem.size)]).step(state)
-
-
 def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
-           observer: Observer | None,
-           keep_trajectory: bool) -> tuple[list[EnsembleState], SolveStats]:
+           observer: Observer | None, keep_trajectory: bool,
+           coefficients: list[np.ndarray] | None = None,
+           ) -> tuple[list[EnsembleState], SolveStats]:
     start = time.perf_counter()
-    stepper = _GroupedStepper(problem, groups)
+    stepper = _GroupedStepper(problem, groups, coefficients)
     state = stepper.initial_state()
     before = sparse.counters()
     trajectory = [state]
@@ -281,6 +305,7 @@ def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
 
 def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
                    keep_trajectory: bool = True, groups: Sequence[Sequence[int]] | None = None,
+                   coefficients: list[np.ndarray] | None = None,
                    ) -> tuple[list[EnsembleState], SolveStats]:
     """Advance the members over the time grid with one factorization per group and step.
 
@@ -289,9 +314,17 @@ def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
     boundary DOFs overwritten by g(., 0). The observer sees every member's
     column at each time level. The reported counts cover the stepping loop
     (initialization factorizes the mass matrix once on top of them).
+
+    For time-invariant members, `coefficients` may hand over their values at
+    the space's assembly points, shape (J, points) in the order of
+    `fem.coefficient_values` flattened, as a one-element list; the
+    coefficients are then not called. The stepper takes the array out of the
+    list, overwrites it with each member's deviation from its group's mean and
+    drops it once the fluctuations are built, so the values are never copied
+    and not held for the whole run.
     """
     return _solve(problem, [range(problem.size)] if groups is None else groups,
-                  observer, keep_trajectory)
+                  observer, keep_trajectory, coefficients)
 
 
 def independent_solve(problem: EnsembleProblem, observer: Observer | None = None,

@@ -373,10 +373,15 @@ class DirichletConstraint:
         np.take(data, self._coupling_slots, out=self.coupling.data, mode="clip")
 
     def boundary_values(self, g: Field, t: float) -> np.ndarray:
+        """g at the tagged DOFs; raises ValueError on a non-finite value."""
         xb = self.space.dof_coords[self.bdofs, 0]
         yb = self.space.dof_coords[self.bdofs, 1]
-        return np.broadcast_to(np.asarray(g(xb, yb, float(t)), dtype=float),
-                               xb.shape).copy()
+        values = np.broadcast_to(np.asarray(g(xb, yb, float(t)), dtype=float),
+                                 xb.shape).copy()
+        if not np.isfinite(values).all():
+            bad = int(self.bdofs[np.argmin(np.isfinite(values))])
+            raise ValueError(f"boundary data evaluated non-finite at DOF {bad} at t={t}")
+        return values
 
     def lift(self, rhs: np.ndarray, gvals: np.ndarray) -> np.ndarray:
         """Move boundary values into the rhs; rhs may be (n,) or (n, J) with (nb, J) gvals."""

@@ -230,8 +230,9 @@ def run_compare(config: EmcConfig) -> CompareResult:
     members, _ = build_emc_members(config)
     mesh = uniform_triangulation(config.nx, config.nx)
     space = build_space(mesh, config.degree)
-    _, groups = gate_and_group(config, members, space)
-    u_e, stats_e = solve_sampled_groups(config, members, space, groups)
+    _, groups, coefficients = gate_and_group(config, members, space)
+    u_e, stats_e = solve_sampled_groups(config, members, space, groups,
+                                         coefficients=coefficients)
 
     problem = EnsembleProblem(members=members, space=space, grid=config.time_grid())
     traj_i, stats_i = independent_solve(problem, keep_trajectory=False)

@@ -61,14 +61,35 @@ class StabilityReport:
                 "margin": self.margin}
 
 
-def _coefficient_values(coeffs: Sequence[Field], x, y, t: float) -> np.ndarray:
-    rows = []
-    for j, a in enumerate(coeffs):
-        vals = np.broadcast_to(np.asarray(a(x, y, float(t)), dtype=float), x.shape)
-        if not np.isfinite(vals).all():
-            raise ValueError(f"coefficient of member {j} evaluated non-finite at t={t}")
-        rows.append(vals)
-    return np.stack(rows)
+def coefficient_block(coeffs: Sequence[Field], grid: SamplingGrid) -> np.ndarray:
+    """Every coefficient at every grid point, shape (time levels, members, points).
+
+    Each coefficient is called once per time level; a non-finite value raises
+    naming the member.
+    """
+    if len(coeffs) < 1:
+        raise ValueError("need at least one coefficient")
+    block = np.empty((grid.times.size, len(coeffs), grid.x.size))
+    for t, level in zip(grid.times, block):
+        for j, (a, row) in enumerate(zip(coeffs, level)):
+            row[...] = np.asarray(a(grid.x, grid.y, float(t)), dtype=float)
+            if not np.isfinite(row).all():
+                raise ValueError(f"coefficient of member {j} evaluated non-finite at t={t}")
+    return block
+
+
+def _as_block(coeffs: Sequence[Field] | np.ndarray, grid: SamplingGrid) -> np.ndarray:
+    """The coefficient block of `coeffs`: fields are evaluated, a block is checked."""
+    if not isinstance(coeffs, np.ndarray):
+        return coefficient_block(coeffs, grid)
+    if not (coeffs.ndim == 3 and coeffs.shape[1] >= 1
+            and coeffs.shape[::2] == (grid.times.size, grid.x.size)):
+        raise ValueError(f"coefficient block of shape {coeffs.shape}, want "
+                         f"({grid.times.size}, members, {grid.x.size})")
+    finite = np.isfinite(coeffs).all(axis=(0, 2))
+    if not finite.all():
+        raise ValueError(f"coefficient of member {int(np.argmin(finite))} is non-finite")
+    return coeffs
 
 
 def _reduce_bounds(values, grid: SamplingGrid) -> StabilityReport:
@@ -81,7 +102,8 @@ def _reduce_bounds(values, grid: SamplingGrid) -> StabilityReport:
         mean = vals.mean(axis=0)
         coercivity_members = min(coercivity_members, float(vals.min()))
         coercivity_mean = min(coercivity_mean, float(mean.min()))
-        dev = np.abs(vals - mean).max(axis=1)  # sup over x, per member
+        dev = vals - mean
+        dev = np.abs(dev, out=dev).max(axis=1)  # sup over x, per member
         theta_plus = max(theta_plus, float(dev.max()))
         if t > 0.0:
             theta_minus = min(theta_minus, float(dev.min()))
@@ -95,31 +117,38 @@ def _reduce_bounds(values, grid: SamplingGrid) -> StabilityReport:
                            coercivity_mean=coercivity_mean, sampling=grid.describe())
 
 
-def estimate_bounds(coeffs: Sequence[Field], grid: SamplingGrid) -> StabilityReport:
+def estimate_bounds(coeffs: Sequence[Field] | np.ndarray,
+                    grid: SamplingGrid) -> StabilityReport:
     """Sampled coercivity floor and deviation band for a group of coefficients.
 
     theta is the smaller of the members' floor and the mean's floor;
     theta_minus is measured over positive times only, since deviations may
-    vanish identically at t=0. Each coefficient is evaluated once per time level.
+    vanish identically at t=0. `coeffs` are fields, each evaluated once per
+    time level, or their values as returned by `coefficient_block`.
     """
-    if len(coeffs) < 1:
-        raise ValueError("need at least one coefficient")
-    return _reduce_bounds(
-        (_coefficient_values(coeffs, grid.x, grid.y, t) for t in grid.times), grid)
+    return _reduce_bounds(_as_block(coeffs, grid), grid)
 
 
-def partition_ensemble(coeffs: Sequence[Field], grid: SamplingGrid) -> list[list[int]]:
+def partition_ensemble(coeffs: Sequence[Field] | np.ndarray,
+                       grid: SamplingGrid) -> list[list[int]]:
     """Greedy split of the group into subgroups that each pass the stability check.
 
     Members are swept in order of their mean signed deviation from the global
     average; a new group opens whenever adding the next member would break the
     condition within the current group. Singletons always pass, so the sweep
-    terminates, provided every coefficient is individually coercive. Each
-    coefficient is evaluated once per time level; every trial group is then
-    tested on those values.
+    terminates, provided every coefficient is individually coercive. `coeffs`
+    are fields, each evaluated once per time level, or their values as
+    returned by `coefficient_block`.
+
+    A trial costs O(points): the current group is held as its running sum,
+    maximum and minimum per (time level, point). Its margin is that of
+    `estimate_bounds` bit for bit: the sum adds the rows in the order in which
+    ``mean(axis=0)`` adds them, and max_j |a_j - mean| is exactly
+    max(max_j a_j - mean, mean - min_j a_j), since rounding a difference is
+    monotone in each operand.
     """
-    values = [_coefficient_values(coeffs, grid.x, grid.y, t) for t in grid.times]
-    scores = np.zeros(len(coeffs))
+    values = _as_block(coeffs, grid)
+    scores = np.zeros(values.shape[1])
     for vals in values:
         nonpositive = np.nonzero(vals.min(axis=1) <= 0.0)[0]
         if nonpositive.size:
@@ -131,13 +160,17 @@ def partition_ensemble(coeffs: Sequence[Field], grid: SamplingGrid) -> list[list
     groups: list[list[int]] = []
     current: list[int] = []
     for j in order:
-        trial = current + [int(j)]
-        if _reduce_bounds((vals[trial] for vals in values), grid).satisfied:
-            current = trial
-        else:
-            if current:
-                groups.append(sorted(current))
-            current = [int(j)]
-    if current:
-        groups.append(sorted(current))
+        row = values[:, j]
+        if current:
+            total, high, low = total + row, np.maximum(high, row), np.minimum(low, row)
+            mean = total / (len(current) + 1)
+            theta = min(float(low.min()), float(mean.min()))
+            theta_plus = max(float((high - mean).max()), float((mean - low).max()))
+            if theta - theta_plus > 0.0:
+                current.append(int(j))
+                continue
+            groups.append(sorted(current))
+        current = [int(j)]
+        total, high, low = row, row, row
+    groups.append(sorted(current))
     return sorted(groups, key=lambda g: g[0])

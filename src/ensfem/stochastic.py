@@ -20,7 +20,8 @@ from .ensemble import (EnsembleMember, EnsembleProblem, SolveStats, TimeGrid,
                        ensemble_solve)
 from .fem import FeSpace, Field, build_space, integrate
 from .mesh import BoundaryTag, uniform_triangulation
-from .stability import SamplingGrid, StabilityReport, estimate_bounds, partition_ensemble
+from .stability import (SamplingGrid, StabilityReport, coefficient_block, estimate_bounds,
+                        partition_ensemble)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -92,18 +93,27 @@ def sample_coefficient(spec: RandomFieldSpec, draw: SampleDraw) -> Field:
     return coeff
 
 
+def _replica_key(seed: int, replica: int) -> np.ndarray:
+    return np.random.SeedSequence(entropy=int(seed),
+                                  spawn_key=(int(replica),)).generate_state(2, np.uint64)
+
+
 def _substream(seed: int, replica: int, index: int) -> np.random.Generator:
-    key = np.random.SeedSequence(entropy=int(seed),
-                                 spawn_key=(int(replica),)).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key).jumped(int(index)))
+    stream = np.random.Philox(key=_replica_key(seed, replica))
+    return np.random.Generator(stream.jumped(int(index)))
 
 
 def draw_samples(seed: int, count: int, n_modes: int, replica: int = 0) -> list[SampleDraw]:
-    """Deterministic i.i.d. draws, uniform on [-sqrt(3), sqrt(3)] per entry."""
+    """Deterministic i.i.d. draws, uniform on [-sqrt(3), sqrt(3)] per entry.
+
+    Draw j comes from `_substream(seed, replica, j)`; the replica's key is
+    derived once and jumped to each sample.
+    """
     if count < 1:
         raise ValueError("need at least one sample")
     dim = 2 * n_modes + 1
-    return [SampleDraw(y=_substream(seed, replica, j).uniform(-SQRT3, SQRT3, dim),
+    stream = np.random.Philox(key=_replica_key(seed, replica))
+    return [SampleDraw(y=np.random.Generator(stream.jumped(j)).uniform(-SQRT3, SQRT3, dim),
                        index=j, replica=replica, seed=seed)
             for j in range(count)]
 
@@ -204,31 +214,40 @@ def qoi_integral(space: FeSpace, u: np.ndarray) -> float | np.ndarray:
     return np.array([integrate(space, u[:, j]) for j in range(u.shape[1])])
 
 
-def gate_and_group(config: EmcConfig, members: Sequence[EnsembleMember],
-                   space: FeSpace) -> tuple[StabilityReport, list[list[int]]]:
+def gate_and_group(config: EmcConfig, members: Sequence[EnsembleMember], space: FeSpace,
+                   ) -> tuple[StabilityReport, list[list[int]], list[np.ndarray]]:
     """Stability gate for a sampled ensemble; groups it when partitioning is on.
 
     Large ensembles realize the tails of the sample distribution, so the joint
     condition routinely fails at a few hundred samples even though every single
     field stays coercive; partitioning is then the supported way to proceed.
+    Returns the report, the groups and the coefficient values that the gate
+    and the partition read, shape (members, assembly points), in a one-element
+    list for `solve_sampled_groups` to hand to the stepper: each coefficient
+    is called once per run.
     """
     sampling = SamplingGrid.from_space(space)  # coefficients are time-invariant
-    report = estimate_bounds([m.a for m in members], sampling)
+    values = coefficient_block([m.a for m in members], sampling)
+    report = estimate_bounds(values, sampling)
     if report.satisfied:
-        return report, [list(range(len(members)))]
+        return report, [list(range(len(members)))], [values[0]]
     if config.partition:
-        return report, partition_ensemble([m.a for m in members], sampling)
+        return report, partition_ensemble(values, sampling), [values[0]]
     raise StabilityError(report)
 
 
 def solve_sampled_groups(config: EmcConfig, members: Sequence[EnsembleMember],
-                         space: FeSpace, groups: Sequence[Sequence[int]],
-                         observer=None) -> tuple[np.ndarray, SolveStats]:
-    """Advance the groups in lockstep by the shared-matrix scheme; returns the final block."""
+                         space: FeSpace, groups: Sequence[Sequence[int]], observer=None,
+                         coefficients: list[np.ndarray] | None = None,
+                         ) -> tuple[np.ndarray, SolveStats]:
+    """Advance the groups in lockstep by the shared-matrix scheme; returns the final block.
+
+    `coefficients` hands the gate's values to the stepper (see `ensemble_solve`).
+    """
     problem = EnsembleProblem(members=members, space=space, grid=config.time_grid(),
                               dirichlet_tags=tuple(BoundaryTag))
     trajectory, stats = ensemble_solve(problem, observer=observer, keep_trajectory=False,
-                                       groups=groups)
+                                       groups=groups, coefficients=coefficients)
     # callers reduce across columns (mean, spread); a C-ordered block fixes
     # the summation order of those reductions whatever the stepping layout
     return np.ascontiguousarray(trajectory[-1].u), stats
@@ -246,9 +265,9 @@ def run_emc(config: EmcConfig, observer=None) -> EmcResult:
     members, _ = build_emc_members(config)
     mesh = uniform_triangulation(config.nx, config.nx)
     space = build_space(mesh, config.degree)
-    report, groups = gate_and_group(config, members, space)
+    report, groups, coefficients = gate_and_group(config, members, space)
     final, run_stats = solve_sampled_groups(config, members, space, groups,
-                                            observer=observer)
+                                            observer=observer, coefficients=coefficients)
     mean = final.mean(axis=1)
     degenerate = config.samples < 2
     std = np.zeros_like(mean) if degenerate else final.std(axis=1, ddof=1)

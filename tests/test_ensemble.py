@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,9 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ensfem import fem, sparse
-from ensfem.ensemble import (EnsembleMember, EnsembleProblem, EnsembleState, TimeGrid,
-                             _GroupedStepper, ensemble_solve, ensemble_step,
-                             independent_solve, trajectory_errors)
+from ensfem.ensemble import (EnsembleMember, EnsembleProblem, TimeGrid,
+                             _GroupedStepper, ensemble_solve, independent_solve,
+                             trajectory_errors)
 from ensfem.fem import (assemble_stiffness, build_space, coefficient_values, constant_field,
                         error_l2, l2_norm, zero_field)
 from ensfem.mesh import BoundaryTag, uniform_triangulation
@@ -52,65 +53,54 @@ DENSE_MEMBERS = [
 
 
 class TestSingleStep:
+    """One step of `ensemble_solve` from the projected initial data."""
+
     def test_single_member_equals_backward_euler(self):
-        rng = np.random.default_rng(0)
         member = EnsembleMember(
             a=lambda x, y, t: 1.0 + 0.5 * np.asarray(x),
             f=lambda x, y, t: np.cos(np.asarray(y)) + t,
             g=lambda x, y, t: 0.1 * t * np.ones(np.shape(x)),
             u0=lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y))
-        problem = small_problem([member], nx=4)
-        state = EnsembleState(n=0, t=0.0,
-                              u=rng.normal(size=(problem.space.dof_count, 1)))
-        stepped = ensemble_step(problem, state)
-        manual = _independent_step(problem, state)
+        problem = small_problem([member], nx=4, steps=1)
+        start, stepped = ensemble_solve(problem)[0]
+        manual = _independent_step(problem, start)
         assert np.abs(stepped.u - manual).max() < 1e-12
 
     def test_equal_coefficients_collapse_to_shared_step(self):
         members = [heat_member(2.0, u0=lambda x, y, t: x * (1 - x) * y * (1 - y))
                    for _ in range(3)]
-        problem = small_problem(members)
-        u0 = np.linspace(0.0, 1.0, problem.space.dof_count)
-        state = EnsembleState(n=0, t=0.0, u=np.column_stack([u0, u0, u0]))
-        stepped = ensemble_step(problem, state)
+        problem = small_problem(members, steps=1)
+        stepped = ensemble_solve(problem)[0][-1]
+        assert stepped.u.any()
         assert np.abs(stepped.u - stepped.u[:, [0]]).max() < 1e-12
 
     def test_matches_dense_reimplementation(self):
         mesh = uniform_triangulation(2, 2)
         space = build_space(mesh, 1)
         members = DENSE_MEMBERS
-        ens_members = [EnsembleMember(a=m["a"], f=m["f"], g=m["g"], u0=zero_field)
-                       for m in members]
+        starts = (lambda x, y, t: np.sin(3.0 * x) * np.cos(2.0 * y),
+                  lambda x, y, t: x * y - 0.5 * x)
+        ens_members = [EnsembleMember(a=m["a"], f=m["f"], g=m["g"], u0=u0)
+                       for m, u0 in zip(members, starts)]
         problem = EnsembleProblem(members=ens_members, space=space,
-                                  grid=TimeGrid(t_final=0.2, steps=2))
-        rng = np.random.default_rng(42)
-        u_prev = rng.normal(size=(space.dof_count, 2))
-        state = EnsembleState(n=0, t=0.0, u=u_prev)
-        mine = ensemble_step(problem, state).u
+                                  grid=TimeGrid(t_final=0.1, steps=1))
+        start, stepped = ensemble_solve(problem)[0]
         bdofs = space.tagged_dofs(tuple(BoundaryTag))
-        ref = shared_matrix_step(mesh.vertices, mesh.triangles, members, u_prev,
+        ref = shared_matrix_step(mesh.vertices, mesh.triangles, members, start.u,
                                  dt=0.1, t1=0.1, bdofs=bdofs)
-        assert np.abs(mine - ref).max() < 1e-12
-
-    def test_step_past_end_rejected(self):
-        problem = small_problem([heat_member()], steps=1)
-        state = EnsembleState(n=1, t=0.5, u=np.zeros((problem.space.dof_count, 1)))
-        with pytest.raises(ValueError, match="final step"):
-            ensemble_step(problem, state)
+        assert np.abs(stepped.u - ref).max() < 1e-12
 
     def test_nonfinite_rhs_names_member(self):
         members = [heat_member(), heat_member(f=lambda x, y, t: np.full(np.shape(x), np.nan))]
-        problem = small_problem(members)
-        state = EnsembleState(n=0, t=0.0, u=np.zeros((problem.space.dof_count, 2)))
-        with pytest.raises(ValueError, match="member 1"):
-            ensemble_step(problem, state)
+        problem = small_problem(members, steps=1)
+        with pytest.raises(ValueError, match="member 1 at step 1"):
+            ensemble_solve(problem)
 
     def test_indefinite_system_reports_step(self):
         member = heat_member(a=-50.0)  # strongly negative diffusion: system loses SPD
-        problem = small_problem([member], steps=2)
-        state = EnsembleState(n=0, t=0.0, u=np.zeros((problem.space.dof_count, 1)))
+        problem = small_problem([member], steps=1)
         with pytest.raises(sparse.NotSpdError, match="step 1"):
-            ensemble_step(problem, state)
+            ensemble_solve(problem)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_block_fluctuation_matches_member_loop(self, degree):
@@ -121,7 +111,7 @@ class TestSingleStep:
         space, t1 = problem.space, problem.grid.dt
         u = np.random.default_rng(4).normal(size=(space.dof_count, len(members)))
         for groups in ([[0, 1, 2, 3]], [[0, 2], [3, 1]], [[0], [1], [2], [3]]):
-            _, fluctuation, _, _ = _GroupedStepper(problem, groups)._pieces(t1)
+            _, fluctuation, _, _ = _GroupedStepper(problem, groups)._pieces(1)
             block = (fluctuation @ u.ravel(order="F")).reshape(u.shape, order="F")
             for group in groups:
                 a_bar = assemble_stiffness(space, np.mean(
@@ -136,10 +126,9 @@ class TestSingleStep:
         members = [heat_member(), EnsembleMember(
             a=lambda x, y, t: np.full(np.shape(x), np.inf), f=zero_field, g=zero_field,
             u0=zero_field)]
-        problem = small_problem(members)
-        state = EnsembleState(n=0, t=0.0, u=np.zeros((problem.space.dof_count, 2)))
-        with pytest.raises(ValueError, match="member 1"):
-            ensemble_step(problem, state)
+        problem = small_problem(members, steps=1)
+        with pytest.raises(ValueError, match="member 1 at step 1"):
+            ensemble_solve(problem)
 
 
 def _independent_step(problem, state):
@@ -153,10 +142,18 @@ class TestSolvers:
         problem = small_problem([heat_member(), heat_member(f=nan)])
         with pytest.raises(ValueError, match="member 1"):
             independent_solve(problem)
-        # boundary data reach the solver unchecked; the right-hand side check stops them
+        # boundary data are checked where their values are taken, from step 0 on
         problem = small_problem([heat_member(), heat_member(g=nan)])
-        with pytest.raises(ValueError, match="member 1 at step 1"):
+        with pytest.raises(ValueError, match="member 1 at step 0: boundary data"):
             independent_solve(problem)
+
+    @pytest.mark.parametrize("solver", [ensemble_solve, independent_solve])
+    def test_boundary_data_nonfinite_at_final_time(self, solver):
+        # g turns NaN at t = T only: the last step must not be solved silently
+        late = lambda x, y, t: np.full(np.shape(x), np.nan if t >= 0.5 else 0.1)
+        problem = small_problem([heat_member(), heat_member(g=late)], t_final=0.5, steps=5)
+        with pytest.raises(ValueError, match="member 1 at step 5: boundary data"):
+            solver(problem)
 
     def test_independent_indefinite_system_names_member_and_step(self):
         problem = small_problem([heat_member(), heat_member(a=-50.0)], steps=2)
@@ -199,6 +196,41 @@ class TestSolvers:
         independent, _ = independent_solve(problem)
         for mine, ref in zip(singletons, independent):
             assert np.array_equal(mine.u, ref.u)
+
+    def test_coefficient_values_stand_in_for_calls(self):
+        # values at the assembly points replace the calls bit for bit, and are
+        # overwritten with each member's deviation from its group's mean
+        members = [EnsembleMember(
+            a=lambda x, y, t, c=c: 1.0 + c * np.sin(3.0 * np.asarray(x) + np.asarray(y)),
+            f=zero_field, g=lambda x, y, t: np.asarray(y), u0=zero_field, time_invariant=True)
+            for c in (0.2, 0.5, 0.3, 0.4)]
+        problem = small_problem(members, steps=3)
+        values = np.stack([coefficient_values(problem.space, m.a, 0.0).ravel()
+                           for m in members])
+        deviations = values.copy()
+        deviations[[0, 2]] -= deviations[[0, 2]].mean(axis=0)
+        deviations[[1, 3]] = 0.0
+        groups, handoff = [[0, 2], [1], [3]], [values]
+        mine, _ = ensemble_solve(problem, groups=groups, coefficients=handoff)
+        ref, _ = ensemble_solve(problem, groups=groups)
+        assert all(np.array_equal(a.u, b.u) for a, b in zip(mine, ref))
+        assert handoff == [] and np.array_equal(values, deviations)
+
+    def test_coefficient_values_checked(self):
+        problem = small_problem([heat_member(), heat_member(2.0)])
+        points = problem.space.tabulation(problem.space.assembly_rule).xq.size
+        with pytest.raises(ValueError, match="time-invariant"):
+            ensemble_solve(problem, coefficients=[np.ones((2, points))])
+        static = small_problem([dataclasses.replace(m, time_invariant=True)
+                                for m in problem.members])
+        with pytest.raises(ValueError, match="one-element list"):
+            ensemble_solve(static, coefficients=np.ones((2, points)))
+        with pytest.raises(ValueError, match="shape"):
+            ensemble_solve(static, coefficients=[np.ones((2, points + 1))])
+        values = np.ones((2, points))
+        values[1, 3] = np.nan
+        with pytest.raises(ValueError, match="member 1"):
+            ensemble_solve(static, coefficients=[values])
 
     def test_zero_data_stays_zero(self):
         problem = small_problem([heat_member(), heat_member(3.0)])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ensfem.ensemble import TimeGrid
 from ensfem.fem import build_space, constant_field
 from ensfem.mesh import uniform_triangulation
-from ensfem.stability import SamplingGrid, estimate_bounds, partition_ensemble
+from ensfem.stability import (SamplingGrid, coefficient_block, estimate_bounds,
+                              partition_ensemble)
 from ensfem.stochastic import RandomFieldSpec, draw_samples, sample_coefficient
 
 
@@ -68,6 +69,16 @@ class TestEstimateBounds:
         bad = lambda x, y, t: np.full(np.shape(x), np.nan)
         with pytest.raises(ValueError, match="member 0"):
             estimate_bounds([bad], grid)
+
+    def test_block_checked(self, static_grid):
+        block = coefficient_block([const(1.0), const(2.0)], static_grid)
+        with pytest.raises(ValueError, match="shape"):
+            estimate_bounds(block[0], static_grid)
+        with pytest.raises(ValueError, match="shape"):
+            partition_ensemble(block[:, :0], static_grid)
+        block[0, 1, 5] = np.nan
+        with pytest.raises(ValueError, match="member 1"):
+            estimate_bounds(block, static_grid)
 
     def test_determinism(self, grid):
         coeffs = [const(1.0), lambda x, y, t: 1.0 + 0.5 * np.asarray(y)]
@@ -159,15 +170,38 @@ def closure_greedy(coeffs, grid):
     return sorted(groups, key=lambda g: g[0])
 
 
+def drifting_family(seed, count, sigma, drift):
+    """Sampled fields, each scaled by 1 + r_j t with its own rate r_j in [-drift, drift]."""
+    spec = RandomFieldSpec(sigma=sigma)
+    rates = np.random.default_rng(seed).uniform(-drift, drift, count)
+    return [lambda x, y, t, a=sample_coefficient(spec, d), r=r: a(x, y, t) * (1.0 + r * t)
+            for d, r in zip(draw_samples(seed, count, spec.n_modes), rates)]
+
+
+@pytest.mark.parametrize("steps", [0, 4])
+def test_block_and_fields_agree(steps):
+    coeffs = drifting_family(seed=5, count=6, sigma=0.2, drift=0.4)
+    space = build_space(uniform_triangulation(6, 6), 1)
+    grid = SamplingGrid.from_space(space, TimeGrid(1.0, steps) if steps else None)
+    block = coefficient_block(coeffs, grid)
+    assert block.shape == (steps + 1, 6, grid.x.size)
+    for group in ([0], [1, 3], [5, 2, 4], list(range(6))):
+        assert (estimate_bounds(block[:, group], grid)
+                == estimate_bounds([coeffs[i] for i in group], grid))
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 30),
-       sigma=st.floats(0.05, 0.21), nx=st.sampled_from([4, 6]))
-def test_partition_of_sampled_family(seed, count, sigma, nx):
-    spec = RandomFieldSpec(sigma=sigma)
-    coeffs = [sample_coefficient(spec, d) for d in draw_samples(seed, count, spec.n_modes)]
-    grid = SamplingGrid.from_space(build_space(uniform_triangulation(nx, nx), 1))
+       sigma=st.floats(0.05, 0.21), nx=st.sampled_from([4, 6]),
+       steps=st.sampled_from([0, 2, 5]), drift=st.floats(0.0, 0.5))
+def test_partition_of_sampled_family(seed, count, sigma, nx, steps, drift):
+    # steps=0 samples t=0 only; otherwise the fields drift apart over several time levels
+    coeffs = drifting_family(seed, count, sigma, drift if steps else 0.0)
+    space = build_space(uniform_triangulation(nx, nx), 1)
+    grid = SamplingGrid.from_space(space, TimeGrid(1.0, steps) if steps else None)
     groups = partition_ensemble(coeffs, grid)
     assert sorted(i for g in groups for i in g) == list(range(count))
     for g in groups:
         assert estimate_bounds([coeffs[i] for i in g], grid).satisfied
     assert groups == closure_greedy(coeffs, grid)
+    assert partition_ensemble(coefficient_block(coeffs, grid), grid) == groups

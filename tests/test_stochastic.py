@@ -6,6 +6,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensfem import stochastic
 
@@ -103,6 +105,21 @@ class TestDrawSamples:
         large = draw_samples(seed=42, count=12, n_modes=3)
         for da, db in zip(small, large):
             assert np.array_equal(da.y, db.y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63 - 1), replica=st.integers(0, 2 ** 16),
+           n_modes=st.integers(0, 4), count=st.integers(1, 12), extra=st.integers(0, 12))
+    def test_prefix_property(self, seed, replica, n_modes, count, extra):
+        # the first `count` draws of a longer stream are the shorter stream, and
+        # draw j is the j-th substream of the (seed, replica) key
+        small = draw_samples(seed, count, n_modes, replica)
+        large = draw_samples(seed, count + extra, n_modes, replica)
+        for j, (ds, dl) in enumerate(zip(small, large)):
+            assert ds.index == dl.index == j
+            assert np.array_equal(ds.y, dl.y)
+            direct = stochastic._substream(seed, replica, j).uniform(-SQRT3, SQRT3,
+                                                                     2 * n_modes + 1)
+            assert np.array_equal(ds.y, direct)
 
     def test_replicas_are_distinct(self):
         a = draw_samples(seed=42, count=3, n_modes=3, replica=0)
@@ -205,6 +222,26 @@ class TestRunEmc:
         assert [n for n, _ in seen] == list(range(config.time_grid().steps + 1))
         assert all(u.shape == (result.dof_count, 8) for _, u in seen)
         assert np.array_equal(seen[-1][1].mean(axis=1), result.mean_field)
+
+    def test_partitioned_run_calls_each_coefficient_once(self, monkeypatch):
+        # the gate, the partition and the stepper all read one evaluation
+        calls = []
+        sample = stochastic.sample_coefficient
+
+        def counted_coefficient(spec, draw):
+            coeff = sample(spec, draw)
+
+            def counted(x, y, t):
+                calls.append(draw.index)
+                return coeff(x, y, t)
+            return counted
+
+        monkeypatch.setattr(stochastic, "sample_coefficient", counted_coefficient)
+        config = tiny_config(spec=RandomFieldSpec(a0=3.0, sigma=1.0), samples=8, seed=3,
+                             partition=True)
+        result = run_emc(config)
+        assert len(result.groups) > 1
+        assert sorted(calls) == list(range(8))
 
     def test_stats_counters_accumulate(self):
         config = tiny_config(samples=3)
