@@ -162,7 +162,9 @@ class _GroupedStepper:
     a vector. Every system sits on the space's fixed pattern, so one Dirichlet
     constraint serves the whole run: each group's system is written into it
     by `refill` in turn, and the factorization's ordering, cached on its
-    matrix object, is computed once.
+    matrix object, is computed once. Only the free block is solved: each
+    group's solve fills the free rows of its columns, and the tagged rows of
+    all columns take the boundary values.
     """
 
     def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]],
@@ -179,6 +181,9 @@ class _GroupedStepper:
         self.scaled_mass = self.mass.data * (1.0 / self.dt)
         self.constraint = fem.DirichletConstraint(self.mass, self.space,
                                                   problem.dirichlet_tags)
+        free = self.constraint.free  # each group's solve fills its columns' free rows
+        self.targets = [np.ix_(free, c) if isinstance(c, np.ndarray) else (free, c)
+                        for c in self.columns]
         self.static = all(m.time_invariant for m in problem.members)
         if coefficients is not None:
             if not (isinstance(coefficients, list) and len(coefficients) == 1):
@@ -258,9 +263,11 @@ class _GroupedStepper:
         if not np.isfinite(rhs).all():
             j = int(np.nonzero(~np.isfinite(rhs).all(axis=0))[0][0])
             raise ValueError(f"non-finite right-hand side for member {j} at step {n1}")
-        u1 = np.empty_like(state.u)
         constraint = self.constraint
-        for k, (columns, system) in enumerate(zip(self.columns, systems)):
+        u1 = np.empty_like(state.u)
+        u1[constraint.bdofs] = gvals
+        for k, (columns, target, system) in enumerate(zip(self.columns, self.targets,
+                                                          systems)):
             constraint.refill(system)
             lifted = constraint.lift(rhs[:, columns], gvals[:, columns])
             try:
@@ -270,10 +277,7 @@ class _GroupedStepper:
                        f"group {k} ({lifted.shape[1]} members)")
                 raise sparse.NotSpdError(f"system of {who} not SPD at step {n1}: {exc}",
                                          exc.pivot) from exc
-            solved = factor.solve(lifted)
-            if len(self.groups) == 1 and solved.ndim == 2:
-                return EnsembleState(n=n1, t=t1, u=solved)  # one group: no copy into u1
-            u1[:, columns] = solved
+            u1[target] = factor.solve(lifted)
         return EnsembleState(n=n1, t=t1, u=u1)
 
 

@@ -270,17 +270,13 @@ def l2_project(space: FeSpace, g: Field, t: float = 0.0) -> np.ndarray:
     return sparse.spd_factorize(m).solve(b)
 
 
-def at_quadrature(space: FeSpace, u: np.ndarray) -> np.ndarray:
-    """Values of the FE function at the data-rule quadrature points, shape (nt, nq)."""
-    tab = space.tabulation(space.data_rule)
-    return np.einsum("qa,ta->tq", tab.phi, u[space.cell_dofs])
+def integrate(space: FeSpace, u: np.ndarray) -> float | np.ndarray:
+    """Integral of the FE function over the domain; a block gives one per column.
 
-
-def integrate(space: FeSpace, u: np.ndarray) -> float:
-    """Integral of the FE function over the domain."""
-    tab = space.tabulation(space.data_rule)
-    uh = at_quadrature(space, u)
-    return float(np.einsum("tq,q,t->", uh, tab.weights, space.areas))
+    The integral of phi_i is the load of the unit source, the sum of row i of
+    the load operator, so the integrals of every column are one product.
+    """
+    return np.asarray(space.load_operator().sum(axis=1)).ravel() @ u
 
 
 def error_l2(space: FeSpace, u: np.ndarray, exact: Field | None, t: float = 0.0,
@@ -315,51 +311,39 @@ def h1_semi_norm(space: FeSpace, u: np.ndarray) -> float:
 
 
 class DirichletConstraint:
-    """Symmetric elimination of tagged boundary DOFs from one assembled system.
+    """Elimination of tagged boundary DOFs from one assembled system.
 
-    The constrained matrix keeps the full dimension: tagged rows and columns are
-    zeroed with a unit diagonal, so it stays SPD, and the dropped couplings are
-    moved into each right-hand-side column by `lift`. Which system slot each
-    entry of the constrained matrix and of `coupling` comes from depends only
-    on the sparsity pattern, so these slot maps are made once and `refill`
-    rewrites both in place from new data on that pattern. The matrix object,
-    and with it the ordering a factorization caches on it, lives as long as
-    the constraint.
+    The values at the tagged DOFs `bdofs` are known, so the unknowns are the
+    `free` DOFs: `matrix` is the free-free block of the system, SPD whenever
+    the system is, and `coupling` the free-tagged block, through which `lift`
+    moves the boundary values into the right-hand side. A solve of `matrix`
+    gives the `free` rows of the solution; its `bdofs` rows are the boundary
+    values. Which system slot each entry of the two blocks comes from depends
+    only on the sparsity pattern, so these slot maps are made once and
+    `refill` rewrites both blocks in place from new data on that pattern.
+    The matrix object, and with it the ordering a factorization caches on
+    it, lives as long as the constraint.
     """
 
     def __init__(self, matrix: sp.csr_matrix, space: FeSpace,
                  tags: Sequence[BoundaryTag]):
         self.space = space
         self.bdofs = space.tagged_dofs(tags)
+        self.free = np.setdiff1d(np.arange(space.dof_count), self.bdofs)
         matrix = sp.csr_matrix(matrix, copy=True)
         matrix.sum_duplicates()  # canonical slot order: rows, then sorted columns
-        n, nb = space.dof_count, self.bdofs.size
-        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-        cols = matrix.indices
-        pinned = np.full(n, -1)  # column of each tagged DOF in `coupling`, -1 if free
-        pinned[self.bdofs] = np.arange(nb)
-        # constrained pattern: the free-free slots plus a unit diagonal on each
-        # tagged DOF, whose slot map entry is a placeholder overwritten by 1
-        kept = np.nonzero((pinned[rows] < 0) & (pinned[cols] < 0))[0]
-        r = np.concatenate([rows[kept], self.bdofs])
-        c = np.concatenate([cols[kept], self.bdofs])
-        order = np.lexsort((c, r))
-        self._matrix_slots = np.concatenate([kept, np.zeros(nb, dtype=kept.dtype)])[order]
-        self._unit_slots = np.nonzero(order >= kept.size)[0]
-        self._coupling_slots = np.nonzero(pinned[cols] >= 0)[0]
+        # the blocks of the system whose entries are slot numbers plus one (so
+        # that none is zero); the data of each block is then its slot map
+        numbered = sp.csr_matrix((np.arange(1.0, matrix.nnz + 1), matrix.indices,
+                                  matrix.indptr), shape=matrix.shape)[self.free]
+        self.matrix, self.coupling = numbered[:, self.free], numbered[:, self.bdofs]
+        self._matrix_slots = self.matrix.data.astype(np.intp) - 1
+        self._coupling_slots = self.coupling.data.astype(np.intp) - 1
         self._nnz = matrix.nnz
-
-        def empty_csr(row, col, width):  # entries in CSR order, data left to refill
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
-            return sp.csr_matrix((np.empty(row.size), col, indptr), shape=(n, width))
-
-        self.matrix = empty_csr(r[order], c[order], n)
-        coupled = self._coupling_slots
-        self.coupling = empty_csr(rows[coupled], pinned[cols[coupled]], nb)
         self.refill(matrix.data)
 
     def refill(self, data: np.ndarray) -> None:
-        """Rewrite the constrained matrix and `coupling` in place from new system data.
+        """Rewrite `matrix` and `coupling` in place from new system data.
 
         `data` holds the entries of a system on the pattern this constraint was
         built from, in canonical CSR slot order.
@@ -369,7 +353,6 @@ class DirichletConstraint:
         # the slots are in range by construction; "clip" skips the buffered
         # bounds check of the default mode
         np.take(data, self._matrix_slots, out=self.matrix.data, mode="clip")
-        self.matrix.data[self._unit_slots] = 1.0
         np.take(data, self._coupling_slots, out=self.coupling.data, mode="clip")
 
     def boundary_values(self, g: Field, t: float) -> np.ndarray:
@@ -384,8 +367,8 @@ class DirichletConstraint:
         return values
 
     def lift(self, rhs: np.ndarray, gvals: np.ndarray) -> np.ndarray:
-        """Move boundary values into the rhs; rhs may be (n,) or (n, J) with (nb, J) gvals."""
-        out = rhs - self.coupling @ gvals
-        out[self.bdofs] = gvals
-        return out
+        """Right-hand side of the free block: rhs[free] - coupling @ gvals.
 
+        rhs may be (n,) with (nb,) gvals or (n, J) with (nb, J) gvals.
+        """
+        return rhs[self.free] - self.coupling @ gvals

@@ -2,14 +2,17 @@
 
 The backend permutes with reverse Cuthill-McKee and runs a banded Cholesky
 factorization (LAPACK pbtrf), which is exact-pivot Cholesky and fails loudly on
-indefinite input. A vector or a narrow block is solved by LAPACK pbtrs, two
-level-2 band sweeps per column. A wide block is solved by a level-3 tiled path
-instead: the band factor is viewed as block lower-bidiagonal with square tiles
-of edge nb = max(band width + 1, `TILE`), each diagonal tile is inverted once
-per factor, and both sweeps are two matrix products per tile over all columns.
-A block is wide from max(`TILE`, nb // 2) columns on: a band-sized tile is
-half zeros, and below that count its inversion and products cost more than
-the pbtrs sweeps they replace.
+indefinite input. The stepping systems it factorizes are the free-free blocks
+of Dirichlet-constrained systems (`fem.DirichletConstraint.matrix`), so the
+ordering sees only the couplings between unknown DOFs. A vector or a narrow
+block is solved by LAPACK pbtrs, two level-2 band sweeps per column. A wide
+block is solved by a level-3 tiled path instead: the band factor is viewed as
+block lower-bidiagonal with square tiles of edge nb = max(band width + 1,
+`TILE`), each diagonal tile is inverted once per factor, and both sweeps are
+two matrix products per tile over all columns. A block is wide from
+max(`TILE`, nb // 2) columns on: a band-sized tile is half zeros, and below
+that count its inversion and products cost more than the pbtrs sweeps they
+replace.
 
 Module-level counters record every factorization and block solve so that
 solver-call laws can be asserted by tests and reported per run.
@@ -133,15 +136,11 @@ class _BandedPlan:
 
     __slots__ = ("perm", "bandwidth", "edge", "mask", "ab_rows", "ab_cols", "n", "_tiles")
 
-    def __init__(self, a: sp.csr_matrix, ordering: str):
+    def __init__(self, a: sp.csr_matrix):
         n = a.shape[0]
-        if ordering == "rcm":
-            perm = np.asarray(reverse_cuthill_mckee(a, symmetric_mode=True),
-                              dtype=np.int64)
-        elif ordering == "natural":
-            perm = np.arange(n, dtype=np.int64)
-        else:
-            raise ValueError(f"unknown ordering {ordering!r}")
+        # scipy's RCM fails on the empty free block of a mesh without free DOFs
+        perm = np.asarray(reverse_cuthill_mckee(a, symmetric_mode=True) if n else [],
+                          dtype=np.int64)
         inverse = np.empty(n, dtype=np.int64)
         inverse[perm] = np.arange(n, dtype=np.int64)
         coo = a.tocoo(copy=False)
@@ -190,17 +189,16 @@ class _BandedPlan:
         return self._tiles
 
 
-def _banded_plan(a: sp.csr_matrix, ordering: str) -> _BandedPlan:
+def _banded_plan(a: sp.csr_matrix) -> _BandedPlan:
     # the plan depends only on the sparsity pattern; cache it on the matrix
     # object so steppers that refactorize a reused matrix pay for it once
-    cached = getattr(a, "_ensfem_plan", None)
-    if cached is not None and cached[0] == ordering:
-        return cached[1]
-    plan = _BandedPlan(a, ordering)
-    try:
-        a._ensfem_plan = (ordering, plan)
-    except AttributeError:
-        pass
+    plan = getattr(a, "_ensfem_plan", None)
+    if plan is None:
+        plan = _BandedPlan(a)
+        try:
+            a._ensfem_plan = plan
+        except AttributeError:
+            pass
     return plan
 
 
@@ -210,10 +208,10 @@ class CholeskyFactor:
     The first solve of a block of at least `tiled_columns` columns caches the
     factor's inverted diagonal tiles; later wide solves reuse them."""
 
-    def __init__(self, a, ordering: str = "rcm"):
+    def __init__(self, a):
         a = _as_csr(a)
         _validate_square_finite(a)
-        plan = _banded_plan(a, ordering)
+        plan = _banded_plan(a)
         try:
             self._cb = cholesky_banded(plan.banded(a.data), lower=True,
                                        check_finite=False)
@@ -271,7 +269,7 @@ class CholeskyFactor:
         count, nb, _ = inverses.shape
         z = np.zeros((count * nb, b.shape[1]))
         z[:self._n] = b[self._perm]
-        z = z.reshape(count, nb, -1)
+        z = z.reshape(count, nb, b.shape[1])
         y = np.empty_like(z)
         # forward, L y = b: Y_k = D_k^-1 (B_k - S_k Y_{k-1})
         for k in range(count):
@@ -284,10 +282,10 @@ class CholeskyFactor:
                 y[k] -= sub[k].T @ z[k + 1]
             np.matmul(inverses[k].T, y[k], out=z[k])
         x = np.empty((self._n, b.shape[1]))
-        x[self._perm] = z.reshape(count * nb, -1)[:self._n]
+        x[self._perm] = z.reshape(count * nb, b.shape[1])[:self._n]
         return x
 
 
-def spd_factorize(a, ordering: str = "rcm") -> CholeskyFactor:
+def spd_factorize(a) -> CholeskyFactor:
     """Factorize a sparse SPD matrix once for reuse against any number of right-hand sides."""
-    return CholeskyFactor(a, ordering=ordering)
+    return CholeskyFactor(a)

@@ -105,7 +105,7 @@ def _reduce_bounds(values, grid: SamplingGrid) -> StabilityReport:
         dev = vals - mean
         dev = np.abs(dev, out=dev).max(axis=1)  # sup over x, per member
         theta_plus = max(theta_plus, float(dev.max()))
-        if t > 0.0:
+        if t > 0.0 or grid.times.size == 1:
             theta_minus = min(theta_minus, float(dev.min()))
     if not np.isfinite(theta_minus):
         theta_minus = 0.0
@@ -123,8 +123,10 @@ def estimate_bounds(coeffs: Sequence[Field] | np.ndarray,
 
     theta is the smaller of the members' floor and the mean's floor;
     theta_minus is measured over positive times only, since deviations may
-    vanish identically at t=0. `coeffs` are fields, each evaluated once per
-    time level, or their values as returned by `coefficient_block`.
+    vanish identically at t=0, except on a one-level grid (time-invariant
+    coefficients), where it is measured at that level. `coeffs` are fields,
+    each evaluated once per time level, or their values as returned by
+    `coefficient_block`.
     """
     return _reduce_bounds(_as_block(coeffs, grid), grid)
 

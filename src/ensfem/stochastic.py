@@ -208,10 +208,7 @@ def build_emc_members(config: EmcConfig) -> tuple[list[EnsembleMember], list[Sam
 
 def qoi_integral(space: FeSpace, u: np.ndarray) -> float | np.ndarray:
     """Spatial integral of the FE function; columns of a block map to an array."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        return integrate(space, u)
-    return np.array([integrate(space, u[:, j]) for j in range(u.shape[1])])
+    return integrate(space, np.asarray(u, dtype=float))
 
 
 def gate_and_group(config: EmcConfig, members: Sequence[EnsembleMember], space: FeSpace,

@@ -236,20 +236,26 @@ class TestL2Projection:
 
 
 def constrain(system, rhs, space, g, tags):
-    """Constrained system and lifted rhs, with g pinned on the tagged boundary DOFs."""
+    """Free block of the system and the full solution, with g pinned on the tagged DOFs.
+
+    The free block's solve fills the free rows of the solution, g its tagged rows.
+    """
     constraint = DirichletConstraint(system, space, tags)
     gvals = constraint.boundary_values(g, 0.0)
     if rhs.ndim == 2:
         gvals = np.repeat(gvals[:, None], rhs.shape[1], axis=1)
-    return constraint.matrix, constraint.lift(rhs, gvals)
+    x = np.empty_like(rhs)
+    x[constraint.free] = sparse.spd_factorize(constraint.matrix).solve(
+        constraint.lift(rhs, gvals))
+    x[constraint.bdofs] = gvals
+    return constraint.matrix, x
 
 
 class TestDirichlet:
     def test_homogeneous_matches_row_deletion(self, space_p1):
         a = assemble_stiffness(space_p1, constant_field(1.0), 0.0)
         b = assemble_load(space_p1, constant_field(1.0), 0.0)
-        a_c, b_c = constrain(a, b, space_p1, zero_field, tuple(BoundaryTag))
-        x = sparse.spd_factorize(a_c).solve(b_c)
+        _, x = constrain(a, b, space_p1, zero_field, tuple(BoundaryTag))
         free = space_p1.interior_dofs
         dense = np.linalg.solve(a.toarray()[np.ix_(free, free)], b[free])
         assert np.allclose(x[free], dense, atol=1e-12)
@@ -259,9 +265,7 @@ class TestDirichlet:
         space = build_space(uniform_triangulation(4, 4), 1)
         lin = lambda x, y, t: x + y
         a = assemble_stiffness(space, constant_field(1.0), 0.0)
-        b = np.zeros(space.dof_count)
-        a_c, b_c = constrain(a, b, space, lin, tuple(BoundaryTag))
-        x = sparse.spd_factorize(a_c).solve(b_c)
+        _, x = constrain(a, np.zeros(space.dof_count), space, lin, tuple(BoundaryTag))
         exact = space.dof_coords[:, 0] + space.dof_coords[:, 1]
         assert np.abs(x - exact).max() < 1e-10
 
@@ -289,13 +293,10 @@ class TestDirichlet:
         m = assemble_mass(space_p1)
         system = (m + a).tocsr()
         rhs = np.random.default_rng(3).normal(size=(space_p1.dof_count, 4))
-        a_c, rhs_c = constrain(system, rhs, space_p1, constant_field(2.0),
-                               tuple(BoundaryTag))
-        bdofs = space_p1.tagged_dofs(tuple(BoundaryTag))
-        assert np.allclose(rhs_c[bdofs], 2.0)
-        x = sparse.spd_factorize(a_c).solve(rhs_c)
-        assert np.allclose(x[bdofs], 2.0, atol=1e-12)
-
+        _, x = constrain(system, rhs, space_p1, constant_field(2.0), tuple(BoundaryTag))
+        free = space_p1.interior_dofs
+        assert (x[space_p1.tagged_dofs(tuple(BoundaryTag))] == 2.0).all()
+        assert np.abs((system @ x - rhs)[free]).max() <= 1e-12 * np.abs(rhs).max()
 
     def test_refill_rejects_data_off_pattern(self, space_p1):
         a = assemble_stiffness(space_p1, constant_field(1.0), 0.0)
@@ -325,15 +326,43 @@ def test_refilled_constraint_equals_fresh(degree, nx, ny, tags, seed, scales):
     rhs = rng.normal(size=(space.dof_count, 2))
     gvals = rng.normal(size=(fresh.bdofs.size, 2))
     assert np.array_equal(refilled.lift(rhs, gvals), fresh.lift(rhs, gvals))
-    # the elimination itself, as zeroing products of the system
-    free = np.ones(space.dof_count)
-    free[fresh.bdofs] = 0.0
-    keep = sp.diags(free)
-    ref = keep @ systems[1] @ keep + sp.diags(1.0 - free)
-    assert np.array_equal(fresh.matrix.toarray(), ref.toarray())
-    assert np.array_equal(fresh.coupling.toarray(), systems[1][:, fresh.bdofs].toarray())
+    # the elimination itself: the free-free and free-tagged blocks of the system
+    free = np.setdiff1d(np.arange(space.dof_count), fresh.bdofs)
+    assert np.array_equal(fresh.free, free)
+    assert np.array_equal(fresh.matrix.toarray(), systems[1][free][:, free].toarray())
+    assert np.array_equal(fresh.coupling.toarray(),
+                          systems[1][free][:, fresh.bdofs].toarray())
     dense = fresh.matrix.toarray()
-    assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
+    assert np.abs(dense - dense.T).max(initial=0.0) <= 1e-14 * np.abs(dense).max(initial=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.sampled_from([1, 2]), nx=st.integers(1, 6), ny=st.integers(1, 6),
+       tags=st.sets(st.sampled_from(list(BoundaryTag))), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1.0, 1e2), columns=st.sampled_from([None, 3]),
+       g=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_eliminated_solve_matches_dense_free_block(degree, nx, ny, tags, seed, scale,
+                                                   columns, g):
+    space = build_space(uniform_triangulation(nx, ny), degree)
+    tags = tuple(sorted(tags, key=lambda tag: tag.value))
+    rng = np.random.default_rng(seed)
+    coefficient = rng.uniform(0.1, 10.0, space.tabulation(space.assembly_rule).xq.shape)
+    system = (scale * assemble_mass(space)
+              + assemble_stiffness(space, coefficient, 0.0)).tocsr()
+    rhs = rng.normal(size=space.dof_count if columns is None else (space.dof_count, columns))
+    field = lambda x, y, t: g[0] + g[1] * x - g[2] * y * y
+    _, x = constrain(system, rhs, space, field, tags)
+    bdofs = space.tagged_dofs(tags)
+    free = np.setdiff1d(np.arange(space.dof_count), bdofs)
+    gvals = field(space.dof_coords[bdofs, 0], space.dof_coords[bdofs, 1], 0.0)
+    if columns is not None:
+        gvals = np.repeat(gvals[:, None], columns, axis=1)
+    dense = system.toarray()
+    want = np.linalg.solve(dense[np.ix_(free, free)],
+                           rhs[free] - dense[np.ix_(free, bdofs)] @ gvals)
+    size = max(np.abs(want).max(initial=0.0), 1.0)
+    assert np.abs(x[free] - want).max(initial=0.0) <= 1e-12 * size
+    assert np.array_equal(x[bdofs], gvals)
 
 
 class TestErrorNorms:

@@ -135,15 +135,14 @@ class TestReuseAndOrdering:
             assert np.abs(x - y).max() < 1e-12
 
     def test_permutation_invariance(self):
+        # a renumbering of the unknowns changes the elimination order, not the solution
         a = fem_system(nx=6)
-        b = np.random.default_rng(8).normal(size=a.shape[0])
-        x_rcm = spd_factorize(a, ordering="rcm").solve(b)
-        x_nat = spd_factorize(a, ordering="natural").solve(b)
-        assert np.abs(x_rcm - x_nat).max() < 1e-10
-
-    def test_unknown_ordering(self):
-        with pytest.raises(ValueError, match="ordering"):
-            spd_factorize(fem_system(), ordering="amd")
+        rng = np.random.default_rng(8)
+        b = rng.normal(size=a.shape[0])
+        p = rng.permutation(a.shape[0])
+        x = spd_factorize(a).solve(b)
+        x_renumbered = spd_factorize(a[p][:, p]).solve(b[p])
+        assert np.abs(x_renumbered - x[p]).max() < 1e-10
 
 
 def banded_reference(factor, b):
@@ -161,14 +160,13 @@ def constrained_system(nx, degree):
 
 
 class TestTiledSolve:
-    # (nx, degree): n=81 over three tiles with a padded last one; n=25 in one tile;
-    # P2 over nine tiles of edge 34 (band width 33); P2 with band width 117 > TILE,
-    # tiled from 59 columns; the natural orderings have wider bands still
+    # (nx, degree): n=49 over two tiles with a padded last one; n=9 in one tile;
+    # P2 over five tiles of edge 54 (band width 53); P2 with band width 65 > TILE,
+    # tiled from 33 columns
     @pytest.mark.parametrize("nx, degree", [(8, 1), (4, 1), (8, 2), (16, 2)])
-    @pytest.mark.parametrize("ordering", ["rcm", "natural"])
-    def test_matches_banded_solve(self, nx, degree, ordering):
+    def test_matches_banded_solve(self, nx, degree):
         a = constrained_system(nx, degree)
-        f = spd_factorize(a, ordering=ordering)
+        f = spd_factorize(a)
         rng = np.random.default_rng(nx * degree)
         for j in sorted({31, 32, 33, 64, f.tiled_columns}):
             b = rng.normal(size=(a.shape[0], j))
@@ -193,7 +191,7 @@ class TestTiledSolve:
     # (nx, degree, band width): up to band width 63 the tiled path starts at TILE
     # columns; above it at half the band-sized tile edge
     @pytest.mark.parametrize("nx, degree, bandwidth, tiled_from",
-                             [(8, 1, 7, 32), (8, 2, 33, 32), (16, 2, 117, 59)])
+                             [(8, 1, 7, 32), (8, 2, 53, 32), (16, 2, 65, 33)])
     def test_chosen_by_band_width(self, nx, degree, bandwidth, tiled_from):
         f = spd_factorize(constrained_system(nx, degree))
         assert f._cb.shape[0] - 1 == bandwidth

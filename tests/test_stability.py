@@ -38,6 +38,13 @@ class TestEstimateBounds:
         assert report.theta_minus == 0.0
         assert report.satisfied
 
+    def test_theta_minus_on_one_time_level(self, static_grid):
+        # time-invariant coefficients are sampled at t=0 only; the deviation band
+        # is measured there, as it is at every positive time of a time grid
+        report = estimate_bounds([const(1.0), const(3.0)], static_grid)
+        assert report.theta_minus == pytest.approx(1.0)
+        assert report.theta_plus == pytest.approx(1.0)
+
     def test_single_member_nonpositive_not_satisfied(self, grid):
         assert not estimate_bounds([const(-1.0)], grid).satisfied
 
