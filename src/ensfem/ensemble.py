@@ -1,17 +1,20 @@
 """Shared-matrix time stepping for groups of linear parabolic problems.
 
 All group members advance together with one implicit solve per step: the
-implicit diffusion term uses the group-averaged coefficient, so the system
-matrix ``M/dt + A(mean coeff)`` is member-independent and is factorized once,
-while each member's deviation from the mean acts explicitly on its own
-right-hand-side column:
+implicit diffusion term uses the group-averaged coefficient abar, so the
+system matrix is member-independent and is factorized once, while each
+member's deviation from the mean acts explicitly on its own right-hand side:
 
     (M/dt + A(abar, t1)) u_j(t1) = F_j(t1) + M u_j(t0)/dt - (A(a_j, t1) - A(abar, t1)) u_j(t0)
 
-with Dirichlet lifting at t1. A run may split the members into groups, each
-with its own mean; all groups step in lockstep. `independent_solve` is the
-reference baseline, standard backward Euler for every member: the same scheme
-on one-member groups, whose deviation from their mean is zero.
+with Dirichlet lifting at t1. The stepper solves the same equation for the
+increment, whose right-hand side needs no mass product and no group mean:
+
+    (M/dt + A(abar, t1)) (u_j(t1) - u_j(t0)) = F_j(t1) - A(a_j, t1) u_j(t0)
+
+A run may split the members into groups, each with its own mean; all groups
+step in lockstep. `independent_solve` is the reference baseline, standard
+backward Euler for every member: the same scheme on one-member groups.
 """
 from __future__ import annotations
 
@@ -102,7 +105,7 @@ class SolveStats:
 
 Observer = Callable[[EnsembleState], None]
 
-#: members per product when the deviations are mapped to fluctuation data; small,
+#: members per product when the coefficient values are mapped to stiffness data; small,
 #: so that the product's temporaries add little to the data it fills
 _CHUNK = 8
 
@@ -156,15 +159,15 @@ class _GroupedStepper:
     """The scheme for one problem and one partition of its members into groups.
 
     All groups advance in lockstep. Each group's system is M/dt + A(mean of
-    its members' coefficients), and each member's deviation from its own
-    group's mean acts on its right-hand-side column; a one-member group has
-    a deviation of exactly zero and so takes a backward-Euler step, solved as
-    a vector. Every system sits on the space's fixed pattern, so one Dirichlet
-    constraint serves the whole run: each group's system is written into it
-    by `refill` in turn, and the factorization's ordering, cached on its
-    matrix object, is computed once. Only the free block is solved: each
-    group's solve fills the free rows of its columns, and the tagged rows of
-    all columns take the boundary values.
+    its members' coefficients), solved for the increment u(t1) - u(t0) of
+    its columns against F - A(a_j) u(t0); a one-member group takes a
+    backward-Euler step, solved as a vector. Every system sits on the
+    space's fixed pattern, so one Dirichlet constraint serves the whole run:
+    each group's system is written into it by `refill` in turn, and the
+    factorization's ordering, cached on its matrix object, is computed once.
+    Only the free block is solved, lifted against the increment of the
+    boundary values; the increment plus u(t0) fills the free rows of the
+    group's columns, and the tagged rows of all columns take g(t1).
     """
 
     def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]],
@@ -200,19 +203,27 @@ class _GroupedStepper:
                 raise ValueError(f"member {int(np.argmin(finite))}: coefficient values "
                                  "are non-finite")
         self._coefficients = coefficients
-        # A(a_j) - A(mean of j's group) of every member as one block-diagonal
-        # matrix, made on first use (after the initial projection, so that the
-        # two do not add up in peak memory) and overwritten in place at each
-        # later time level
-        self.fluctuation = None
+        # every member's A(a_j) as one block-diagonal matrix, made on first use
+        # (after the initial projection, so that the two do not add up in peak
+        # memory) and overwritten in place at each later time level
+        self.stiffness = None
         self._cache = None
 
     def initial_state(self) -> EnsembleState:
         """L2 projection of each member's u0, tagged boundary DOFs overwritten by g(., 0)."""
         space, members, constraint = self.space, self.problem.members, self.constraint
-        mass = sparse.spd_factorize(self.mass)
-        u = _shared_columns([m.u0 for m in members],
-                            lambda u0: mass.solve(fem.assemble_load(space, u0, 0.0)), 0)
+        mass = None  # factorized on the first nonzero load: zero data project to zero
+
+        def project(u0):
+            nonlocal mass
+            load = fem.assemble_load(space, u0, 0.0)
+            if load.any():
+                if mass is None:
+                    mass = sparse.spd_factorize(self.mass)
+                load = mass.solve(load)
+            return load
+
+        u = _shared_columns([m.u0 for m in members], project, 0)
         u[constraint.bdofs] = _shared_columns(
             [m.g for m in members], lambda g: constraint.boundary_values(g, 0.0), 0)
         return EnsembleState(n=0, t=0.0, u=u)
@@ -226,30 +237,26 @@ class _GroupedStepper:
             coeffs = np.stack(_per_member(
                 members, lambda m: fem.coefficient_values(space, m.a, t1), n1))
             coeffs = coeffs.reshape(len(members), -1)
-        systems = []
-        for group in self.groups:
-            c_bar = coeffs[group].mean(axis=0)
-            systems.append(self.scaled_mass + fem.assemble_stiffness(space, c_bar, t1).data)
-            coeffs[group] -= c_bar  # each member's deviation from its group's mean
-        # every member's A(a_j) - A(c_bar) is W @ (a_j - c_bar), made a few
-        # members at a time straight into the fluctuation data, so that no
-        # second copy of the deviations and no (slots, J) product block is held
-        if self.fluctuation is None:
+        systems = [self.scaled_mass + fem.assemble_stiffness(
+            space, coeffs[group].mean(axis=0), t1).data for group in self.groups]
+        # every member's A(a_j) is W @ a_j, made a few members at a time straight
+        # into the block's data, so that no (slots, J) product block is held
+        if self.stiffness is None:
             data = np.empty((len(members), self.mass.nnz))
         else:
-            data = self.fluctuation.data.reshape(len(members), -1)
+            data = self.stiffness.data.reshape(len(members), -1)
         weights = space.stiffness_operator().weights
         for start in range(0, len(members), _CHUNK):
             chunk = slice(start, start + _CHUNK)
             data[chunk] = (weights @ coeffs[chunk].T).T
         del coeffs
-        if self.fluctuation is None:
-            self.fluctuation = sparse.block_diagonal(self.mass, data)
+        if self.stiffness is None:
+            self.stiffness = sparse.block_diagonal(self.mass, data)
         loads = _shared_columns([m.f for m in members],
                                 lambda f: fem.assemble_load(space, f, t1), n1)
         gvals = _shared_columns([m.g for m in members],
                                 lambda g: self.constraint.boundary_values(g, t1), n1)
-        pieces = (systems, self.fluctuation, loads, gvals)
+        pieces = (systems, self.stiffness, loads, gvals)
         if self.static:
             self._cache = pieces
         return pieces
@@ -257,19 +264,20 @@ class _GroupedStepper:
     def step(self, state: EnsembleState) -> EnsembleState:
         n1 = state.n + 1
         t1 = n1 * self.dt
-        systems, fluctuation, loads, gvals = self._pieces(n1)
-        rhs = loads + (self.mass @ state.u) / self.dt
-        rhs -= (fluctuation @ state.u.ravel(order="F")).reshape(rhs.shape, order="F")
+        systems, stiffness, loads, gvals = self._pieces(n1)
+        u0 = state.u
+        rhs = loads - (stiffness @ u0.ravel(order="F")).reshape(u0.shape, order="F")
         if not np.isfinite(rhs).all():
             j = int(np.nonzero(~np.isfinite(rhs).all(axis=0))[0][0])
             raise ValueError(f"non-finite right-hand side for member {j} at step {n1}")
         constraint = self.constraint
-        u1 = np.empty_like(state.u)
+        u1 = np.empty_like(u0)
         u1[constraint.bdofs] = gvals
+        boundary_increment = gvals - u0[constraint.bdofs]
         for k, (columns, target, system) in enumerate(zip(self.columns, self.targets,
                                                           systems)):
             constraint.refill(system)
-            lifted = constraint.lift(rhs[:, columns], gvals[:, columns])
+            lifted = constraint.lift(rhs[:, columns], boundary_increment[:, columns])
             try:
                 factor = sparse.spd_factorize(constraint.matrix)
             except sparse.NotSpdError as exc:
@@ -277,7 +285,9 @@ class _GroupedStepper:
                        f"group {k} ({lifted.shape[1]} members)")
                 raise sparse.NotSpdError(f"system of {who} not SPD at step {n1}: {exc}",
                                          exc.pivot) from exc
-            u1[target] = factor.solve(lifted)
+            solved = factor.solve(lifted)
+            solved += u0[target]  # in place: a fresh sum would be a third block
+            u1[target] = solved
         return EnsembleState(n=n1, t=t1, u=u1)
 
 
@@ -317,15 +327,15 @@ def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
     group. Initial data is the L2 projection of each member's u0 with tagged
     boundary DOFs overwritten by g(., 0). The observer sees every member's
     column at each time level. The reported counts cover the stepping loop
-    (initialization factorizes the mass matrix once on top of them).
+    (initialization factorizes the mass matrix once on top of them if some
+    u0 has a nonzero load).
 
     For time-invariant members, `coefficients` may hand over their values at
     the space's assembly points, shape (J, points) in the order of
     `fem.coefficient_values` flattened, as a one-element list; the
     coefficients are then not called. The stepper takes the array out of the
-    list, overwrites it with each member's deviation from its group's mean and
-    drops it once the fluctuations are built, so the values are never copied
-    and not held for the whole run.
+    list, reads it and drops it, so the values are never copied, left
+    unchanged and not held for the whole run.
     """
     return _solve(problem, [range(problem.size)] if groups is None else groups,
                   observer, keep_trajectory, coefficients)

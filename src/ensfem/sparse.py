@@ -19,14 +19,13 @@ solver-call laws can be asserted by tests and reported per run.
 """
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtrtri
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
@@ -212,14 +211,11 @@ class CholeskyFactor:
         a = _as_csr(a)
         _validate_square_finite(a)
         plan = _banded_plan(a)
-        try:
-            self._cb = cholesky_banded(plan.banded(a.data), lower=True,
-                                       check_finite=False)
-        except LinAlgError as exc:
-            m = re.search(r"(\d+)", str(exc))
-            pivot = int(m.group(1)) if m else -1
-            raise NotSpdError(f"matrix is not positive definite (pivot {pivot})",
-                              pivot=pivot) from exc
+        self._cb, info = dpbtrf(plan.banded(a.data), lower=1, overwrite_ab=1)
+        if info > 0:
+            raise NotSpdError(f"matrix is not positive definite (pivot {info})", pivot=info)
+        if info < 0:
+            raise ValueError(f"pbtrf rejected its argument {-info}")
         self._plan = plan
         self._perm = plan.perm
         self._n = plan.n
@@ -243,7 +239,11 @@ class CholeskyFactor:
         if b.ndim == 2 and b.shape[1] >= self.tiled_columns:
             x = self._solve_tiled(b)
         else:
-            xp = cho_solve_banded((self._cb, True), b[self._perm], check_finite=False)
+            xp = b[self._perm]
+            if xp.size:  # pbtrs rejects the empty block of a mesh without free DOFs
+                xp, info = dpbtrs(self._cb, xp, lower=1, overwrite_b=1)
+                if info:
+                    raise ValueError(f"pbtrs rejected its argument {-info}")
             x = np.empty_like(xp)
             x[self._perm] = xp
         _count_solve(1 if b.ndim == 1 else b.shape[1])

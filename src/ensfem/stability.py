@@ -40,9 +40,6 @@ class SamplingGrid:
         times = np.array([0.0]) if grid is None else grid.times()
         return cls(x=tab.xq.ravel(), y=tab.yq.ravel(), times=times)
 
-    def describe(self) -> str:
-        return f"{self.x.size} spatial points x {self.times.size} time levels"
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -51,9 +48,6 @@ class StabilityReport:
     theta_minus: float
     satisfied: bool
     margin: float
-    coercivity_members: float
-    coercivity_mean: float
-    sampling: str
 
     def to_json_dict(self) -> dict:
         return {"theta": self.theta, "theta_plus": self.theta_plus,
@@ -94,14 +88,12 @@ def _as_block(coeffs: Sequence[Field] | np.ndarray, grid: SamplingGrid) -> np.nd
 
 def _reduce_bounds(values, grid: SamplingGrid) -> StabilityReport:
     """Bounds from a group's coefficient values, one (members, points) array per time level."""
-    coercivity_members = np.inf
-    coercivity_mean = np.inf
+    theta = np.inf
     theta_plus = 0.0
     theta_minus = np.inf
     for t, vals in zip(grid.times, values):
         mean = vals.mean(axis=0)
-        coercivity_members = min(coercivity_members, float(vals.min()))
-        coercivity_mean = min(coercivity_mean, float(mean.min()))
+        theta = min(theta, float(vals.min()), float(mean.min()))
         dev = vals - mean
         dev = np.abs(dev, out=dev).max(axis=1)  # sup over x, per member
         theta_plus = max(theta_plus, float(dev.max()))
@@ -109,12 +101,9 @@ def _reduce_bounds(values, grid: SamplingGrid) -> StabilityReport:
             theta_minus = min(theta_minus, float(dev.min()))
     if not np.isfinite(theta_minus):
         theta_minus = 0.0
-    theta = min(coercivity_members, coercivity_mean)
     margin = theta - theta_plus
     return StabilityReport(theta=theta, theta_plus=theta_plus, theta_minus=theta_minus,
-                           satisfied=margin > 0.0, margin=margin,
-                           coercivity_members=coercivity_members,
-                           coercivity_mean=coercivity_mean, sampling=grid.describe())
+                           satisfied=margin > 0.0, margin=margin)
 
 
 def estimate_bounds(coeffs: Sequence[Field] | np.ndarray,

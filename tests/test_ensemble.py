@@ -11,12 +11,12 @@ from ensfem import fem, sparse
 from ensfem.ensemble import (EnsembleMember, EnsembleProblem, TimeGrid,
                              _GroupedStepper, ensemble_solve, independent_solve,
                              trajectory_errors)
-from ensfem.fem import (assemble_stiffness, build_space, coefficient_values, constant_field,
-                        error_l2, l2_norm, zero_field)
+from ensfem.fem import (assemble_load, assemble_mass, assemble_stiffness, build_space,
+                        coefficient_values, constant_field, error_l2, l2_norm, zero_field)
 from ensfem.mesh import BoundaryTag, uniform_triangulation
 from ensfem.stochastic import EmcConfig, RandomFieldSpec, run_emc
 
-from _dense_oracle import shared_matrix_step
+from _dense_oracle import eliminate, shared_matrix_step
 
 
 def heat_member(a=1.0, f=None, g=None, u0=None):
@@ -110,17 +110,16 @@ class TestSingleStep:
         problem = small_problem(members, nx=4, degree=degree)
         space, t1 = problem.space, problem.grid.dt
         u = np.random.default_rng(4).normal(size=(space.dof_count, len(members)))
+        data = []
         for groups in ([[0, 1, 2, 3]], [[0, 2], [3, 1]], [[0], [1], [2], [3]]):
-            _, fluctuation, _, _ = _GroupedStepper(problem, groups)._pieces(1)
-            block = (fluctuation @ u.ravel(order="F")).reshape(u.shape, order="F")
-            for group in groups:
-                a_bar = assemble_stiffness(space, np.mean(
-                    [coefficient_values(space, members[j].a, t1) for j in group], axis=0), t1)
-                for j in group:
-                    loop = (assemble_stiffness(space, members[j].a, t1) - a_bar) @ u[:, j]
-                    assert np.abs(block[:, j] - loop).max() < 1e-13
-                    if len(group) == 1:
-                        assert not block[:, j].any()  # a singleton deviates by exactly 0.0
+            _, stiffness, _, _ = _GroupedStepper(problem, groups)._pieces(1)
+            data.append(stiffness.data)
+            block = (stiffness @ u.ravel(order="F")).reshape(u.shape, order="F")
+            for j, member in enumerate(members):
+                loop = assemble_stiffness(space, member.a, t1) @ u[:, j]
+                assert np.abs(block[:, j] - loop).max() < 1e-13
+        # block j is member j's own stiffness, whatever the grouping
+        assert all(np.array_equal(data[0], other) for other in data[1:])
 
     def test_nonfinite_coefficient_names_member(self):
         members = [heat_member(), EnsembleMember(
@@ -198,8 +197,8 @@ class TestSolvers:
             assert np.array_equal(mine.u, ref.u)
 
     def test_coefficient_values_stand_in_for_calls(self):
-        # values at the assembly points replace the calls bit for bit, and are
-        # overwritten with each member's deviation from its group's mean
+        # values at the assembly points replace the calls bit for bit; the list
+        # is emptied, and the values are read, not written
         members = [EnsembleMember(
             a=lambda x, y, t, c=c: 1.0 + c * np.sin(3.0 * np.asarray(x) + np.asarray(y)),
             f=zero_field, g=lambda x, y, t: np.asarray(y), u0=zero_field, time_invariant=True)
@@ -207,14 +206,12 @@ class TestSolvers:
         problem = small_problem(members, steps=3)
         values = np.stack([coefficient_values(problem.space, m.a, 0.0).ravel()
                            for m in members])
-        deviations = values.copy()
-        deviations[[0, 2]] -= deviations[[0, 2]].mean(axis=0)
-        deviations[[1, 3]] = 0.0
+        original = values.copy()
         groups, handoff = [[0, 2], [1], [3]], [values]
         mine, _ = ensemble_solve(problem, groups=groups, coefficients=handoff)
         ref, _ = ensemble_solve(problem, groups=groups)
         assert all(np.array_equal(a.u, b.u) for a, b in zip(mine, ref))
-        assert handoff == [] and np.array_equal(values, deviations)
+        assert handoff == [] and np.array_equal(values, original)
 
     def test_coefficient_values_checked(self):
         problem = small_problem([heat_member(), heat_member(2.0)])
@@ -361,7 +358,9 @@ class TestFixedPattern:
             _, stats = solver(problem)
             want = 6 * per_step
         assert stats.factorizations == want
-        assert len(orderings) == 2  # the initial mass projection and the stepping system
+        # the stepping system, and the initial mass projection unless every u0 is
+        # zero, as it is for the emc members
+        assert len(orderings) == (1 if solver is run_emc else 2)
         assert len(constraints) == 1
 
     def test_runs_match_dense_steps(self):
@@ -405,7 +404,69 @@ def test_member_permutation_permutes_columns(seed, count):
     assert np.abs(final[1] - final[0][:, order]).max() <= 1e-12
 
 
+def paper_form_step(space, members, u_prev, dt, t1, bdofs):
+    """One group step in the paper's form, dense, from the package's assembled matrices."""
+    mass = assemble_mass(space).toarray()
+    a_bar = assemble_stiffness(space, np.mean(
+        [coefficient_values(space, m["a"], t1) for m in members], axis=0), t1).toarray()
+    out = np.empty_like(u_prev)
+    for j, member in enumerate(members):
+        a_j = assemble_stiffness(space, member["a"], t1).toarray()
+        rhs = (assemble_load(space, member["f"], t1) + mass @ u_prev[:, j] / dt
+               - (a_j - a_bar) @ u_prev[:, j])
+        gvals = member["g"](*space.dof_coords[bdofs].T, t1)
+        out[:, j] = np.linalg.solve(*eliminate(mass / dt + a_bar, rhs, bdofs, gvals))
+    return out
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), degree=st.sampled_from([1, 2]), nx=st.integers(1, 4),
+       ny=st.integers(1, 4), steps=st.integers(1, 2),
+       tags=st.sets(st.sampled_from(list(BoundaryTag)), min_size=1),
+       scales=st.lists(st.floats(0.05, 0.9), min_size=1, max_size=6))
+def test_increment_steps_match_paper_form(data, degree, nx, ny, steps, tags, scales):
+    # time-dependent a, f and g, so every step lifts a nonzero boundary increment;
+    # random labels give partitions with and without singletons
+    labels = data.draw(st.lists(st.integers(0, len(scales) - 1), min_size=len(scales),
+                                max_size=len(scales)))
+    groups = [[j for j, k in enumerate(labels) if k == label] for label in sorted(set(labels))]
+    members = [dict(a=lambda x, y, t, c=c: 1.0 + c * np.sin(3.0 * np.asarray(x) - y + 4.0 * t),
+                    f=lambda x, y, t, c=c: np.cos(c * np.asarray(x) + t) - y,
+                    g=lambda x, y, t, c=c: c * np.asarray(x) * y + np.sin(2.0 * t + c))
+               for c in scales]
+    mesh = uniform_triangulation(nx, ny, (0.0, 1.5, -0.5, 0.5))
+    space = build_space(mesh, degree)
+    problem = EnsembleProblem(
+        members=[EnsembleMember(u0=lambda x, y, t, c=c: c * np.cos(x + 2.0 * y), **m)
+                 for c, m in zip(scales, members)],
+        space=space, grid=TimeGrid(t_final=0.05 * steps, steps=steps),
+        dirichlet_tags=tuple(tags))
+    bdofs = space.tagged_dofs(tags)
+    traj, _ = ensemble_solve(problem, groups=groups)
+    for prev, cur in zip(traj, traj[1:]):
+        for group in groups:
+            group_members = [members[j] for j in group]
+            if degree == 1:
+                ref = shared_matrix_step(mesh.vertices, mesh.triangles, group_members,
+                                         prev.u[:, group], dt=0.05, t1=cur.t, bdofs=bdofs)
+            else:
+                ref = paper_form_step(space, group_members, prev.u[:, group], 0.05, cur.t,
+                                      bdofs)
+            assert np.abs(cur.u[:, group] - ref).max() < 1e-12
+
+
 class TestInitialState:
+    def test_zero_initial_data_factorizes_only_the_steps(self):
+        # the projection of zero data is zero: from u0 = 0 a run factorizes its
+        # N * groups stepping systems and no mass matrix
+        members = [heat_member(1.0 + 0.1 * k, f=constant_field(1.0), g=constant_field(0.5))
+                   for k in range(3)]
+        problem = small_problem(members, steps=4)
+        before = sparse.counters().factorizations
+        traj, _ = ensemble_solve(problem, groups=[[0, 2], [1]])
+        assert sparse.counters().factorizations - before == 4 * 2
+        assert not traj[0].u[problem.space.interior_dofs].any()
+
     def test_projection_with_boundary_overwrite(self):
         # u0 is a polynomial the space reproduces; boundary DOFs carry g(., 0)
         poly = lambda x, y, t: 2.0 * x - y + 0.25

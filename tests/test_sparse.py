@@ -66,6 +66,12 @@ class TestFactorize:
             spd_factorize(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
         assert err.value.pivot == 2
 
+    def test_empty_matrix_solves(self):
+        # the free block of a mesh whose DOFs are all tagged has no rows
+        f = spd_factorize(sp.csr_matrix((0, 0)))
+        assert f.solve(np.zeros(0)).shape == (0,)
+        assert f.solve(np.zeros((0, 3))).shape == (0, 3)
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError, match="square"):
             spd_factorize(sp.csr_matrix(np.ones((2, 3))))
