@@ -158,6 +158,10 @@ def cli(argv: list[str]) -> int:
 def main() -> None:
     threads = os.environ.get(THREADS_ENV)
     if threads:
+        if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
+            print(f"ensfem: error: {THREADS_ENV} must be a positive integer, got {threads!r}",
+                  file=sys.stderr)
+            sys.exit(EXIT_CONFIG)
         # numpy is not loaded yet (the package imports lazily), so the BLAS
         # pools start with these sizes
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -15,9 +15,6 @@ from typing import TextIO
 
 import numpy as np
 
-#: absolute tolerance used to classify boundary edges onto rectangle sides
-EDGE_TAG_TOL = 1e-14
-
 Rectangle = tuple[float, float, float, float]  # (x0, x1, y0, y1)
 
 UNIT_SQUARE: Rectangle = (0.0, 1.0, 0.0, 1.0)
@@ -70,26 +67,6 @@ def _check_domain(domain: Rectangle) -> Rectangle:
     return (x0, x1, y0, y1)
 
 
-def _tag_boundary_edges(vertices: np.ndarray, edges: np.ndarray,
-                        domain: Rectangle) -> tuple[BoundaryTag, ...]:
-    x0, x1, y0, y1 = domain
-    tags = []
-    for i, j in edges:
-        xa, ya = vertices[i]
-        xb, yb = vertices[j]
-        if abs(xa - x0) <= EDGE_TAG_TOL and abs(xb - x0) <= EDGE_TAG_TOL:
-            tags.append(BoundaryTag.LEFT)
-        elif abs(xa - x1) <= EDGE_TAG_TOL and abs(xb - x1) <= EDGE_TAG_TOL:
-            tags.append(BoundaryTag.RIGHT)
-        elif abs(ya - y0) <= EDGE_TAG_TOL and abs(yb - y0) <= EDGE_TAG_TOL:
-            tags.append(BoundaryTag.BOTTOM)
-        elif abs(ya - y1) <= EDGE_TAG_TOL and abs(yb - y1) <= EDGE_TAG_TOL:
-            tags.append(BoundaryTag.TOP)
-        else:
-            raise ValueError(f"edge ({i}, {j}) does not lie on any rectangle side")
-    return tuple(tags)
-
-
 def uniform_triangulation(nx: int, ny: int, domain: Rectangle = UNIT_SQUARE) -> Mesh:
     """Triangulate the rectangle with an nx-by-ny grid of cells, two triangles each.
 
@@ -105,32 +82,20 @@ def uniform_triangulation(nx: int, ny: int, domain: Rectangle = UNIT_SQUARE) -> 
     xv, yv = np.meshgrid(xs, ys, indexing="xy")  # row-major over y
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(ix: int, iy: int) -> int:
-        return iy * (nx + 1) + ix
+    vid = np.arange((nx + 1) * (ny + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
+    v00, v10 = vid[:-1, :-1].ravel(), vid[:-1, 1:].ravel()
+    v01, v11 = vid[1:, :-1].ravel(), vid[1:, 1:].ravel()
+    # per cell: (v00, v10, v11) then (v00, v11, v01)
+    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
-    triangles = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-
-    edges = []
-    for ix in range(nx):
-        edges.append((vid(ix, 0), vid(ix + 1, 0)))
-        edges.append((vid(ix, ny), vid(ix + 1, ny)))
-    for iy in range(ny):
-        edges.append((vid(0, iy), vid(0, iy + 1)))
-        edges.append((vid(nx, iy), vid(nx, iy + 1)))
-
-    boundary_edges = np.array(edges, dtype=np.int64)
-    tags = _tag_boundary_edges(vertices, boundary_edges, (x0, x1, y0, y1))
-    return Mesh(vertices=vertices, triangles=np.array(triangles, dtype=np.int64),
-                boundary_edges=boundary_edges, boundary_tags=tags,
-                domain=(x0, x1, y0, y1))
+    # bottom and top edges alternate along x, then left and right along y
+    horizontal = np.stack([vid[0, :-1], vid[0, 1:], vid[ny, :-1], vid[ny, 1:]], axis=1)
+    vertical = np.stack([vid[:-1, 0], vid[1:, 0], vid[:-1, nx], vid[1:, nx]], axis=1)
+    boundary_edges = np.concatenate([horizontal.reshape(-1, 2), vertical.reshape(-1, 2)])
+    tags = ((BoundaryTag.BOTTOM, BoundaryTag.TOP) * nx
+            + (BoundaryTag.LEFT, BoundaryTag.RIGHT) * ny)
+    return Mesh(vertices=vertices, triangles=triangles, boundary_edges=boundary_edges,
+                boundary_tags=tags, domain=(x0, x1, y0, y1))
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:

@@ -8,11 +8,11 @@ ordering sees only the couplings between unknown DOFs. A vector or a narrow
 block is solved by LAPACK pbtrs, two level-2 band sweeps per column. A wide
 block is solved by a level-3 tiled path instead: the band factor is viewed as
 block lower-bidiagonal with square tiles of edge nb = max(band width + 1,
-`TILE`), each diagonal tile is inverted once per factor, and both sweeps are
-two matrix products per tile over all columns. A block is wide from
-max(`TILE`, nb // 2) columns on: a band-sized tile is half zeros, and below
-that count its inversion and products cost more than the pbtrs sweeps they
-replace.
+`TILE`), and each sweep is, per tile, one matrix product with the
+sub-diagonal tile and one BLAS trsm on the factor's own diagonal tile, over
+all columns. A block is wide from max(`TILE`, nb // 2) columns on: a
+band-sized tile is half zeros, and below that count the products and
+triangular solves on it cost more than the pbtrs sweeps they replace.
 
 Module-level counters record every factorization and block solve so that
 solver-call laws can be asserted by tests and reported per run.
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtrtri
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
@@ -202,10 +202,7 @@ def _banded_plan(a: sp.csr_matrix) -> _BandedPlan:
 
 
 class CholeskyFactor:
-    """Banded Cholesky factorization of a sparse SPD matrix, immutable after construction.
-
-    The first solve of a block of at least `tiled_columns` columns caches the
-    factor's inverted diagonal tiles; later wide solves reuse them."""
+    """Banded Cholesky factorization of a sparse SPD matrix, immutable after construction."""
 
     def __init__(self, a):
         a = _as_csr(a)
@@ -219,7 +216,6 @@ class CholeskyFactor:
         self._plan = plan
         self._perm = plan.perm
         self._n = plan.n
-        self._tiles = None
         _count_factorization()
 
     @property
@@ -249,38 +245,26 @@ class CholeskyFactor:
         _count_solve(1 if b.ndim == 1 else b.shape[1])
         return x
 
-    def _tile_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Inverted diagonal tiles D_k^-1 and sub-diagonal tiles S_k, made on first use."""
-        if self._tiles is None:
-            diagonal, sub = self._plan.tiles()
-            banded = np.append(self._cb.ravel(order="F"), (0.0, 1.0))
-            inverses = banded[diagonal]
-            for tile in inverses:
-                # tile.T is the column-major upper triangle D_k^T; inverting it in
-                # place leaves D_k^-1 in the row-major tile
-                _, info = dtrtri(tile.T, lower=0, overwrite_c=1)
-                if info:
-                    raise LinAlgError(f"dtrtri failed with info {info}")
-            self._tiles = (inverses, banded[sub])
-        return self._tiles
-
     def _solve_tiled(self, b: np.ndarray) -> np.ndarray:
-        inverses, sub = self._tile_factors()
-        count, nb, _ = inverses.shape
+        banded = np.append(self._cb.ravel(order="F"), (0.0, 1.0))
+        diagonal, sub = (banded[index] for index in self._plan.tiles())
+        count, nb, _ = diagonal.shape
         z = np.zeros((count * nb, b.shape[1]))
         z[:self._n] = b[self._perm]
         z = z.reshape(count, nb, b.shape[1])
-        y = np.empty_like(z)
-        # forward, L y = b: Y_k = D_k^-1 (B_k - S_k Y_{k-1})
+        # a row-major tile or block is its column-major transpose, so trsm solves
+        # from the right on D_k^T and z[k].T; z[k].T is Fortran-contiguous, so
+        # trsm overwrites it in place
+        # forward, L y = b: D_k Y_k = B_k - S_k Y_{k-1}
         for k in range(count):
             if k:
-                z[k] -= sub[k - 1] @ y[k - 1]
-            np.matmul(inverses[k], z[k], out=y[k])
-        # backward, L^T x = y: X_k = D_k^-T (Y_k - S_{k+1}^T X_{k+1}), X overwriting B
+                z[k] -= sub[k - 1] @ z[k - 1]
+            dtrsm(1.0, diagonal[k].T, z[k].T, side=1, overwrite_b=1)
+        # backward, L^T x = y: D_k^T X_k = Y_k - S_{k+1}^T X_{k+1}
         for k in reversed(range(count)):
             if k < count - 1:
-                y[k] -= sub[k].T @ z[k + 1]
-            np.matmul(inverses[k].T, y[k], out=z[k])
+                z[k] -= sub[k].T @ z[k + 1]
+            dtrsm(1.0, diagonal[k].T, z[k].T, side=1, trans_a=1, overwrite_b=1)
         x = np.empty((self._n, b.shape[1]))
         x[self._perm] = z.reshape(count * nb, b.shape[1])[:self._n]
         return x

@@ -145,6 +145,8 @@ class EmcConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("sample count must be at least 1")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"dt={self.dt} does not divide t_final={self.t_final}")

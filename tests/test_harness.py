@@ -134,6 +134,15 @@ class TestCli:
     def test_unknown_command_exits_one(self, capsys):
         assert cli(["transmogrify"]) == 1
 
+    @pytest.mark.parametrize("command", ["emc", "compare", "rate"])
+    @pytest.mark.parametrize("dt", ["0", "-0.05", "nan", "inf"])
+    def test_bad_dt_exits_one(self, tmp_path, capsys, command, dt):
+        out = tmp_path / "out"
+        assert cli([command, "--nx", "4", "--dt", dt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ensfem: error: dt must be positive and finite")
+        assert not out.exists()
+
     def test_emc_outputs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["emc", "--j", "4", "--seed", "7", "--nx", "4", "--dt", "0.05"]
@@ -239,3 +248,25 @@ print(json.dumps(seen))
 """
         seen = json.loads(_python(code, {"ENSFEM_THREADS": "1"}).strip().splitlines()[-1])
         assert seen == {"threads": "1", "code": 0}
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "1.5"])
+    def test_bad_threads_env_exits_one(self, tmp_path, threads):
+        out = tmp_path / "c.csv"
+        code = f"""
+import contextlib, io, json, os, sys
+import ensfem.cli
+sys.argv = ["ensfem", "converge", "--levels", "1", "--degree", "1", "--out", {str(out)!r}]
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    try:
+        ensfem.cli.main()
+    except SystemExit as exc:
+        code = exc.code
+blas = [os.environ.get(v) for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")]
+print(json.dumps({{"code": code, "err": err.getvalue(), "blas": blas}}))
+"""
+        seen = json.loads(_python(code, {"ENSFEM_THREADS": threads}).strip().splitlines()[-1])
+        assert seen["code"] == 1
+        assert seen["err"].startswith("ensfem: error: ENSFEM_THREADS must be a positive integer")
+        assert seen["blas"] == [None, None, None]
+        assert not out.exists()

@@ -6,8 +6,53 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ensfem.mesh import (BoundaryTag, dump_mesh, mesh_size, refine_uniform,
+from ensfem.mesh import (UNIT_SQUARE, BoundaryTag, dump_mesh, mesh_size, refine_uniform,
                          triangle_areas, uniform_triangulation)
+
+
+def reference_triangulation(nx, ny, domain):
+    """Cell-by-cell construction with boundary tags read off the coordinates."""
+    x0, x1, y0, y1 = domain
+    xv, yv = np.meshgrid(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
+    vertices = np.column_stack([xv.ravel(), yv.ravel()])
+
+    def vid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    triangles = []
+    for iy in range(ny):
+        for ix in range(nx):
+            v00, v10 = vid(ix, iy), vid(ix + 1, iy)
+            v01, v11 = vid(ix, iy + 1), vid(ix + 1, iy + 1)
+            triangles += [(v00, v10, v11), (v00, v11, v01)]
+    edges = []
+    for ix in range(nx):
+        edges += [(vid(ix, 0), vid(ix + 1, 0)), (vid(ix, ny), vid(ix + 1, ny))]
+    for iy in range(ny):
+        edges += [(vid(0, iy), vid(0, iy + 1)), (vid(nx, iy), vid(nx, iy + 1))]
+    tags = []
+    for i, j in edges:
+        (xa, ya), (xb, yb) = vertices[i], vertices[j]
+        for tag, on_side in ((BoundaryTag.LEFT, xa == xb == x0), (BoundaryTag.RIGHT, xa == xb == x1),
+                             (BoundaryTag.BOTTOM, ya == yb == y0), (BoundaryTag.TOP, ya == yb == y1)):
+            if on_side:
+                tags.append(tag)
+                break
+    return (vertices, np.array(triangles, dtype=np.int64), np.array(edges, dtype=np.int64),
+            tuple(tags))
+
+
+@pytest.mark.parametrize("domain", [UNIT_SQUARE, (0.0, 2.5, -1.0, 0.5), (0.0, 2.0, 1.0, 4.0)])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 4), (4, 4),
+                                   (7, 5), (8, 8), (16, 16), (64, 64)])
+def test_matches_reference_construction(nx, ny, domain):
+    m = uniform_triangulation(nx, ny, domain)
+    vertices, triangles, edges, tags = reference_triangulation(nx, ny, domain)
+    for got, want in ((m.vertices, vertices), (m.triangles, triangles),
+                      (m.boundary_edges, edges)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert m.boundary_tags == tags
 
 
 def test_single_cell_unit_square():

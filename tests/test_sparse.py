@@ -179,33 +179,58 @@ class TestTiledSolve:
             x, ref = f.solve(b), banded_reference(f, b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_tile_shape(self):
+    @pytest.fixture
+    def tiled_calls(self, monkeypatch):
+        """Column counts of the blocks that reach the tiled path."""
+        calls = []
+        solve_tiled = sparse.CholeskyFactor._solve_tiled
+
+        def spy(factor, b):
+            calls.append(b.shape[1])
+            return solve_tiled(factor, b)
+
+        monkeypatch.setattr(sparse.CholeskyFactor, "_solve_tiled", spy)
+        return calls
+
+    def test_tile_shape(self, tiled_calls):
         f = spd_factorize(constrained_system(16, 2))
         f.solve(np.ones((f.shape[0], f.tiled_columns)))
+        assert tiled_calls == [f.tiled_columns]
         bandwidth = f._cb.shape[0] - 1
         assert bandwidth + 1 > sparse.TILE
-        assert f._tiles[0].shape[1:] == (bandwidth + 1,) * 2
+        assert f._plan.tiles()[0].shape[1:] == (bandwidth + 1,) * 2
 
-    def test_chosen_by_column_count(self):
+    def test_chosen_by_column_count(self, tiled_calls):
         f = spd_factorize(constrained_system(8, 1))
         f.solve(np.ones(f.shape[0]))
         f.solve(np.ones((f.shape[0], sparse.TILE - 1)))
-        assert f._tiles is None
+        assert tiled_calls == []
         f.solve(np.ones((f.shape[0], sparse.TILE)))
-        assert f._tiles is not None
+        assert tiled_calls == [sparse.TILE]
 
     # (nx, degree, band width): up to band width 63 the tiled path starts at TILE
     # columns; above it at half the band-sized tile edge
     @pytest.mark.parametrize("nx, degree, bandwidth, tiled_from",
                              [(8, 1, 7, 32), (8, 2, 53, 32), (16, 2, 65, 33)])
-    def test_chosen_by_band_width(self, nx, degree, bandwidth, tiled_from):
+    def test_chosen_by_band_width(self, tiled_calls, nx, degree, bandwidth, tiled_from):
         f = spd_factorize(constrained_system(nx, degree))
         assert f._cb.shape[0] - 1 == bandwidth
         assert f.tiled_columns == tiled_from
         f.solve(np.ones((f.shape[0], tiled_from - 1)))
-        assert f._tiles is None
+        assert tiled_calls == []
         f.solve(np.ones((f.shape[0], tiled_from)))
-        assert f._tiles is not None
+        assert tiled_calls == [tiled_from]
+
+    def test_factor_is_immutable(self):
+        f = spd_factorize(constrained_system(8, 1))
+        before = dict(vars(f))
+        factor = f._cb.copy()
+        for b in (np.ones(f.shape[0]), np.ones((f.shape[0], 3)),
+                  np.ones((f.shape[0], f.tiled_columns))):
+            f.solve(b)
+            assert vars(f).keys() == before.keys()
+            assert all(vars(f)[k] is v for k, v in before.items())
+        assert np.array_equal(f._cb, factor)
 
     def test_fortran_and_strided_blocks(self):
         a = constrained_system(8, 2)
