@@ -14,8 +14,7 @@ import importlib
 # public name -> defining submodule
 _EXPORTS = {
     **dict.fromkeys(("EnsembleMember", "EnsembleProblem", "EnsembleState", "SolveStats",
-                     "TimeGrid", "ensemble_solve", "independent_solve",
-                     "trajectory_errors"), "ensemble"),
+                     "TimeGrid", "ensemble_solve", "independent_solve"), "ensemble"),
     **dict.fromkeys(("FeSpace", "assemble_load", "assemble_mass", "assemble_stiffness",
                      "build_space", "constant_field", "error_h1_semi", "error_l2",
                      "l2_project", "zero_field"), "fem"),

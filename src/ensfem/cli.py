@@ -63,27 +63,21 @@ def _build_parser() -> _Parser:
     comp.add_argument("--nx", type=int, default=None)
     comp.add_argument("--dt", type=float, default=None)
     comp.add_argument("--out", default="compare.json")
+    comp.set_defaults(partition=True)  # the shared-matrix leg always partitions
 
     return parser
 
 
-def _emc_config(args, stochastic, defaults):
-    spec_kwargs = {}
-    if getattr(args, "sigma", None) is not None:
-        spec_kwargs["sigma"] = args.sigma
-    spec = stochastic.RandomFieldSpec(**spec_kwargs)
-    kwargs = dict(spec=spec)
-    if args.j is not None:
-        kwargs["samples"] = args.j
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.nx is not None:
-        kwargs["nx"] = args.nx
-    if args.dt is not None:
-        kwargs["dt"] = args.dt
-    if getattr(args, "partition", False):
-        kwargs["partition"] = True
-    return stochastic.EmcConfig(**kwargs)
+def _given(**flags) -> dict:
+    """The flags given on the command line; the callee's defaults stand for the rest."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _emc_config(args, stochastic):
+    spec = stochastic.RandomFieldSpec(**_given(sigma=getattr(args, "sigma", None)))
+    return stochastic.EmcConfig(spec=spec, partition=args.partition,
+                                **_given(samples=args.j, seed=args.seed, nx=args.nx,
+                                         dt=args.dt))
 
 
 def cli(argv: list[str]) -> int:
@@ -100,16 +94,14 @@ def cli(argv: list[str]) -> int:
 
     try:
         if args.command == "converge":
-            rows = harness.run_convergence(
-                degree=args.degree if args.degree is not None else defaults.CONVERGENCE["degree"],
-                levels=args.levels if args.levels is not None else defaults.CONVERGENCE["levels"],
-                mode=args.mode)
+            rows = harness.run_convergence(mode=args.mode,
+                                           **_given(degree=args.degree, levels=args.levels))
             harness.write_text_atomic(args.out, harness.convergence_csv(rows))
             print(json.dumps(rows[-1].stats.to_json_dict()))
             return EXIT_OK
 
         if args.command == "emc":
-            config = _emc_config(args, stochastic, defaults)
+            config = _emc_config(args, stochastic)
             result = stochastic.run_emc(config)
             harness.write_json_atomic(args.out, result.to_json_dict())
             print(json.dumps(result.stats.to_json_dict()))
@@ -124,24 +116,15 @@ def cli(argv: list[str]) -> int:
                 nx=args.nx if args.nx is not None else defaults.RATE_STUDY["nx"],
                 dt=args.dt if args.dt is not None else defaults.RATE_STUDY["dt"],
                 partition=True)
-            result = stochastic.mc_rate_study(
-                config, j_list=j_list,
-                j_benchmark=args.j0 if args.j0 is not None else defaults.RATE_STUDY["j_benchmark"],
-                replicas=args.replicas if args.replicas is not None
-                else defaults.RATE_STUDY["replicas"])
+            result = stochastic.mc_rate_study(config, j_list=j_list, j_benchmark=args.j0,
+                                              replicas=args.replicas)
             text = "\n".join(result.csv_lines()) + "\n" + json.dumps(result.footer_dict()) + "\n"
             harness.write_text_atomic(args.out, text)
             print(json.dumps(result.footer_dict()))
             return EXIT_OK
 
         if args.command == "compare":
-            config = stochastic.EmcConfig(
-                samples=args.j if args.j is not None else defaults.EMC["samples"],
-                seed=args.seed if args.seed is not None else defaults.EMC["seed"],
-                nx=args.nx if args.nx is not None else defaults.EMC["nx"],
-                dt=args.dt if args.dt is not None else defaults.EMC["dt"],
-                partition=True)
-            result = harness.run_compare(config)
+            result = harness.run_compare(_emc_config(args, stochastic))
             harness.write_json_atomic(args.out, result.to_json_dict())
             print(json.dumps({"max_field_gap": result.max_field_gap}))
             return EXIT_OK

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fem, sparse
-from .fem import FeSpace, Field, GradientField
+from .fem import FeSpace, Field
 from .mesh import BoundaryTag
 
 
@@ -91,7 +91,7 @@ class EnsembleState:
 
 @dataclass
 class SolveStats:
-    """Factorization/solve counts over the stepping loop, plus total wall time."""
+    """The run's own factorization/solve counts over the stepping loop, plus total wall time."""
 
     factorizations: int
     block_solves: int
@@ -122,17 +122,6 @@ def _column_indexers(groups: Sequence[Sequence[int]], size: int) -> list[slice |
     return [slice(int(a[0]), int(a[0]) + a.size)
             if np.array_equal(a, np.arange(a[0], a[0] + a.size)) else a.astype(np.intp)
             for a in arrays]
-
-
-def _per_member(members: Sequence[EnsembleMember], fn, step: int) -> list:
-    """fn applied to each member in turn; a ValueError is re-raised naming the member and step."""
-    out = []
-    for j, m in enumerate(members):
-        try:
-            out.append(fn(m))
-        except ValueError as exc:
-            raise ValueError(f"member {j} at step {step}: {exc}") from exc
-    return out
 
 
 def _shared_columns(fields: Sequence[Field], fn, step: int) -> np.ndarray:
@@ -208,6 +197,10 @@ class _GroupedStepper:
         # memory) and overwritten in place at each later time level
         self.stiffness = None
         self._cache = None
+        # this run's factorizations and solves in `step`; unlike the module
+        # counters of `sparse`, they exclude work done meanwhile by other runs
+        self.factorizations = 0
+        self.block_solves = 0
 
     def initial_state(self) -> EnsembleState:
         """L2 projection of each member's u0, tagged boundary DOFs overwritten by g(., 0)."""
@@ -234,9 +227,9 @@ class _GroupedStepper:
         space, members, t1 = self.space, self.problem.members, n1 * self.dt
         coeffs, self._coefficients = self._coefficients, None
         if coeffs is None:
-            coeffs = np.stack(_per_member(
-                members, lambda m: fem.coefficient_values(space, m.a, t1), n1))
-            coeffs = coeffs.reshape(len(members), -1)
+            coeffs = _shared_columns(
+                [m.a for m in members],
+                lambda a: fem.coefficient_values(space, a, t1).ravel(), n1).T
         systems = [self.scaled_mass + fem.assemble_stiffness(
             space, coeffs[group].mean(axis=0), t1).data for group in self.groups]
         # every member's A(a_j) is W @ a_j, made a few members at a time straight
@@ -285,7 +278,9 @@ class _GroupedStepper:
                        f"group {k} ({lifted.shape[1]} members)")
                 raise sparse.NotSpdError(f"system of {who} not SPD at step {n1}: {exc}",
                                          exc.pivot) from exc
+            self.factorizations += 1
             solved = factor.solve(lifted)
+            self.block_solves += 1
             solved += u0[target]  # in place: a fresh sum would be a third block
             u1[target] = solved
         return EnsembleState(n=n1, t=t1, u=u1)
@@ -298,7 +293,6 @@ def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
     start = time.perf_counter()
     stepper = _GroupedStepper(problem, groups, coefficients)
     state = stepper.initial_state()
-    before = sparse.counters()
     trajectory = [state]
     if observer is not None:
         observer(state)
@@ -310,9 +304,8 @@ def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
             trajectory[-1] = state
         if observer is not None:
             observer(state)
-    after = sparse.counters()
-    stats = SolveStats(factorizations=after.factorizations - before.factorizations,
-                       block_solves=after.block_solves - before.block_solves,
+    stats = SolveStats(factorizations=stepper.factorizations,
+                       block_solves=stepper.block_solves,
                        wall_time=time.perf_counter() - start)
     return trajectory, stats
 
@@ -326,9 +319,9 @@ def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
     `groups` partitions the member indices; by default all members form one
     group. Initial data is the L2 projection of each member's u0 with tagged
     boundary DOFs overwritten by g(., 0). The observer sees every member's
-    column at each time level. The reported counts cover the stepping loop
-    (initialization factorizes the mass matrix once on top of them if some
-    u0 has a nonzero load).
+    column at each time level. The reported counts are this run's own and
+    cover its stepping loop (initialization factorizes the mass matrix once
+    on top of them if some u0 has a nonzero load).
 
     For time-invariant members, `coefficients` may hand over their values at
     the space's assembly points, shape (J, points) in the order of
@@ -345,26 +338,3 @@ def independent_solve(problem: EnsembleProblem, observer: Observer | None = None
                       keep_trajectory: bool = True) -> tuple[list[EnsembleState], SolveStats]:
     """Advance every member by standard backward Euler: J factorizations per step."""
     return _solve(problem, [[j] for j in range(problem.size)], observer, keep_trajectory)
-
-
-def trajectory_errors(problem: EnsembleProblem, trajectory: Sequence[EnsembleState],
-                      exact: Sequence[Field], exact_gradient: Sequence[GradientField],
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-member max-in-time L2 error and time-accumulated H1-seminorm error.
-
-    The maximum runs over steps 1..N; the H1 figure is sqrt(dt * sum of squared
-    seminorm errors over the same steps).
-    """
-    space, dt = problem.space, problem.grid.dt
-    j_count = problem.size
-    e_l2 = np.zeros(j_count)
-    e_h1_sq = np.zeros(j_count)
-    for state in trajectory:
-        if state.n == 0:
-            continue
-        for j in range(j_count):
-            err = fem.error_l2(space, state.u[:, j], exact[j], state.t)
-            e_l2[j] = max(e_l2[j], err)
-            e_h1_sq[j] += fem.error_h1_semi(space, state.u[:, j], exact_gradient[j],
-                                            state.t) ** 2
-    return e_l2, np.sqrt(dt * e_h1_sq)

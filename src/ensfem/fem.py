@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparse
-from .mesh import BoundaryTag, Mesh
+from .mesh import BoundaryTag, Mesh, edge_numbering
 from .quadrature import QuadratureRule, shape_functions, triangle_rule
 
 #: scalar field on the space-time cylinder, vectorized over x/y arrays
@@ -168,27 +168,17 @@ def build_space(mesh: Mesh, degree: int) -> FeSpace:
     if degree == 1:
         cell_dofs = tris.copy()
         dof_coords = mesh.vertices.copy()
-        edge_dof: dict[tuple[int, int], int] = {}
+        boundary_ids = mesh.boundary_edges
     else:
-        local_edges = ((0, 1), (1, 2), (2, 0))
-        pairs = np.sort(
-            np.concatenate([tris[:, [i, j]] for i, j in local_edges], axis=0), axis=1)
-        keys = pairs[:, 0] * np.int64(nv) + pairs[:, 1]
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        edges = np.column_stack([unique_keys // nv, unique_keys % nv])
-        nt = tris.shape[0]
-        cell_dofs = np.concatenate(
-            [tris, nv + inverse.reshape(3, nt).T], axis=1).astype(np.int64)
+        edges, cell_edges, boundary_edges = edge_numbering(mesh)
+        cell_dofs = np.concatenate([tris, nv + cell_edges], axis=1).astype(np.int64)
         midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
         dof_coords = np.concatenate([mesh.vertices, midpoints], axis=0)
-        edge_dof = {(int(i), int(j)): nv + k for k, (i, j) in enumerate(edges)}
+        boundary_ids = np.column_stack([mesh.boundary_edges, nv + boundary_edges])
 
     boundary: dict[BoundaryTag, list[int]] = {tag: [] for tag in BoundaryTag}
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        boundary[tag].extend((int(i), int(j)))
-        if degree == 2:
-            key = (int(i), int(j)) if i < j else (int(j), int(i))
-            boundary[tag].append(edge_dof[key])
+    for ids, tag in zip(boundary_ids, mesh.boundary_tags):
+        boundary[tag].extend(ids)  # the edge's end vertices and (P2) its edge DOF
     boundary_dofs = {tag: np.unique(np.array(ids, dtype=np.int64))
                      for tag, ids in boundary.items() if ids}
 
@@ -300,14 +290,6 @@ def error_h1_semi(space: FeSpace, u: np.ndarray, exact_gradient: GradientField |
                           np.broadcast_to(gy, tab.xq.shape)], axis=-1)
     sq = g[..., 0] ** 2 + g[..., 1] ** 2
     return float(np.sqrt(np.einsum("tq,q,t->", sq, tab.weights, space.areas)))
-
-
-def l2_norm(space: FeSpace, u: np.ndarray) -> float:
-    return error_l2(space, u, None)
-
-
-def h1_semi_norm(space: FeSpace, u: np.ndarray) -> float:
-    return error_h1_semi(space, u, None)
 
 
 class DirichletConstraint:

@@ -35,8 +35,8 @@ from .ensemble import (EnsembleMember, EnsembleProblem, SolveStats, TimeGrid,
 from .fem import Field, GradientField, build_space
 from .mesh import uniform_triangulation
 from .quadrature import triangle_rule
-from .stochastic import (EmcConfig, build_emc_members, gate_and_group, qoi_integral,
-                         solve_sampled_groups)
+from .stochastic import (EmcConfig, build_emc_members, gate_and_group, histogram_record,
+                         qoi_integral, solve_sampled_groups)
 
 TWO_PI = 2.0 * math.pi
 
@@ -200,11 +200,6 @@ class CompareResult:
     stats_independent: SolveStats
     config: EmcConfig
 
-    def qoi_gap_histogram(self) -> dict:
-        counts, edges = np.histogram(
-            self.qoi_gaps, bins=max(1, math.ceil(math.sqrt(len(self.qoi_gaps)))))
-        return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
-
     def to_json_dict(self) -> dict:
         return {
             "defaults_version": defaults.DEFAULTS_VERSION,
@@ -215,7 +210,7 @@ class CompareResult:
             "t_final": self.config.t_final,
             "max_field_gap": float(self.max_field_gap),
             "qoi_gap_max": float(self.qoi_gaps.max()),
-            "qoi_gap_histogram": self.qoi_gap_histogram(),
+            "qoi_gap_histogram": histogram_record(self.qoi_gaps),
             "stats_ensemble": self.stats_ensemble.to_json_dict(),
             "stats_independent": self.stats_independent.to_json_dict(),
         }
@@ -227,7 +222,7 @@ def run_compare(config: EmcConfig) -> CompareResult:
     The shared-matrix leg goes through the stability gate (and partitioning,
     when enabled); the per-sample backward-Euler leg needs no gate.
     """
-    members, _ = build_emc_members(config)
+    members = build_emc_members(config)
     mesh = uniform_triangulation(config.nx, config.nx)
     space = build_space(mesh, config.degree)
     _, groups, coefficients = gate_and_group(config, members, space)

@@ -98,48 +98,43 @@ def uniform_triangulation(nx: int, ny: int, domain: Rectangle = UNIT_SQUARE) -> 
                 boundary_tags=tags, domain=(x0, x1, y0, y1))
 
 
+def edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the mesh's unique edges, sorted lexicographically by vertex index pair.
+
+    Returns `edges`, shape (ne, 2), each pair with its smaller index first;
+    the edge numbers of each triangle's edges (v0, v1), (v1, v2), (v2, v0),
+    shape (nt, 3); and the edge number of each boundary edge, shape (nb,).
+    Raises ValueError if a boundary edge is not an edge of the triangles.
+    """
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    tris = mesh.triangles
+    pairs = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    keys, inverse = np.unique(pairs[:, 0] * np.int64(nv) + pairs[:, 1], return_inverse=True)
+    boundary = np.sort(mesh.boundary_edges, axis=1)
+    boundary_keys = boundary[:, 0] * np.int64(nv) + boundary[:, 1]
+    if not np.isin(boundary_keys, keys).all():
+        raise ValueError("a boundary edge is not an edge of the triangles")
+    edges = np.column_stack([keys // nv, keys % nv])
+    return edges, inverse.reshape(3, nt).T, np.searchsorted(keys, boundary_keys)
+
+
 def refine_uniform(mesh: Mesh) -> Mesh:
-    """Split every triangle into four congruent children via edge midpoints."""
-    vertices = [tuple(p) for p in mesh.vertices]
-    midpoint: dict[tuple[int, int], int] = {}
+    """Split every triangle into four congruent children via edge midpoints.
 
-    def mid(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        idx = midpoint.get(key)
-        if idx is None:
-            a = mesh.vertices[key[0]]
-            b = mesh.vertices[key[1]]
-            vertices.append(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
-            idx = len(vertices) - 1
-            midpoint[key] = idx
-        return idx
-
-    triangles = []
-    for v0, v1, v2 in mesh.triangles:
-        m01 = mid(v0, v1)
-        m12 = mid(v1, v2)
-        m20 = mid(v2, v0)
-        triangles.extend([(v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20)])
-
-    edges = []
-    tags = []
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        m = mid(int(i), int(j))
-        edges.extend([(int(i), m), (m, int(j))])
-        tags.extend([tag, tag])
-
-    return Mesh(vertices=np.array(vertices, dtype=float),
-                triangles=np.array(triangles, dtype=np.int64),
-                boundary_edges=np.array(edges, dtype=np.int64),
-                boundary_tags=tuple(tags), domain=mesh.domain)
-
-
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed areas, positive for counterclockwise triangles."""
-    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    The midpoint of edge k of `edge_numbering` becomes vertex num_vertices + k.
+    """
+    edges, cell_edges, boundary_edges = edge_numbering(mesh)
+    p = mesh.vertices
+    vertices = np.concatenate([p, 0.5 * (p[edges[:, 0]] + p[edges[:, 1]])])
+    v0, v1, v2 = mesh.triangles.T
+    m01, m12, m20 = (mesh.num_vertices + cell_edges).T
+    triangles = np.stack([v0, m01, m20, m01, v1, m12, m20, m12, v2, m01, m12, m20], axis=1)
+    i, j = mesh.boundary_edges.T
+    m = mesh.num_vertices + boundary_edges
+    return Mesh(vertices=vertices, triangles=triangles.reshape(-1, 3),
+                boundary_edges=np.stack([i, m, m, j], axis=1).reshape(-1, 2),
+                boundary_tags=tuple(t for tag in mesh.boundary_tags for t in (tag, tag)),
+                domain=mesh.domain)
 
 
 def mesh_size(mesh: Mesh) -> float:

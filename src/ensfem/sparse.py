@@ -14,8 +14,9 @@ all columns. A block is wide from max(`TILE`, nb // 2) columns on: a
 band-sized tile is half zeros, and below that count the products and
 triangular solves on it cost more than the pbtrs sweeps they replace.
 
-Module-level counters record every factorization and block solve so that
-solver-call laws can be asserted by tests and reported per run.
+Module-level counters record every factorization and block solve in the
+process, so that solver-call laws can be asserted by tests and measured by
+the benchmark; a run's own counts are kept by its stepper.
 """
 from __future__ import annotations
 
@@ -193,11 +194,7 @@ def _banded_plan(a: sp.csr_matrix) -> _BandedPlan:
     # object so steppers that refactorize a reused matrix pay for it once
     plan = getattr(a, "_ensfem_plan", None)
     if plan is None:
-        plan = _BandedPlan(a)
-        try:
-            a._ensfem_plan = plan
-        except AttributeError:
-            pass
+        plan = a._ensfem_plan = _BandedPlan(a)
     return plan
 
 
@@ -214,13 +211,11 @@ class CholeskyFactor:
         if info < 0:
             raise ValueError(f"pbtrf rejected its argument {-info}")
         self._plan = plan
-        self._perm = plan.perm
-        self._n = plan.n
         _count_factorization()
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self._n, self._n)
+        return (self._plan.n, self._plan.n)
 
     @property
     def tiled_columns(self) -> int:
@@ -230,18 +225,19 @@ class CholeskyFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for a vector or an n-by-J block of right-hand sides."""
         b = np.asarray(b, dtype=float)
-        if b.shape[0] != self._n:
+        perm = self._plan.perm
+        if b.shape[0] != self._plan.n:
             raise ValueError(f"dimension mismatch: factor {self.shape}, rhs {b.shape}")
         if b.ndim == 2 and b.shape[1] >= self.tiled_columns:
             x = self._solve_tiled(b)
         else:
-            xp = b[self._perm]
+            xp = b[perm]
             if xp.size:  # pbtrs rejects the empty block of a mesh without free DOFs
                 xp, info = dpbtrs(self._cb, xp, lower=1, overwrite_b=1)
                 if info:
                     raise ValueError(f"pbtrs rejected its argument {-info}")
             x = np.empty_like(xp)
-            x[self._perm] = xp
+            x[perm] = xp
         _count_solve(1 if b.ndim == 1 else b.shape[1])
         return x
 
@@ -249,8 +245,9 @@ class CholeskyFactor:
         banded = np.append(self._cb.ravel(order="F"), (0.0, 1.0))
         diagonal, sub = (banded[index] for index in self._plan.tiles())
         count, nb, _ = diagonal.shape
+        n, perm = self._plan.n, self._plan.perm
         z = np.zeros((count * nb, b.shape[1]))
-        z[:self._n] = b[self._perm]
+        z[:n] = b[perm]
         z = z.reshape(count, nb, b.shape[1])
         # a row-major tile or block is its column-major transpose, so trsm solves
         # from the right on D_k^T and z[k].T; z[k].T is Fortran-contiguous, so
@@ -265,8 +262,8 @@ class CholeskyFactor:
             if k < count - 1:
                 z[k] -= sub[k].T @ z[k + 1]
             dtrsm(1.0, diagonal[k].T, z[k].T, side=1, trans_a=1, overwrite_b=1)
-        x = np.empty((self._n, b.shape[1]))
-        x[self._perm] = z.reshape(count * nb, b.shape[1])[:self._n]
+        x = np.empty((n, b.shape[1]))
+        x[perm] = z.reshape(count * nb, b.shape[1])[:n]
         return x
 
 

@@ -19,7 +19,7 @@ from . import defaults, fem
 from .ensemble import (EnsembleMember, EnsembleProblem, SolveStats, TimeGrid,
                        ensemble_solve)
 from .fem import FeSpace, Field, build_space, integrate
-from .mesh import BoundaryTag, uniform_triangulation
+from .mesh import uniform_triangulation
 from .stability import (SamplingGrid, StabilityReport, coefficient_block, estimate_bounds,
                         partition_ensemble)
 
@@ -98,16 +98,11 @@ def _replica_key(seed: int, replica: int) -> np.ndarray:
                                   spawn_key=(int(replica),)).generate_state(2, np.uint64)
 
 
-def _substream(seed: int, replica: int, index: int) -> np.random.Generator:
-    stream = np.random.Philox(key=_replica_key(seed, replica))
-    return np.random.Generator(stream.jumped(int(index)))
-
-
 def draw_samples(seed: int, count: int, n_modes: int, replica: int = 0) -> list[SampleDraw]:
     """Deterministic i.i.d. draws, uniform on [-sqrt(3), sqrt(3)] per entry.
 
-    Draw j comes from `_substream(seed, replica, j)`; the replica's key is
-    derived once and jumped to each sample.
+    Draw j comes from the Philox stream of the (seed, replica) key jumped j
+    times; the key is derived once per call.
     """
     if count < 1:
         raise ValueError("need at least one sample")
@@ -137,9 +132,6 @@ class EmcConfig:
     dt: float = defaults.EMC["dt"]
     t_final: float = defaults.EMC["t_final"]
     degree: int = defaults.EMC["degree"]
-    g: Field = left_edge_drive
-    f: Field = fem.zero_field
-    u0: Field = fem.zero_field
     partition: bool = False
 
     def __post_init__(self):
@@ -169,11 +161,6 @@ class EmcResult:
     config: EmcConfig
     groups: list[list[int]]
 
-    def qoi_histogram(self) -> dict:
-        counts, edges = np.histogram(self.qoi_samples,
-                                     bins=max(1, math.ceil(math.sqrt(len(self.qoi_samples)))))
-        return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
-
     def to_json_dict(self) -> dict:
         # wall time is deliberately excluded: the record must be byte-identical
         # across reruns of the same seeded configuration
@@ -192,20 +179,25 @@ class EmcResult:
             "std_field": [float(v) for v in self.std_field],
             "std_degenerate": self.std_degenerate,
             "qoi_samples": [float(v) for v in self.qoi_samples],
-            "qoi_histogram": self.qoi_histogram(),
+            "qoi_histogram": histogram_record(self.qoi_samples),
             "stability": self.stability.to_json_dict(),
             "stats": {"factorizations": self.stats.factorizations,
                       "block_solves": self.stats.block_solves},
         }
 
 
-def build_emc_members(config: EmcConfig) -> tuple[list[EnsembleMember], list[SampleDraw]]:
-    """Sampled members sharing the configured source, boundary, and initial data."""
-    draws = draw_samples(config.seed, config.samples, config.spec.n_modes, config.replica)
-    members = [EnsembleMember(a=sample_coefficient(config.spec, d), f=config.f,
-                              g=config.g, u0=config.u0, time_invariant=True)
-               for d in draws]
-    return members, draws
+def build_emc_members(config: EmcConfig) -> list[EnsembleMember]:
+    """Sampled members, all with zero source and initial data, driven by `left_edge_drive`."""
+    return [EnsembleMember(a=sample_coefficient(config.spec, d), f=fem.zero_field,
+                           g=left_edge_drive, u0=fem.zero_field, time_invariant=True)
+            for d in draw_samples(config.seed, config.samples, config.spec.n_modes,
+                                  config.replica)]
+
+
+def histogram_record(values: np.ndarray) -> dict:
+    """Histogram of the values in ceil(sqrt(count)) bins, as JSON-ready lists."""
+    counts, edges = np.histogram(values, bins=max(1, math.ceil(math.sqrt(len(values)))))
+    return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
 def qoi_integral(space: FeSpace, u: np.ndarray) -> float | np.ndarray:
@@ -243,8 +235,7 @@ def solve_sampled_groups(config: EmcConfig, members: Sequence[EnsembleMember],
 
     `coefficients` hands the gate's values to the stepper (see `ensemble_solve`).
     """
-    problem = EnsembleProblem(members=members, space=space, grid=config.time_grid(),
-                              dirichlet_tags=tuple(BoundaryTag))
+    problem = EnsembleProblem(members=members, space=space, grid=config.time_grid())
     trajectory, stats = ensemble_solve(problem, observer=observer, keep_trajectory=False,
                                        groups=groups, coefficients=coefficients)
     # callers reduce across columns (mean, spread); a C-ordered block fixes
@@ -261,7 +252,7 @@ def run_emc(config: EmcConfig, observer=None) -> EmcResult:
     covers the whole call: sampling, the gate, stepping and the reductions.
     """
     start = time.perf_counter()
-    members, _ = build_emc_members(config)
+    members = build_emc_members(config)
     mesh = uniform_triangulation(config.nx, config.nx)
     space = build_space(mesh, config.degree)
     report, groups, coefficients = gate_and_group(config, members, space)

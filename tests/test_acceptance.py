@@ -15,8 +15,8 @@ import pytest
 from ensfem import sparse
 from ensfem.ensemble import (EnsembleMember, EnsembleProblem, TimeGrid,
                              ensemble_solve, independent_solve)
-from ensfem.fem import (assemble_mass, build_space, constant_field, h1_semi_norm,
-                        l2_norm, l2_project, zero_field)
+from ensfem.fem import (assemble_mass, build_space, constant_field, error_h1_semi,
+                        error_l2, l2_project, zero_field)
 from ensfem.harness import manufactured_case, run_compare, run_convergence
 from ensfem.mesh import uniform_triangulation
 from ensfem.quadrature import triangle_rule
@@ -209,14 +209,14 @@ def test_discrete_energy_bound():
             if state.n == 0:
                 return
             for j in range(3):
-                grad_sq[j] += h1_semi_norm(space, state.u[:, j]) ** 2
+                grad_sq[j] += error_h1_semi(space, state.u[:, j], None) ** 2
 
         trajectory, _ = ensemble_solve(problem, observer=accumulate,
                                        keep_trajectory=False)
         final = trajectory[-1].u
         dt = 1.0 / steps
         energies.append(np.array([
-            l2_norm(space, final[:, j]) ** 2 + weight * dt * grad_sq[j]
+            error_l2(space, final[:, j], None) ** 2 + weight * dt * grad_sq[j]
             for j in range(3)]))
 
     growth = max(float((b / a).max()) for a, b in zip(energies, energies[1:]))

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from ensfem import fem, sparse
 from ensfem.ensemble import (EnsembleMember, EnsembleProblem, TimeGrid,
-                             _GroupedStepper, ensemble_solve, independent_solve,
-                             trajectory_errors)
+                             _GroupedStepper, ensemble_solve, independent_solve)
 from ensfem.fem import (assemble_load, assemble_mass, assemble_stiffness, build_space,
-                        coefficient_values, constant_field, error_l2, l2_norm, zero_field)
+                        coefficient_values, constant_field, error_l2, zero_field)
 from ensfem.mesh import BoundaryTag, uniform_triangulation
 from ensfem.stochastic import EmcConfig, RandomFieldSpec, run_emc
 
@@ -270,7 +269,7 @@ class TestSolvers:
         problem = EnsembleProblem(members=[member], space=space,
                                   grid=TimeGrid(t_final=0.1, steps=10))
         traj, _ = ensemble_solve(problem)
-        norms = [l2_norm(space, st.u[:, 0]) for st in traj]
+        norms = [error_l2(space, st.u[:, 0], None) for st in traj]
         expected = 1.0 / (1.0 + 2.0 * math.pi ** 2 * dt)
         for prev, cur in zip(norms, norms[1:]):
             assert cur / prev == pytest.approx(expected, rel=0.10)
@@ -294,6 +293,13 @@ class TestSolvers:
                                  keep_trajectory=False)
         assert seen == [0, 1, 2, 3, 4]
         assert len(traj) == 1 and traj[0].n == 4
+
+    def test_stats_count_only_the_run(self):
+        # a run started by another run's observer adds nothing to the outer counts
+        inner = small_problem([heat_member(), heat_member(2.0)], steps=5)
+        outer = small_problem([heat_member()], steps=3)
+        _, stats = ensemble_solve(outer, observer=lambda st: ensemble_solve(inner))
+        assert (stats.factorizations, stats.block_solves) == (3, 3)
 
     def test_stats_json_schema(self):
         problem = small_problem([heat_member()], steps=3)
@@ -481,23 +487,3 @@ class TestInitialState:
         interior = space.interior_dofs
         exact = poly(space.dof_coords[interior, 0], space.dof_coords[interior, 1], 0.0)
         assert np.abs(initial[interior] - exact).max() < 1e-10
-
-
-class TestTrajectoryErrors:
-    def test_zero_problem_has_zero_errors(self):
-        problem = small_problem([heat_member()])
-        traj, _ = ensemble_solve(problem)
-        e_l2, e_h1 = trajectory_errors(problem, traj, [zero_field],
-                                       [lambda x, y, t: (np.zeros(np.shape(x)),) * 2])
-        assert e_l2[0] == 0.0 and e_h1[0] == 0.0
-
-    def test_reported_error_matches_manual_max(self):
-        member = heat_member(u0=lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y))
-        problem = small_problem([member], nx=6, steps=4)
-        traj, _ = ensemble_solve(problem)
-        exact = constant_field(0.0)
-        e_l2, _ = trajectory_errors(problem, traj, [exact],
-                                    [lambda x, y, t: (np.zeros(np.shape(x)),) * 2])
-        manual = max(error_l2(problem.space, st.u[:, 0], exact, st.t)
-                     for st in traj if st.n > 0)
-        assert e_l2[0] == pytest.approx(manual, rel=1e-14)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import ensfem
 from ensfem.cli import cli
 from ensfem.harness import (CONVERGENCE_CSV_HEADER, convergence_csv,
                             manufactured_case, run_compare, run_convergence,
@@ -270,3 +272,13 @@ print(json.dumps({{"code": code, "err": err.getvalue(), "blas": blas}}))
         assert seen["err"].startswith("ensfem: error: ENSFEM_THREADS must be a positive integer")
         assert seen["blas"] == [None, None, None]
         assert not out.exists()
+
+
+def test_public_names_resolve():
+    # every exported name loads from the submodule `_EXPORTS` maps it to
+    # and is listed by dir(), so a stale export fails here and not in a caller
+    listed = dir(ensfem)
+    for name in ensfem.__all__:
+        assert name in listed
+        module = importlib.import_module(f"ensfem.{ensfem._EXPORTS[name]}")
+        assert getattr(ensfem, name) is getattr(module, name)

@@ -6,8 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ensfem.mesh import (UNIT_SQUARE, BoundaryTag, dump_mesh, mesh_size, refine_uniform,
-                         triangle_areas, uniform_triangulation)
+from ensfem.fem import build_space
+from ensfem.mesh import (UNIT_SQUARE, BoundaryTag, Mesh, dump_mesh, edge_numbering,
+                         mesh_size, refine_uniform, uniform_triangulation)
 
 
 def reference_triangulation(nx, ny, domain):
@@ -59,7 +60,7 @@ def test_single_cell_unit_square():
     m = uniform_triangulation(1, 1)
     assert m.num_vertices == 4
     assert m.num_triangles == 2
-    assert triangle_areas(m).sum() == pytest.approx(1.0, rel=1e-14)
+    assert build_space(m, 1).areas.sum() == pytest.approx(1.0, rel=1e-14)
     assert mesh_size(m) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
@@ -72,7 +73,7 @@ def test_four_by_four_matches_study_header():
 def test_rectangular_grid_counts_and_area():
     m = uniform_triangulation(3, 2)
     assert m.num_triangles == 12
-    assert triangle_areas(m).sum() == pytest.approx(1.0, rel=1e-12)
+    assert build_space(m, 1).areas.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mesh_size_anisotropic_cells():
@@ -96,8 +97,9 @@ def test_bad_cell_counts_rejected():
 @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (7, 5), (16, 16), (64, 64)])
 def test_area_conservation(nx, ny):
     m = uniform_triangulation(nx, ny, (0.0, 2.5, -1.0, 0.5))
-    assert triangle_areas(m).sum() == pytest.approx(2.5 * 1.5, rel=1e-12)
-    assert (triangle_areas(m) > 0).all()
+    areas = build_space(m, 1).areas
+    assert areas.sum() == pytest.approx(2.5 * 1.5, rel=1e-12)
+    assert (areas > 0).all()
 
 
 @pytest.mark.parametrize("make", [
@@ -176,6 +178,27 @@ def test_refinement_preserves_tags():
     for (i, j), tag in test_boundary_tags:
         if tag is BoundaryTag.LEFT:
             assert m.vertices[i, 0] == 0.0 and m.vertices[j, 0] == 0.0
+
+
+def test_edge_numbering_addresses_triangle_and_boundary_edges():
+    m = refine_uniform(uniform_triangulation(2, 3))
+    edges, cell_edges, boundary = edge_numbering(m)
+    assert (edges[:, 0] < edges[:, 1]).all()
+    assert (np.diff(edges[:, 0] * m.num_vertices + edges[:, 1]) > 0).all()
+    for k, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+        assert np.array_equal(edges[cell_edges[:, k]], np.sort(m.triangles[:, [a, b]], axis=1))
+    assert np.array_equal(edges[boundary], np.sort(m.boundary_edges, axis=1))
+
+
+def test_boundary_edge_off_the_triangles_is_rejected():
+    m = uniform_triangulation(1, 1)  # triangles (0, 1, 3) and (0, 3, 2)
+    bad = Mesh(vertices=m.vertices.copy(), triangles=m.triangles.copy(),
+               boundary_edges=np.array([[1, 2]]), boundary_tags=(BoundaryTag.LEFT,),
+               domain=m.domain)
+    with pytest.raises(ValueError, match="boundary edge"):
+        refine_uniform(bad)
+    with pytest.raises(ValueError, match="boundary edge"):
+        build_space(bad, 2)
 
 
 def test_dump_format():

@@ -154,7 +154,8 @@ class TestReuseAndOrdering:
 def banded_reference(factor, b):
     """The pbtrs solve of the factor's banded storage, whatever the column count."""
     x = np.empty_like(b)
-    x[factor._perm] = cho_solve_banded((factor._cb, True), b[factor._perm])
+    perm = factor._plan.perm
+    x[perm] = cho_solve_banded((factor._cb, True), b[perm])
     return x
 
 
