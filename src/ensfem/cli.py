@@ -126,7 +126,9 @@ def cli(argv: list[str]) -> int:
         if args.command == "compare":
             result = harness.run_compare(_emc_config(args, stochastic))
             harness.write_json_atomic(args.out, result.to_json_dict())
-            print(json.dumps({"max_field_gap": result.max_field_gap}))
+            print(json.dumps({"max_field_gap": result.max_field_gap, "wall_time_s": {
+                "ensemble": result.stats_ensemble.wall_time,
+                "independent": result.stats_independent.wall_time}}))
             return EXIT_OK
     except stochastic.StabilityError as exc:
         print(json.dumps(exc.report.to_json_dict()), file=sys.stderr)

@@ -153,9 +153,10 @@ class _GroupedStepper:
     backward-Euler step, solved as a vector. Every system sits on the
     space's fixed pattern, so one Dirichlet constraint serves the whole run:
     each group's system is written into it by `refill` in turn, and the
-    factorization's ordering, cached on its matrix object, is computed once.
-    Only the free block is solved, lifted against the increment of the
-    boundary values; the increment plus u(t0) fills the free rows of the
+    constraint's order of the free rows is the elimination order, so each
+    group's lift, solve, addition of u(t0) and write-back run on one row
+    index. Only the free block is solved, lifted against the increment of
+    the boundary values; the increment plus u(t0) fills the free rows of the
     group's columns, and the tagged rows of all columns take g(t1).
     """
 
@@ -212,8 +213,8 @@ class _GroupedStepper:
             load = fem.assemble_load(space, u0, 0.0)
             if load.any():
                 if mass is None:
-                    mass = sparse.spd_factorize(self.mass)
-                load = mass.solve(load)
+                    mass = fem.mass_solver(self.mass)
+                load = mass(load)
             return load
 
         u = _shared_columns([m.u0 for m in members], project, 0)

@@ -253,11 +253,16 @@ def assemble_load(space: FeSpace, f: Field, t: float) -> np.ndarray:
     return space.load_operator() @ fv.ravel()
 
 
+def mass_solver(mass: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Solve with the mass matrix, factorized once in the band ordering of its pattern."""
+    order = sparse.band_ordering(mass)
+    factor, inverse = sparse.spd_factorize(mass[order][:, order]), np.argsort(order)
+    return lambda b: factor.solve(b[order])[inverse]
+
+
 def l2_project(space: FeSpace, g: Field, t: float = 0.0) -> np.ndarray:
     """Element of the space whose inner product with every basis function matches g."""
-    m = assemble_mass(space)
-    b = assemble_load(space, g, t)
-    return sparse.spd_factorize(m).solve(b)
+    return mass_solver(assemble_mass(space))(assemble_load(space, g, t))
 
 
 def integrate(space: FeSpace, u: np.ndarray) -> float | np.ndarray:
@@ -298,27 +303,33 @@ class DirichletConstraint:
     The values at the tagged DOFs `bdofs` are known, so the unknowns are the
     `free` DOFs: `matrix` is the free-free block of the system, SPD whenever
     the system is, and `coupling` the free-tagged block, through which `lift`
-    moves the boundary values into the right-hand side. A solve of `matrix`
-    gives the `free` rows of the solution; its `bdofs` rows are the boundary
-    values. Which system slot each entry of the two blocks comes from depends
-    only on the sparsity pattern, so these slot maps are made once and
-    `refill` rewrites both blocks in place from new data on that pattern.
-    The matrix object, and with it the ordering a factorization caches on
-    it, lives as long as the constraint.
+    moves the boundary values into the right-hand side. The constraint owns
+    the elimination order: `free` lists the untagged DOFs in the band ordering
+    of their block, both blocks follow it, and a solve of `matrix` gives the
+    `free` rows of the solution as they stand; its `bdofs` rows are the
+    boundary values. Which system slot each entry of the two blocks comes
+    from depends only on the sparsity pattern, so these slot maps are made
+    once and `refill` rewrites both blocks in place from new data on that
+    pattern. The matrix object, and with it the banded layout a
+    factorization caches on it, lives as long as the constraint.
     """
 
     def __init__(self, matrix: sp.csr_matrix, space: FeSpace,
                  tags: Sequence[BoundaryTag]):
         self.space = space
         self.bdofs = space.tagged_dofs(tags)
-        self.free = np.setdiff1d(np.arange(space.dof_count), self.bdofs)
         matrix = sp.csr_matrix(matrix, copy=True)
         matrix.sum_duplicates()  # canonical slot order: rows, then sorted columns
         # the blocks of the system whose entries are slot numbers plus one (so
         # that none is zero); the data of each block is then its slot map
         numbered = sp.csr_matrix((np.arange(1.0, matrix.nnz + 1), matrix.indices,
-                                  matrix.indptr), shape=matrix.shape)[self.free]
+                                  matrix.indptr), shape=matrix.shape)
+        free = np.setdiff1d(np.arange(space.dof_count), self.bdofs)
+        self.free = free[sparse.band_ordering(numbered[free][:, free])]
+        numbered = numbered[self.free]
         self.matrix, self.coupling = numbered[:, self.free], numbered[:, self.bdofs]
+        for block in (self.matrix, self.coupling):  # else `_as_csr` sorts them under their maps
+            block.sort_indices()
         self._matrix_slots = self.matrix.data.astype(np.intp) - 1
         self._coupling_slots = self.coupling.data.astype(np.intp) - 1
         self._nnz = matrix.nnz

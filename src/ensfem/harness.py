@@ -201,6 +201,8 @@ class CompareResult:
     config: EmcConfig
 
     def to_json_dict(self) -> dict:
+        # no wall times, as in `EmcResult`: a seeded rerun writes the same bytes
+        legs = (("ensemble", self.stats_ensemble), ("independent", self.stats_independent))
         return {
             "defaults_version": defaults.DEFAULTS_VERSION,
             "seed": self.config.seed,
@@ -211,8 +213,8 @@ class CompareResult:
             "max_field_gap": float(self.max_field_gap),
             "qoi_gap_max": float(self.qoi_gaps.max()),
             "qoi_gap_histogram": histogram_record(self.qoi_gaps),
-            "stats_ensemble": self.stats_ensemble.to_json_dict(),
-            "stats_independent": self.stats_independent.to_json_dict(),
+            **{f"stats_{leg}": {"factorizations": stats.factorizations,
+                                "block_solves": stats.block_solves} for leg, stats in legs},
         }
 
 

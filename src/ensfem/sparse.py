@@ -1,18 +1,18 @@
 """Sparse SPD algebra: one factorization reused against dense blocks of right-hand sides.
 
-The backend permutes with reverse Cuthill-McKee and runs a banded Cholesky
-factorization (LAPACK pbtrf), which is exact-pivot Cholesky and fails loudly on
-indefinite input. The stepping systems it factorizes are the free-free blocks
-of Dirichlet-constrained systems (`fem.DirichletConstraint.matrix`), so the
-ordering sees only the couplings between unknown DOFs. A vector or a narrow
-block is solved by LAPACK pbtrs, two level-2 band sweeps per column. A wide
-block is solved by a level-3 tiled path instead: the band factor is viewed as
-block lower-bidiagonal with square tiles of edge nb = max(band width + 1,
-`TILE`), and each sweep is, per tile, one matrix product with the
-sub-diagonal tile and one BLAS trsm on the factor's own diagonal tile, over
-all columns. A block is wide from max(`TILE`, nb // 2) columns on: a
-band-sized tile is half zeros, and below that count the products and
-triangular solves on it cost more than the pbtrs sweeps they replace.
+The backend runs a banded Cholesky factorization (LAPACK pbtrf), exact-pivot
+Cholesky that fails loudly on indefinite input, in the order given. The order
+is the caller's: `fem.DirichletConstraint` numbers its free DOFs in the
+reverse Cuthill-McKee order of their block (`band_ordering`), so its stepping
+systems arrive banded and no solve permutes. A vector or a narrow block is
+solved by LAPACK pbtrs, two level-2 band sweeps per column. A wide block is
+solved by a level-3 tiled path instead: the band factor is viewed as block
+lower-bidiagonal with square tiles of edge nb = max(band width + 1, `TILE`),
+and each sweep is, per tile, one matrix product with the sub-diagonal tile
+and one BLAS trsm on the factor's own diagonal tile, over all columns. A
+block is wide from max(`TILE`, nb // 2) columns on: a band-sized tile is half
+zeros, and below that count the products and triangular solves on it cost
+more than the pbtrs sweeps they replace.
 
 Module-level counters record every factorization and block solve in the
 process, so that solver-call laws can be asserted by tests and measured by
@@ -116,45 +116,34 @@ def block_diagonal(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data.ravel(), indices, indptr), shape=(n * j_count, n * j_count))
 
 
-def _validate_square_finite(a: sp.csr_matrix) -> None:
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    if a.nnz and not np.isfinite(a.data).all():
-        raise ValueError("matrix contains non-finite entries")
+def band_ordering(pattern) -> np.ndarray:
+    """Reverse Cuthill-McKee order of a symmetric pattern, which keeps its band narrow."""
+    # scipy's RCM fails on the empty free block of a mesh without free DOFs
+    return np.asarray(reverse_cuthill_mckee(_as_csr(pattern), symmetric_mode=True)
+                      if pattern.shape[0] else [], dtype=np.int64)
 
 
 class _BandedPlan:
-    """Pattern-only preprocessing for the banded backend: permutation plus the
-    scatter map from CSR data slots into banded storage, and on demand the
-    gather map from banded storage into the tiles of the multi-column solve.
-    Valid for any matrix with the same sparsity pattern, so repeated
-    factorizations of an evolving or reused matrix skip the ordering work.
+    """Pattern-only preprocessing for the banded backend: the scatter map from
+    CSR data slots into banded storage, and on demand the gather map from
+    banded storage into the tiles of the multi-column solve. Valid for any
+    matrix with the same sparsity pattern, so repeated factorizations of an
+    evolving or reused matrix skip this work.
 
     Lower-banded layout: this LAPACK build runs pbtrf an order of magnitude
     faster on lower storage than on upper."""
 
-    __slots__ = ("perm", "bandwidth", "edge", "mask", "ab_rows", "ab_cols", "n", "_tiles")
+    __slots__ = ("bandwidth", "edge", "mask", "ab_rows", "ab_cols", "n", "_tiles")
 
     def __init__(self, a: sp.csr_matrix):
-        n = a.shape[0]
-        # scipy's RCM fails on the empty free block of a mesh without free DOFs
-        perm = np.asarray(reverse_cuthill_mckee(a, symmetric_mode=True) if n else [],
-                          dtype=np.int64)
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[perm] = np.arange(n, dtype=np.int64)
         coo = a.tocoo(copy=False)
-        rows = inverse[coo.row]
-        cols = inverse[coo.col]
-        self.mask = rows <= cols  # keep one triangle; store at (i-j, j) of the lower form
-        rows, cols = rows[self.mask], cols[self.mask]
+        self.mask = coo.row <= coo.col  # keep one triangle; store at (i-j, j) of the lower form
+        # intp, so that the scatter of every factorization casts no index array
+        rows, cols = (index[self.mask].astype(np.intp) for index in (coo.row, coo.col))
         self.bandwidth = int(np.max(cols - rows)) if len(rows) else 0
         self.edge = max(self.bandwidth + 1, TILE)  # tile edge nb of the multi-column solve
-        self.ab_rows = cols - rows
-        self.ab_cols = rows
-        self.perm = perm
-        self.n = n
-        self._tiles = None
+        self.ab_rows, self.ab_cols = cols - rows, rows
+        self.n, self._tiles = a.shape[0], None
 
     def banded(self, data: np.ndarray) -> np.ndarray:
         ab = np.zeros((self.bandwidth + 1, self.n), order="F")
@@ -189,22 +178,19 @@ class _BandedPlan:
         return self._tiles
 
 
-def _banded_plan(a: sp.csr_matrix) -> _BandedPlan:
-    # the plan depends only on the sparsity pattern; cache it on the matrix
-    # object so steppers that refactorize a reused matrix pay for it once
-    plan = getattr(a, "_ensfem_plan", None)
-    if plan is None:
-        plan = a._ensfem_plan = _BandedPlan(a)
-    return plan
-
-
 class CholeskyFactor:
-    """Banded Cholesky factorization of a sparse SPD matrix, immutable after construction."""
+    """Banded Cholesky factorization of a sparse SPD matrix in the order given; immutable."""
 
     def __init__(self, a):
         a = _as_csr(a)
-        _validate_square_finite(a)
-        plan = _banded_plan(a)
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix must be square, got {a.shape}")
+        if a.nnz and not np.isfinite(a.data).all():
+            raise ValueError("matrix contains non-finite entries")
+        # the plan depends only on the pattern: cached on the matrix for its refactorizations
+        plan = getattr(a, "_ensfem_plan", None)
+        if plan is None:
+            plan = a._ensfem_plan = _BandedPlan(a)
         self._cb, info = dpbtrf(plan.banded(a.data), lower=1, overwrite_ab=1)
         if info > 0:
             raise NotSpdError(f"matrix is not positive definite (pivot {info})", pivot=info)
@@ -225,19 +211,16 @@ class CholeskyFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for a vector or an n-by-J block of right-hand sides."""
         b = np.asarray(b, dtype=float)
-        perm = self._plan.perm
         if b.shape[0] != self._plan.n:
             raise ValueError(f"dimension mismatch: factor {self.shape}, rhs {b.shape}")
         if b.ndim == 2 and b.shape[1] >= self.tiled_columns:
             x = self._solve_tiled(b)
+        elif b.size:  # pbtrs rejects the empty block of a mesh without free DOFs
+            x, info = dpbtrs(self._cb, b, lower=1)  # on a copy: b is left unchanged
+            if info:
+                raise ValueError(f"pbtrs rejected its argument {-info}")
         else:
-            xp = b[perm]
-            if xp.size:  # pbtrs rejects the empty block of a mesh without free DOFs
-                xp, info = dpbtrs(self._cb, xp, lower=1, overwrite_b=1)
-                if info:
-                    raise ValueError(f"pbtrs rejected its argument {-info}")
-            x = np.empty_like(xp)
-            x[perm] = xp
+            x = b.copy()
         _count_solve(1 if b.ndim == 1 else b.shape[1])
         return x
 
@@ -245,10 +228,8 @@ class CholeskyFactor:
         banded = np.append(self._cb.ravel(order="F"), (0.0, 1.0))
         diagonal, sub = (banded[index] for index in self._plan.tiles())
         count, nb, _ = diagonal.shape
-        n, perm = self._plan.n, self._plan.perm
-        z = np.zeros((count * nb, b.shape[1]))
-        z[:n] = b[perm]
-        z = z.reshape(count, nb, b.shape[1])
+        z = np.zeros((count, nb, b.shape[1]))
+        z.reshape(count * nb, b.shape[1])[:len(b)] = b  # rows past n stay zero
         # a row-major tile or block is its column-major transpose, so trsm solves
         # from the right on D_k^T and z[k].T; z[k].T is Fortran-contiguous, so
         # trsm overwrites it in place
@@ -262,11 +243,10 @@ class CholeskyFactor:
             if k < count - 1:
                 z[k] -= sub[k].T @ z[k + 1]
             dtrsm(1.0, diagonal[k].T, z[k].T, side=1, trans_a=1, overwrite_b=1)
-        x = np.empty((n, b.shape[1]))
-        x[perm] = z.reshape(count * nb, b.shape[1])[:n]
-        return x
+        return z.reshape(count * nb, b.shape[1])[:len(b)]
 
 
 def spd_factorize(a) -> CholeskyFactor:
-    """Factorize a sparse SPD matrix once for reuse against any number of right-hand sides."""
+    """Factorize a sparse SPD matrix, in the order given, for reuse against any number
+    of right-hand sides."""
     return CholeskyFactor(a)

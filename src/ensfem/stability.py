@@ -2,9 +2,13 @@
 
 The scheme is stable when the coercivity floor `theta` of the coefficients
 exceeds `theta_plus`, the largest sup-norm deviation of any member from the
-group mean. Both are continuum quantities; here they are estimated on exactly
-the points the solver sees: the assembly quadrature points of the mesh crossed
-with the time grid.
+group mean. Both are continuum quantities, measured here on exactly the points
+the solver sees: the assembly quadrature points of the mesh crossed with the
+time grid. For the discrete scheme that is a certificate: A(c) is the sum over
+those points of w_q c(x_q) grad phi_i . grad phi_j, every assembly rule has
+positive weights and order >= 2 (degree - 1), so A(1) is the exact Dirichlet
+form, and in the order of symmetric matrices A(c_j) >= theta A(1) and
+-theta_plus A(1) <= A(c_j) - A(mean) <= theta_plus A(1).
 """
 from __future__ import annotations
 

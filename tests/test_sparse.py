@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from ensfem import sparse
 from ensfem.fem import (DirichletConstraint, assemble_mass, assemble_stiffness, build_space,
@@ -140,6 +140,20 @@ class TestReuseAndOrdering:
         for x, y in zip(reused, fresh):
             assert np.abs(x - y).max() < 1e-12
 
+    @pytest.mark.parametrize("nx, degree", [(4, 1), (4, 2)])
+    def test_factorizes_in_given_order(self, nx, degree):
+        # no reordering: the factor is the Cholesky factor of the matrix's own band;
+        # symmetrized bit for bit, so that its lower band is its upper band
+        a = fem_system(nx=nx, degree=degree)
+        a = ((a + a.T) * 0.5).tocsr()
+        dense = a.toarray()
+        rows, cols = np.nonzero(dense)
+        bandwidth = int((rows - cols).max())
+        lower = np.zeros((bandwidth + 1, a.shape[0]))
+        for k in range(bandwidth + 1):
+            lower[k, :a.shape[0] - k] = np.diag(dense, -k)
+        assert np.array_equal(spd_factorize(a)._cb, cholesky_banded(lower, lower=True))
+
     def test_permutation_invariance(self):
         # a renumbering of the unknowns changes the elimination order, not the solution
         a = fem_system(nx=6)
@@ -153,10 +167,7 @@ class TestReuseAndOrdering:
 
 def banded_reference(factor, b):
     """The pbtrs solve of the factor's banded storage, whatever the column count."""
-    x = np.empty_like(b)
-    perm = factor._plan.perm
-    x[perm] = cho_solve_banded((factor._cb, True), b[perm])
-    return x
+    return cho_solve_banded((factor._cb, True), b)
 
 
 def constrained_system(nx, degree):

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ensfem.ensemble import TimeGrid
-from ensfem.fem import build_space, constant_field
+from ensfem.fem import assemble_stiffness, build_space, constant_field
 from ensfem.mesh import uniform_triangulation
 from ensfem.stability import (SamplingGrid, coefficient_block, estimate_bounds,
                               partition_ensemble)
@@ -212,3 +212,33 @@ def test_partition_of_sampled_family(seed, count, sigma, nx, steps, drift):
         assert estimate_bounds([coeffs[i] for i in g], grid).satisfied
     assert groups == closure_greedy(coeffs, grid)
     assert partition_ensemble(coefficient_block(coeffs, grid), grid) == groups
+
+
+@settings(max_examples=20, deadline=None)
+@given(degree=st.sampled_from([1, 2]), nx=st.integers(2, 3), members=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1), constant=st.booleans())
+def test_sampled_bounds_certify_the_discrete_forms(degree, nx, members, seed, constant):
+    # the assembly rule has positive weights and integrates grad u . grad v exactly,
+    # so theta and theta_plus at its points bound the discrete forms on the free block;
+    # members constant in space make both bounds tight
+    space = build_space(uniform_triangulation(nx, nx), degree)
+    rule = space.assembly_rule
+    assert (rule.weights > 0.0).all() and rule.order >= 2 * (degree - 1)
+    shape = space.tabulation(rule).xq.shape
+    draw = (members, 1, 1) if constant else (members,) + shape
+    values = np.broadcast_to(np.random.default_rng(seed).uniform(0.1, 10.0, draw),
+                             (members,) + shape)
+    report = estimate_bounds(values.reshape(1, members, -1), SamplingGrid.from_space(space))
+    free = space.interior_dofs
+
+    def form(c):
+        return assemble_stiffness(space, c, 0.0).toarray()[np.ix_(free, free)]
+
+    unit, mean = form(np.ones(shape)), form(values.mean(axis=0))
+    tolerance = 1e-12 * values.max() * np.abs(unit).max()
+    for c in values:
+        deviation = form(c) - mean
+        for semidefinite in (form(c) - report.theta * unit,
+                             report.theta_plus * unit + deviation,
+                             report.theta_plus * unit - deviation):
+            assert np.linalg.eigvalsh(semidefinite).min() >= -tolerance
