@@ -93,6 +93,7 @@ def cli(argv: list[str]) -> int:
     from . import defaults, harness, stochastic
 
     try:
+        harness.check_output_path(args.out)  # before the run, not after it
         if args.command == "converge":
             rows = harness.run_convergence(mode=args.mode,
                                            **_given(degree=args.degree, levels=args.levels))

@@ -19,7 +19,7 @@ backward Euler for every member: the same scheme on one-member groups.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,8 +110,9 @@ Observer = Callable[[EnsembleState], None]
 _CHUNK = 8
 
 
-def _column_indexers(groups: Sequence[Sequence[int]], size: int) -> list[slice | np.ndarray]:
-    """Each group's member columns: a slice for consecutive members, else an index array.
+def _column_indexers(groups: Sequence[Sequence[int]], size: int,
+                     ) -> tuple[np.ndarray, list[slice]]:
+    """The members group after group, and the slice of that order each group holds.
 
     Raises ValueError unless the groups cover the members 0..size-1 exactly once.
     """
@@ -119,21 +120,23 @@ def _column_indexers(groups: Sequence[Sequence[int]], size: int) -> list[slice |
     if not (arrays and all(a.ndim == 1 and a.size and a.dtype.kind in "iu" for a in arrays)
             and np.array_equal(np.sort(np.concatenate(arrays)), np.arange(size))):
         raise ValueError(f"groups must cover the members 0..{size - 1} exactly once")
-    return [slice(int(a[0]), int(a[0]) + a.size)
-            if np.array_equal(a, np.arange(a[0], a[0] + a.size)) else a.astype(np.intp)
-            for a in arrays]
+    stops = np.cumsum([a.size for a in arrays]).tolist()
+    return (np.concatenate(arrays).astype(np.intp),
+            [slice(stop - a.size, stop) for a, stop in zip(arrays, stops)])
 
 
-def _shared_columns(fields: Sequence[Field], fn, step: int) -> np.ndarray:
-    """Column j holds fn(fields[j]); fn runs once per distinct field.
+def _shared_columns(fields: Sequence[Field], fn, step: int, order: Sequence[int],
+                    ) -> np.ndarray:
+    """Column i holds fn(fields[order[i]]); fn runs once per distinct field.
 
-    Members that hold the same callable (by identity) share its column, so
-    data common to an ensemble is assembled once. A ValueError is re-raised
-    naming the first member that holds the failing field, and the step.
+    Members that hold the same callable (by identity) share its column, so data
+    common to an ensemble is assembled once. A ValueError is re-raised naming
+    the member, first in `order`, that holds the failing field, and the step.
     """
     first: dict[int, int] = {}  # id of a field -> its column in `values`
     values, columns = [], []
-    for j, field in enumerate(fields):
+    for j in order:
+        field = fields[j]
         if id(field) not in first:
             first[id(field)] = len(values)
             try:
@@ -147,36 +150,28 @@ def _shared_columns(fields: Sequence[Field], fn, step: int) -> np.ndarray:
 class _GroupedStepper:
     """The scheme for one problem and one partition of its members into groups.
 
-    All groups advance in lockstep. Each group's system is M/dt + A(mean of
-    its members' coefficients), solved for the increment u(t1) - u(t0) of
-    its columns against F - A(a_j) u(t0); a one-member group takes a
-    backward-Euler step, solved as a vector. Every system sits on the
-    space's fixed pattern, so one Dirichlet constraint serves the whole run:
-    each group's system is written into it by `refill` in turn, and the
-    constraint's order of the free rows is the elimination order, so each
-    group's lift, solve, addition of u(t0) and write-back run on one row
-    index. Only the free block is solved, lifted against the increment of
-    the boundary values; the increment plus u(t0) fills the free rows of the
-    group's columns, and the tagged rows of all columns take g(t1).
+    All groups advance in lockstep. Column i of every block the stepper holds,
+    its states among them, is member order[i], so each group's columns are one
+    slice; `_solve` hands states out in member order. A group's system is
+    M/dt + A(mean of its members' coefficients), solved for the increment
+    u(t1) - u(t0) of its columns against F - A(a_j) u(t0); a one-member group
+    so takes a backward-Euler step, on the same (n, 1) block path. Every
+    system sits on the space's fixed pattern, so one Dirichlet constraint,
+    refilled per group, serves the whole run; its order of the free rows is
+    the elimination order, so a group's lift, solve, addition of u(t0) and
+    write-back run on one row index. The tagged rows of all columns take g(t1).
     """
 
     def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]],
                  coefficients: list[np.ndarray] | None = None):
         self.problem = problem
-        self.groups = _column_indexers(groups, problem.size)
-        # the columns each group's solve reads and writes: a singleton's are one
-        # index, so it is lifted and solved as a vector, not as an (n, 1) block
-        self.columns = [g.start if isinstance(g, slice) and g.stop - g.start == 1 else g
-                        for g in self.groups]
+        self.order, self.groups = _column_indexers(groups, problem.size)
         self.space = problem.space
         self.dt = problem.grid.dt
         self.mass = fem.assemble_mass(self.space)
         self.scaled_mass = self.mass.data * (1.0 / self.dt)
         self.constraint = fem.DirichletConstraint(self.mass, self.space,
                                                   problem.dirichlet_tags)
-        free = self.constraint.free  # each group's solve fills its columns' free rows
-        self.targets = [np.ix_(free, c) if isinstance(c, np.ndarray) else (free, c)
-                        for c in self.columns]
         self.static = all(m.time_invariant for m in problem.members)
         if coefficients is not None:
             if not (isinstance(coefficients, list) and len(coefficients) == 1):
@@ -193,9 +188,9 @@ class _GroupedStepper:
                 raise ValueError(f"member {int(np.argmin(finite))}: coefficient values "
                                  "are non-finite")
         self._coefficients = coefficients
-        # every member's A(a_j) as one block-diagonal matrix, made on first use
-        # (after the initial projection, so that the two do not add up in peak
-        # memory) and overwritten in place at each later time level
+        # every member's A(a_j) as one block-diagonal matrix in group order, made
+        # on first use (after the initial projection, so that the two do not add
+        # up in peak memory) and overwritten in place at each later time level
         self.stiffness = None
         self._cache = None
         # this run's factorizations and solves in `step`; unlike the module
@@ -217,39 +212,40 @@ class _GroupedStepper:
                 load = mass(load)
             return load
 
-        u = _shared_columns([m.u0 for m in members], project, 0)
+        u = _shared_columns([m.u0 for m in members], project, 0, self.order)
         u[constraint.bdofs] = _shared_columns(
-            [m.g for m in members], lambda g: constraint.boundary_values(g, 0.0), 0)
+            [m.g for m in members], lambda g: constraint.boundary_values(g, 0.0), 0,
+            self.order)
         return EnsembleState(n=0, t=0.0, u=u)
 
     def _pieces(self, n1: int):
         if self.static and self._cache is not None:
             return self._cache
-        space, members, t1 = self.space, self.problem.members, n1 * self.dt
+        space, members, t1, order = self.space, self.problem.members, n1 * self.dt, self.order
+        # in member order, as handed over: the chunks below read them through `order`
         coeffs, self._coefficients = self._coefficients, None
         if coeffs is None:
             coeffs = _shared_columns(
                 [m.a for m in members],
-                lambda a: fem.coefficient_values(space, a, t1).ravel(), n1).T
+                lambda a: fem.coefficient_values(space, a, t1).ravel(), n1,
+                range(len(members))).T
         systems = [self.scaled_mass + fem.assemble_stiffness(
-            space, coeffs[group].mean(axis=0), t1).data for group in self.groups]
+            space, coeffs[order[group]].mean(axis=0), t1).data for group in self.groups]
         # every member's A(a_j) is W @ a_j, made a few members at a time straight
         # into the block's data, so that no (slots, J) product block is held
-        if self.stiffness is None:
-            data = np.empty((len(members), self.mass.nnz))
-        else:
-            data = self.stiffness.data.reshape(len(members), -1)
+        data = (np.empty((len(members), self.mass.nnz)) if self.stiffness is None
+                else self.stiffness.data.reshape(len(members), -1))
         weights = space.stiffness_operator().weights
         for start in range(0, len(members), _CHUNK):
             chunk = slice(start, start + _CHUNK)
-            data[chunk] = (weights @ coeffs[chunk].T).T
+            data[chunk] = (weights @ coeffs[order[chunk]].T).T
         del coeffs
         if self.stiffness is None:
             self.stiffness = sparse.block_diagonal(self.mass, data)
         loads = _shared_columns([m.f for m in members],
-                                lambda f: fem.assemble_load(space, f, t1), n1)
+                                lambda f: fem.assemble_load(space, f, t1), n1, order)
         gvals = _shared_columns([m.g for m in members],
-                                lambda g: self.constraint.boundary_values(g, t1), n1)
+                                lambda g: self.constraint.boundary_values(g, t1), n1, order)
         pieces = (systems, self.stiffness, loads, gvals)
         if self.static:
             self._cache = pieces
@@ -262,28 +258,28 @@ class _GroupedStepper:
         u0 = state.u
         rhs = loads - (stiffness @ u0.ravel(order="F")).reshape(u0.shape, order="F")
         if not np.isfinite(rhs).all():
-            j = int(np.nonzero(~np.isfinite(rhs).all(axis=0))[0][0])
+            j = self.order[np.nonzero(~np.isfinite(rhs).all(axis=0))[0][0]]
             raise ValueError(f"non-finite right-hand side for member {j} at step {n1}")
         constraint = self.constraint
         u1 = np.empty_like(u0)
         u1[constraint.bdofs] = gvals
         boundary_increment = gvals - u0[constraint.bdofs]
-        for k, (columns, target, system) in enumerate(zip(self.columns, self.targets,
-                                                          systems)):
+        for k, (group, system) in enumerate(zip(self.groups, systems)):
             constraint.refill(system)
-            lifted = constraint.lift(rhs[:, columns], boundary_increment[:, columns])
+            lifted = constraint.lift(rhs[:, group], boundary_increment[:, group])
             try:
                 factor = sparse.spd_factorize(constraint.matrix)
             except sparse.NotSpdError as exc:
-                who = (f"member {columns}" if lifted.ndim == 1 else
-                       f"group {k} ({lifted.shape[1]} members)")
+                width = group.stop - group.start
+                who = (f"member {self.order[group.start]}" if width == 1 else
+                       f"group {k} ({width} members)")
                 raise sparse.NotSpdError(f"system of {who} not SPD at step {n1}: {exc}",
                                          exc.pivot) from exc
             self.factorizations += 1
             solved = factor.solve(lifted)
             self.block_solves += 1
-            solved += u0[target]  # in place: a fresh sum would be a third block
-            u1[target] = solved
+            solved += u0[constraint.free, group]  # in place: a sum would be a third block
+            u1[constraint.free, group] = solved
         return EnsembleState(n=n1, t=t1, u=u1)
 
 
@@ -293,10 +289,11 @@ def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
            ) -> tuple[list[EnsembleState], SolveStats]:
     start = time.perf_counter()
     stepper = _GroupedStepper(problem, groups, coefficients)
+    inverse = np.argsort(stepper.order)  # states go out as copies in member order
     state = stepper.initial_state()
     trajectory = [state]
     if observer is not None:
-        observer(state)
+        observer(replace(state, u=state.u[:, inverse]))
     for _ in range(problem.grid.steps):
         state = stepper.step(state)
         if keep_trajectory:
@@ -304,7 +301,9 @@ def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
         else:
             trajectory[-1] = state
         if observer is not None:
-            observer(state)
+            observer(replace(state, u=state.u[:, inverse]))
+    for k, kept in enumerate(trajectory):  # in place: one trajectory is held at a time
+        trajectory[k] = replace(kept, u=kept.u[:, inverse])
     stats = SolveStats(factorizations=stepper.factorizations,
                        block_solves=stepper.block_solves,
                        wall_time=time.perf_counter() - start)
@@ -319,10 +318,10 @@ def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
 
     `groups` partitions the member indices; by default all members form one
     group. Initial data is the L2 projection of each member's u0 with tagged
-    boundary DOFs overwritten by g(., 0). The observer sees every member's
-    column at each time level. The reported counts are this run's own and
-    cover its stepping loop (initialization factorizes the mass matrix once
-    on top of them if some u0 has a nonzero load).
+    boundary DOFs overwritten by g(., 0). The observer gets a copy of each
+    time level, column j for member j. The reported counts are this run's
+    own and cover its stepping loop (initialization factorizes the mass
+    matrix once on top of them if some u0 has a nonzero load).
 
     For time-invariant members, `coefficients` may hand over their values at
     the space's assembly points, shape (J, points) in the order of

@@ -243,8 +243,18 @@ def run_compare(config: EmcConfig) -> CompareResult:
                          config=config)
 
 
+def check_output_path(path: str) -> None:
+    """Raise ValueError, naming the path, if it is a directory or its directory is missing."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"output path {path} is in a directory that does not exist")
+
+
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temporary file in the target directory, then rename."""
+    """Write via a temporary file in the target directory, then rename; a path that
+    `check_output_path` refuses raises its ValueError before any file is made."""
+    check_output_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:

@@ -179,7 +179,13 @@ class _BandedPlan:
 
 
 class CholeskyFactor:
-    """Banded Cholesky factorization of a sparse SPD matrix in the order given; immutable."""
+    """Banded Cholesky factorization of a sparse SPD matrix in the order given; immutable.
+
+    It reads the upper triangle only, so a matrix with max |A - A^T| above
+    1e-12 max |A| is refused with a ValueError. The check runs when the
+    matrix's banded plan is made, so data later rewritten in place on that
+    matrix (as `fem.DirichletConstraint.refill` does) are not checked again.
+    """
 
     def __init__(self, a):
         a = _as_csr(a)
@@ -190,6 +196,8 @@ class CholeskyFactor:
         # the plan depends only on the pattern: cached on the matrix for its refactorizations
         plan = getattr(a, "_ensfem_plan", None)
         if plan is None:
+            if a.nnz and abs(a - a.T).max() > 1e-12 * np.abs(a.data).max():
+                raise ValueError("matrix is not symmetric; the factor reads its upper triangle")
             plan = a._ensfem_plan = _BandedPlan(a)
         self._cb, info = dpbtrf(plan.banded(a.data), lower=1, overwrite_ab=1)
         if info > 0:

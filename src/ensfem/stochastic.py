@@ -311,7 +311,7 @@ def mc_rate_study(config: EmcConfig, j_list: Sequence[int] | None = None,
     For every replica, the benchmark run and each smaller-J run reuse the first
     J draws of that replica's stream. The reported figures are the max-in-time
     RMS-over-replicas L2 distance and the time-accumulated H1 analog, plus
-    log-log regression slopes.
+    log-log regression slopes, which need at least two distinct J.
     """
     j_list = list(j_list if j_list is not None else defaults.RATE_STUDY["j_list"])
     j0 = int(j_benchmark if j_benchmark is not None else defaults.RATE_STUDY["j_benchmark"])
@@ -320,6 +320,8 @@ def mc_rate_study(config: EmcConfig, j_list: Sequence[int] | None = None,
         raise ValueError("j_list and replicas must be positive")
     if max(j_list) >= j0:
         raise ValueError(f"benchmark sample count {j0} must exceed every J in {j_list}")
+    if len(set(j_list)) < 2:
+        raise ValueError(f"the rate fit needs two distinct sample counts, got {j_list}")
 
     mesh = uniform_triangulation(config.nx, config.nx)
     space = build_space(mesh, config.degree)

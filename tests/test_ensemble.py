@@ -111,13 +111,16 @@ class TestSingleStep:
         u = np.random.default_rng(4).normal(size=(space.dof_count, len(members)))
         data = []
         for groups in ([[0, 1, 2, 3]], [[0, 2], [3, 1]], [[0], [1], [2], [3]]):
-            _, stiffness, _, _ = _GroupedStepper(problem, groups)._pieces(1)
-            data.append(stiffness.data)
+            stepper = _GroupedStepper(problem, groups)
+            _, stiffness, _, _ = stepper._pieces(1)
+            # the stepper holds its columns in group order: column i is member order[i]
+            assert np.array_equal(stepper.order, np.concatenate(groups))
             block = (stiffness @ u.ravel(order="F")).reshape(u.shape, order="F")
-            for j, member in enumerate(members):
-                loop = assemble_stiffness(space, member.a, t1) @ u[:, j]
-                assert np.abs(block[:, j] - loop).max() < 1e-13
-        # block j is member j's own stiffness, whatever the grouping
+            for i, j in enumerate(stepper.order):
+                loop = assemble_stiffness(space, members[j].a, t1) @ u[:, i]
+                assert np.abs(block[:, i] - loop).max() < 1e-13
+            data.append(stiffness.data.reshape(len(members), -1)[np.argsort(stepper.order)])
+        # block i is member order[i]'s own stiffness, whatever the grouping
         assert all(np.array_equal(data[0], other) for other in data[1:])
 
     def test_nonfinite_coefficient_names_member(self):
@@ -170,30 +173,51 @@ class TestSolvers:
         with pytest.raises(ValueError, match="exactly once"):
             ensemble_solve(problem, groups=groups)
 
-    def test_groups_step_in_lockstep(self):
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), count=st.integers(1, 6))
+    def test_groups_step_in_lockstep(self, data, count):
         # each group's columns are those of a separate run of that group alone,
-        # bit for bit; singleton groups are the backward-Euler run
+        # bit for bit, whatever the partition and the order of its groups and
+        # members; singleton groups are the backward-Euler run
         members = [EnsembleMember(a=lambda x, y, t, c=c: 1.0 + c * np.asarray(y) + 0.1 * t,
                                   f=lambda x, y, t, c=c: c * np.asarray(x),
                                   g=lambda x, y, t, c=c: c * t * np.ones(np.shape(x)),
                                   u0=lambda x, y, t, c=c: c * np.sin(np.pi * x) * y)
-                   for c in (0.2, 0.7, 0.4, 0.9, 0.5)]
+                   for c in (0.2, 0.7, 0.4, 0.9, 0.5, 0.3)[:count]]
+        order = data.draw(st.permutations(range(count)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, count - 1))) if count > 1 else [])
+        groups = [order[a:b] for a, b in zip([0, *cuts], [*cuts, count])]
         problem = small_problem(members, nx=5, steps=4)
-        groups = [[3, 0], [4], [1, 2]]
         seen = []
         traj, stats = ensemble_solve(problem, groups=groups,
                                      observer=lambda st: seen.append(st.u.shape))
-        assert seen == [(problem.space.dof_count, 5)] * 5
+        assert seen == [(problem.space.dof_count, count)] * 5
         assert stats.factorizations == stats.block_solves == 4 * len(groups)
         for group in groups:
             alone, _ = ensemble_solve(EnsembleProblem(
                 members=[members[j] for j in group], space=problem.space, grid=problem.grid))
             for mine, ref in zip(traj, alone):
                 assert np.array_equal(mine.u[:, group], ref.u)
-        singletons, _ = ensemble_solve(problem, groups=[[j] for j in range(5)])
+        singletons, _ = ensemble_solve(problem, groups=[[j] for j in order])
         independent, _ = independent_solve(problem)
         for mine, ref in zip(singletons, independent):
             assert np.array_equal(mine.u, ref.u)
+
+    @pytest.mark.parametrize("keep_trajectory", [True, False])
+    def test_observer_writes_leave_the_run_alone(self, keep_trajectory):
+        # an observer gets a copy: writing into it changes neither the later
+        # steps nor the returned states
+        members = [heat_member(1.0 + 0.3 * k, f=constant_field(1.0), g=constant_field(0.5))
+                   for k in range(3)]
+        problem = small_problem(members, steps=3)
+        ref, _ = ensemble_solve(problem, groups=[[2, 0], [1]],
+                                keep_trajectory=keep_trajectory)
+        mine, _ = ensemble_solve(problem, groups=[[2, 0], [1]],
+                                 keep_trajectory=keep_trajectory,
+                                 observer=lambda st: st.u.fill(0.0))
+        assert ref[-1].u.any()
+        assert len(mine) == len(ref)
+        assert all(np.array_equal(a.u, b.u) for a, b in zip(mine, ref))
 
     def test_coefficient_values_stand_in_for_calls(self):
         # values at the assembly points replace the calls bit for bit; the list

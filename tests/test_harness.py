@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ensfem
+from ensfem import harness, stochastic
 from ensfem.cli import cli
 from ensfem.harness import (CONVERGENCE_CSV_HEADER, convergence_csv,
                             manufactured_case, run_compare, run_convergence,
@@ -111,6 +112,14 @@ class TestAtomicWrite:
         assert target.read_text() == "two\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_bad_path_named_and_nothing_left(self, tmp_path):
+        for path, reason in ((tmp_path / "missing" / "x.txt", "does not exist"),
+                             (tmp_path, "is a directory")):
+            with pytest.raises(ValueError, match=reason) as err:
+                write_text_atomic(str(path), "one\n")
+            assert str(path) in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCli:
     def test_converge_single_level(self, tmp_path, capsys):
@@ -127,6 +136,31 @@ class TestCli:
         assert cli(["rate", "--j-list", "10", "--j0", "10",
                     "--out", str(tmp_path / "r.csv")]) == 1
         assert "benchmark" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["emc", "compare", "rate", "converge"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_bad_out_path_exits_one_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                    command, where):
+        out = tmp_path / "missing" / "x.out" if where == "missing directory" else tmp_path
+
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+        for module, name in ((stochastic, "run_emc"), (stochastic, "mc_rate_study"),
+                             (harness, "run_compare"), (harness, "run_convergence")):
+            monkeypatch.setattr(module, name, started)
+        assert cli([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ensfem: error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+    @pytest.mark.parametrize("j_list", ["2", "2,2"])
+    def test_rate_needs_two_sample_counts(self, tmp_path, capsys, j_list):
+        out = tmp_path / "r.csv"
+        assert cli(["rate", "--j-list", j_list, "--j0", "4", "--replicas", "1",
+                    "--nx", "4", "--dt", "0.05", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("ensfem: error: the rate fit needs two")
+        assert not out.exists()
 
     def test_unknown_flag_exits_one(self, capsys):
         assert cli(["converge", "--frobnicate"]) == 1

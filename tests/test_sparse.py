@@ -76,6 +76,31 @@ class TestFactorize:
         with pytest.raises(ValueError, match="square"):
             spd_factorize(sp.csr_matrix(np.ones((2, 3))))
 
+    def test_nonsymmetric_rejected(self):
+        # the factor reads the upper triangle only: a nonsymmetric matrix would be
+        # factorized silently as a different one
+        a = fem_system(nx=4).tolil()
+        a[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_factorize(a.tocsr())
+        # rounding-level asymmetry, as assembly leaves, passes
+        b = fem_system(nx=4).tolil()
+        b[0, 1] *= 1.0 + 1e-14
+        spd_factorize(b.tocsr())
+
+    def test_symmetry_checked_once_per_matrix(self, monkeypatch):
+        # the check rides on the plan, so refactorizing a planned matrix skips it
+        a = fem_system(nx=4)
+        spd_factorize(a)
+        checks = []
+        transpose = sp.csr_matrix.transpose
+        monkeypatch.setattr(sp.csr_matrix, "transpose",
+                            lambda *args, **kw: checks.append(1) or transpose(*args, **kw))
+        spd_factorize(a)
+        assert checks == []
+        spd_factorize(a.copy())
+        assert checks
+
     def test_counter_increments(self):
         a = fem_system()
         spd_factorize(a)

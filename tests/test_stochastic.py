@@ -292,6 +292,12 @@ class TestRateStudy:
         with pytest.raises(ValueError, match="benchmark"):
             mc_rate_study(tiny_config(), j_list=[10], j_benchmark=10, replicas=1)
 
+    @pytest.mark.parametrize("j_list", [[2], [2, 2]])
+    def test_fit_needs_two_distinct_counts(self, j_list):
+        # a one-point log-log fit has no slope
+        with pytest.raises(ValueError, match="two distinct sample counts"):
+            mc_rate_study(tiny_config(), j_list=j_list, j_benchmark=4, replicas=1)
+
     def test_self_distance_is_zero(self):
         # identical trajectories have zero study distance by construction
         from ensfem.stochastic import _mean_trajectory
