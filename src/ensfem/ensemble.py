@@ -199,20 +199,13 @@ class _GroupedStepper:
         self.block_solves = 0
 
     def initial_state(self) -> EnsembleState:
-        """L2 projection of each member's u0, tagged boundary DOFs overwritten by g(., 0)."""
+        """L2 projection of every member's u0 as one block (one mass factorization, none
+        for zero data), tagged boundary DOFs overwritten by g(., 0)."""
         space, members, constraint = self.space, self.problem.members, self.constraint
-        mass = None  # factorized on the first nonzero load: zero data project to zero
-
-        def project(u0):
-            nonlocal mass
-            load = fem.assemble_load(space, u0, 0.0)
-            if load.any():
-                if mass is None:
-                    mass = fem.mass_solver(self.mass)
-                load = mass(load)
-            return load
-
-        u = _shared_columns([m.u0 for m in members], project, 0, self.order)
+        u = _shared_columns([m.u0 for m in members],
+                            lambda u0: fem.assemble_load(space, u0, 0.0), 0, self.order)
+        if u.any():
+            u = fem.mass_solver(self.mass)(u)
         u[constraint.bdofs] = _shared_columns(
             [m.g for m in members], lambda g: constraint.boundary_values(g, 0.0), 0,
             self.order)
@@ -284,44 +277,38 @@ class _GroupedStepper:
 
 
 def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
-           observer: Observer | None, keep_trajectory: bool,
-           coefficients: list[np.ndarray] | None = None,
-           ) -> tuple[list[EnsembleState], SolveStats]:
+           observer: Observer | None, coefficients: list[np.ndarray] | None = None,
+           ) -> tuple[EnsembleState, SolveStats]:
     start = time.perf_counter()
     stepper = _GroupedStepper(problem, groups, coefficients)
     inverse = np.argsort(stepper.order)  # states go out as copies in member order
     state = stepper.initial_state()
-    trajectory = [state]
-    if observer is not None:
-        observer(replace(state, u=state.u[:, inverse]))
-    for _ in range(problem.grid.steps):
-        state = stepper.step(state)
-        if keep_trajectory:
-            trajectory.append(state)
-        else:
-            trajectory[-1] = state
+    for n in range(problem.grid.steps + 1):
+        if n:
+            state = stepper.step(state)
         if observer is not None:
             observer(replace(state, u=state.u[:, inverse]))
-    for k, kept in enumerate(trajectory):  # in place: one trajectory is held at a time
-        trajectory[k] = replace(kept, u=kept.u[:, inverse])
+    final = replace(state, u=state.u[:, inverse])
     stats = SolveStats(factorizations=stepper.factorizations,
                        block_solves=stepper.block_solves,
                        wall_time=time.perf_counter() - start)
-    return trajectory, stats
+    return final, stats
 
 
 def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
-                   keep_trajectory: bool = True, groups: Sequence[Sequence[int]] | None = None,
+                   groups: Sequence[Sequence[int]] | None = None,
                    coefficients: list[np.ndarray] | None = None,
-                   ) -> tuple[list[EnsembleState], SolveStats]:
+                   ) -> tuple[EnsembleState, SolveStats]:
     """Advance the members over the time grid with one factorization per group and step.
 
+    Returns the final state, column j for member j, and the run's statistics.
     `groups` partitions the member indices; by default all members form one
     group. Initial data is the L2 projection of each member's u0 with tagged
-    boundary DOFs overwritten by g(., 0). The observer gets a copy of each
-    time level, column j for member j. The reported counts are this run's
-    own and cover its stepping loop (initialization factorizes the mass
-    matrix once on top of them if some u0 has a nonzero load).
+    boundary DOFs overwritten by g(., 0). Only the observer sees the levels
+    along the way: a copy of each level n = 0..N, column j for member j. The
+    reported counts are this run's own and cover its stepping loop
+    (initialization factorizes the mass matrix once on top of them if some u0
+    has a nonzero load).
 
     For time-invariant members, `coefficients` may hand over their values at
     the space's assembly points, shape (J, points) in the order of
@@ -331,10 +318,11 @@ def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
     unchanged and not held for the whole run.
     """
     return _solve(problem, [range(problem.size)] if groups is None else groups,
-                  observer, keep_trajectory, coefficients)
+                  observer, coefficients)
 
 
 def independent_solve(problem: EnsembleProblem, observer: Observer | None = None,
-                      keep_trajectory: bool = True) -> tuple[list[EnsembleState], SolveStats]:
-    """Advance every member by standard backward Euler: J factorizations per step."""
-    return _solve(problem, [[j] for j in range(problem.size)], observer, keep_trajectory)
+                      ) -> tuple[EnsembleState, SolveStats]:
+    """Advance every member by standard backward Euler: J factorizations per step.
+    Returns the final state and observes every level, as `ensemble_solve` does."""
+    return _solve(problem, [[j] for j in range(problem.size)], observer)

@@ -139,6 +139,8 @@ class EmcConfig:
             raise ValueError("sample count must be at least 1")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if min(self.seed, self.replica) < 0:
+            raise ValueError(f"seed={self.seed} and replica={self.replica} must be non-negative")
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"dt={self.dt} does not divide t_final={self.t_final}")
@@ -236,11 +238,11 @@ def solve_sampled_groups(config: EmcConfig, members: Sequence[EnsembleMember],
     `coefficients` hands the gate's values to the stepper (see `ensemble_solve`).
     """
     problem = EnsembleProblem(members=members, space=space, grid=config.time_grid())
-    trajectory, stats = ensemble_solve(problem, observer=observer, keep_trajectory=False,
-                                       groups=groups, coefficients=coefficients)
+    final, stats = ensemble_solve(problem, observer=observer, groups=groups,
+                                  coefficients=coefficients)
     # callers reduce across columns (mean, spread); a C-ordered block fixes
     # the summation order of those reductions whatever the stepping layout
-    return np.ascontiguousarray(trajectory[-1].u), stats
+    return np.ascontiguousarray(final.u), stats
 
 
 def run_emc(config: EmcConfig, observer=None) -> EmcResult:

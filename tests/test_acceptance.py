@@ -116,21 +116,28 @@ def test_convergence_rates(ensemble_rows):
            f"final H1 rates in [{h1_final.min():.3f}, {h1_final.max():.3f}]")
 
 
+def run_levels(solver, problem):
+    """Every level n = 0..N of a run, as its observer sees them."""
+    levels = []
+    solver(problem, observer=levels.append)
+    return levels
+
+
 def test_backward_euler_equivalence():
     space = build_space(uniform_triangulation(8, 8), 2)
     grid = TimeGrid(t_final=1.0, steps=20)
     single = EnsembleProblem(members=[manufactured_case(STUDY_EPS[0]).member()],
                              space=space, grid=grid)
-    te, _ = ensemble_solve(single)
-    ti, _ = independent_solve(single)
+    te = run_levels(ensemble_solve, single)
+    ti = run_levels(independent_solve, single)
     gap_single = max(np.abs(a.u - b.u).max() for a, b in zip(te, ti))
 
     shared = manufactured_case(0.25)
     members = [EnsembleMember(a=shared.a, f=manufactured_case(e).f, g=shared.g,
                               u0=shared.u0) for e in STUDY_EPS]
     equal = EnsembleProblem(members=members, space=space, grid=grid)
-    te, _ = ensemble_solve(equal)
-    ti, _ = independent_solve(equal)
+    te = run_levels(ensemble_solve, equal)
+    ti = run_levels(independent_solve, equal)
     gap_equal = max(np.abs(a.u - b.u).max() for a, b in zip(te, ti))
     report("backward-euler-equivalence", gap_single <= 1e-12 and gap_equal <= 1e-12,
            f"single-member gap {gap_single:.2e}, equal-coefficient gap {gap_equal:.2e}")
@@ -211,9 +218,7 @@ def test_discrete_energy_bound():
             for j in range(3):
                 grad_sq[j] += error_h1_semi(space, state.u[:, j], None) ** 2
 
-        trajectory, _ = ensemble_solve(problem, observer=accumulate,
-                                       keep_trajectory=False)
-        final = trajectory[-1].u
+        final = ensemble_solve(problem, observer=accumulate)[0].u
         dt = 1.0 / steps
         energies.append(np.array([
             error_l2(space, final[:, j], None) ** 2 + weight * dt * grad_sq[j]

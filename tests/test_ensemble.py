@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -27,6 +28,13 @@ def small_problem(members, nx=4, degree=1, t_final=0.5, steps=5):
     space = build_space(uniform_triangulation(nx, nx), degree)
     return EnsembleProblem(members=members, space=space,
                            grid=TimeGrid(t_final=t_final, steps=steps))
+
+
+def run_levels(solver, problem, **kwargs):
+    """Every level n = 0..N of a run, as its observer sees them, and the run's stats."""
+    levels = []
+    _, stats = solver(problem, observer=levels.append, **kwargs)
+    return levels, stats
 
 
 class TestTimeGrid:
@@ -61,7 +69,7 @@ class TestSingleStep:
             g=lambda x, y, t: 0.1 * t * np.ones(np.shape(x)),
             u0=lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y))
         problem = small_problem([member], nx=4, steps=1)
-        start, stepped = ensemble_solve(problem)[0]
+        start, stepped = run_levels(ensemble_solve, problem)[0]
         manual = _independent_step(problem, start)
         assert np.abs(stepped.u - manual).max() < 1e-12
 
@@ -69,7 +77,7 @@ class TestSingleStep:
         members = [heat_member(2.0, u0=lambda x, y, t: x * (1 - x) * y * (1 - y))
                    for _ in range(3)]
         problem = small_problem(members, steps=1)
-        stepped = ensemble_solve(problem)[0][-1]
+        stepped = ensemble_solve(problem)[0]
         assert stepped.u.any()
         assert np.abs(stepped.u - stepped.u[:, [0]]).max() < 1e-12
 
@@ -83,7 +91,7 @@ class TestSingleStep:
                        for m, u0 in zip(members, starts)]
         problem = EnsembleProblem(members=ens_members, space=space,
                                   grid=TimeGrid(t_final=0.1, steps=1))
-        start, stepped = ensemble_solve(problem)[0]
+        start, stepped = run_levels(ensemble_solve, problem)[0]
         bdofs = space.tagged_dofs(tuple(BoundaryTag))
         ref = shared_matrix_step(mesh.vertices, mesh.triangles, members, start.u,
                                  dt=0.1, t1=0.1, bdofs=bdofs)
@@ -188,36 +196,44 @@ class TestSolvers:
         cuts = sorted(data.draw(st.sets(st.integers(1, count - 1))) if count > 1 else [])
         groups = [order[a:b] for a, b in zip([0, *cuts], [*cuts, count])]
         problem = small_problem(members, nx=5, steps=4)
-        seen = []
-        traj, stats = ensemble_solve(problem, groups=groups,
-                                     observer=lambda st: seen.append(st.u.shape))
-        assert seen == [(problem.space.dof_count, count)] * 5
+        traj, stats = run_levels(ensemble_solve, problem, groups=groups)
+        assert [st.u.shape for st in traj] == [(problem.space.dof_count, count)] * 5
         assert stats.factorizations == stats.block_solves == 4 * len(groups)
         for group in groups:
-            alone, _ = ensemble_solve(EnsembleProblem(
+            alone, _ = run_levels(ensemble_solve, EnsembleProblem(
                 members=[members[j] for j in group], space=problem.space, grid=problem.grid))
             for mine, ref in zip(traj, alone):
                 assert np.array_equal(mine.u[:, group], ref.u)
-        singletons, _ = ensemble_solve(problem, groups=[[j] for j in order])
-        independent, _ = independent_solve(problem)
+        singletons, _ = run_levels(ensemble_solve, problem, groups=[[j] for j in order])
+        independent, _ = run_levels(independent_solve, problem)
         for mine, ref in zip(singletons, independent):
             assert np.array_equal(mine.u, ref.u)
 
-    @pytest.mark.parametrize("keep_trajectory", [True, False])
-    def test_observer_writes_leave_the_run_alone(self, keep_trajectory):
-        # an observer gets a copy: writing into it changes neither the later
-        # steps nor the returned states
-        members = [heat_member(1.0 + 0.3 * k, f=constant_field(1.0), g=constant_field(0.5))
+    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "independent"])
+    def test_observer_sees_every_level_and_the_final_state(self, grouped):
+        # the observer gets a copy of every level n = 0..N in member order; the
+        # returned final state is its last level, and writing into a copy (here
+        # NaN, which a later step would refuse) changes nothing in the run
+        members = [heat_member(1.0 + 0.3 * k, f=constant_field(1.0 + k), g=constant_field(0.5),
+                               u0=lambda x, y, t, k=k: np.sin(np.pi * x) * y + k)
                    for k in range(3)]
         problem = small_problem(members, steps=3)
-        ref, _ = ensemble_solve(problem, groups=[[2, 0], [1]],
-                                keep_trajectory=keep_trajectory)
-        mine, _ = ensemble_solve(problem, groups=[[2, 0], [1]],
-                                 keep_trajectory=keep_trajectory,
-                                 observer=lambda st: st.u.fill(0.0))
-        assert ref[-1].u.any()
-        assert len(mine) == len(ref)
-        assert all(np.array_equal(a.u, b.u) for a, b in zip(mine, ref))
+        seen = []
+
+        def observe_then_write(state):
+            seen.append(dataclasses.replace(state, u=state.u.copy()))
+            state.u.fill(np.nan)
+
+        groups = [[2, 0], [1]] if grouped else [[0], [1], [2]]
+        solver = functools.partial(ensemble_solve, groups=groups) if grouped else independent_solve
+        final, _ = solver(problem, observer=observe_then_write)
+        assert [st.n for st in seen] == [0, 1, 2, 3]
+        assert final.n == 3 and final.t == seen[-1].t
+        assert final.u.tobytes() == seen[-1].u.tobytes()
+        for group in groups:  # in member order: each group's columns are its run alone
+            alone, _ = run_levels(ensemble_solve, EnsembleProblem(
+                members=[members[j] for j in group], space=problem.space, grid=problem.grid))
+            assert all(np.array_equal(mine.u[:, group], ref.u) for mine, ref in zip(seen, alone))
 
     def test_coefficient_values_stand_in_for_calls(self):
         # values at the assembly points replace the calls bit for bit; the list
@@ -231,8 +247,8 @@ class TestSolvers:
                            for m in members])
         original = values.copy()
         groups, handoff = [[0, 2], [1], [3]], [values]
-        mine, _ = ensemble_solve(problem, groups=groups, coefficients=handoff)
-        ref, _ = ensemble_solve(problem, groups=groups)
+        mine, _ = run_levels(ensemble_solve, problem, groups=groups, coefficients=handoff)
+        ref, _ = run_levels(ensemble_solve, problem, groups=groups)
         assert all(np.array_equal(a.u, b.u) for a, b in zip(mine, ref))
         assert handoff == [] and np.array_equal(values, original)
 
@@ -254,7 +270,7 @@ class TestSolvers:
 
     def test_zero_data_stays_zero(self):
         problem = small_problem([heat_member(), heat_member(3.0)])
-        traj, _ = ensemble_solve(problem)
+        traj, _ = run_levels(ensemble_solve, problem)
         assert all(not st.u.any() for st in traj)
 
     def test_j1_paths_identical(self):
@@ -263,8 +279,8 @@ class TestSolvers:
                                 g=lambda x, y, t: 0.05 * t * np.ones(np.shape(x)),
                                 u0=lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y))
         problem = small_problem([member], nx=8, steps=20, t_final=1.0)
-        te, _ = ensemble_solve(problem)
-        ti, _ = independent_solve(problem)
+        te, _ = run_levels(ensemble_solve, problem)
+        ti, _ = run_levels(independent_solve, problem)
         gap = max(np.abs(a.u - b.u).max() for a, b in zip(te, ti))
         assert gap < 1e-12
 
@@ -279,8 +295,8 @@ class TestSolvers:
                            u0=lambda x, y, t: x * (1 - x) * y * (1 - y)),
         ]
         problem = small_problem(members, nx=6, steps=8)
-        te, _ = ensemble_solve(problem)
-        ti, _ = independent_solve(problem)
+        te, _ = run_levels(ensemble_solve, problem)
+        ti, _ = run_levels(independent_solve, problem)
         gap = max(np.abs(a.u - b.u).max() for a, b in zip(te, ti))
         assert gap < 1e-12
 
@@ -292,7 +308,7 @@ class TestSolvers:
         space = build_space(uniform_triangulation(16, 16), 2)
         problem = EnsembleProblem(members=[member], space=space,
                                   grid=TimeGrid(t_final=0.1, steps=10))
-        traj, _ = ensemble_solve(problem)
+        traj, _ = run_levels(ensemble_solve, problem)
         norms = [error_l2(space, st.u[:, 0], None) for st in traj]
         expected = 1.0 / (1.0 + 2.0 * math.pi ** 2 * dt)
         for prev, cur in zip(norms, norms[1:]):
@@ -309,14 +325,6 @@ class TestSolvers:
             assert stats_e.block_solves == steps
             _, stats_i = independent_solve(problem)
             assert stats_i.factorizations == steps * j
-
-    def test_observer_and_trajectory_policy(self):
-        problem = small_problem([heat_member()], steps=4)
-        seen = []
-        traj, _ = ensemble_solve(problem, observer=lambda st: seen.append(st.n),
-                                 keep_trajectory=False)
-        assert seen == [0, 1, 2, 3, 4]
-        assert len(traj) == 1 and traj[0].n == 4
 
     def test_stats_count_only_the_run(self):
         # a run started by another run's observer adds nothing to the outer counts
@@ -344,7 +352,7 @@ class TestSolvers:
         problem = small_problem(members, steps=3)
         for solver in (ensemble_solve, independent_solve):
             calls.clear()
-            traj, _ = solver(problem)
+            traj, _ = run_levels(solver, problem)
             assert calls == [start] + [source] * 3  # one per time level, not per member
             first = traj[0].u
             assert np.array_equal(first, np.repeat(first[:, :1], len(members), axis=1))
@@ -403,8 +411,8 @@ class TestFixedPattern:
             return shared_matrix_step(mesh.vertices, mesh.triangles, members, u,
                                       dt=0.1, t1=t1, bdofs=bdofs)
 
-        shared, _ = ensemble_solve(problem)
-        independent, _ = independent_solve(problem)
+        shared, _ = run_levels(ensemble_solve, problem)
+        independent, _ = run_levels(independent_solve, problem)
         for prev, cur in zip(shared, shared[1:]):
             assert np.abs(cur.u - dense_step(DENSE_MEMBERS, prev.u, cur.t)).max() < 1e-12
         for prev, cur in zip(independent, independent[1:]):
@@ -428,8 +436,7 @@ def test_member_permutation_permutes_columns(seed, count):
     order = rng.permutation(count)
     space = build_space(uniform_triangulation(6, 6), 1)
     grid = TimeGrid(t_final=0.1, steps=3)
-    final = [ensemble_solve(EnsembleProblem(members=ms, space=space, grid=grid),
-                            keep_trajectory=False)[0][-1].u
+    final = [ensemble_solve(EnsembleProblem(members=ms, space=space, grid=grid))[0].u
              for ms in (members, [members[k] for k in order])]
     assert np.abs(final[1] - final[0][:, order]).max() <= 1e-12
 
@@ -472,7 +479,7 @@ def test_increment_steps_match_paper_form(data, degree, nx, ny, steps, tags, sca
         space=space, grid=TimeGrid(t_final=0.05 * steps, steps=steps),
         dirichlet_tags=tuple(tags))
     bdofs = space.tagged_dofs(tags)
-    traj, _ = ensemble_solve(problem, groups=groups)
+    traj, _ = run_levels(ensemble_solve, problem, groups=groups)
     for prev, cur in zip(traj, traj[1:]):
         for group in groups:
             group_members = [members[j] for j in group]
@@ -493,7 +500,7 @@ class TestInitialState:
                    for k in range(3)]
         problem = small_problem(members, steps=4)
         before = sparse.counters().factorizations
-        traj, _ = ensemble_solve(problem, groups=[[0, 2], [1]])
+        traj, _ = run_levels(ensemble_solve, problem, groups=[[0, 2], [1]])
         assert sparse.counters().factorizations - before == 4 * 2
         assert not traj[0].u[problem.space.interior_dofs].any()
 
@@ -503,7 +510,7 @@ class TestInitialState:
         member = EnsembleMember(a=constant_field(1.0), f=zero_field,
                                 g=constant_field(7.0), u0=poly)
         problem = small_problem([member], nx=4, steps=1)
-        traj, _ = ensemble_solve(problem)
+        traj, _ = run_levels(ensemble_solve, problem)
         initial = traj[0].u[:, 0]
         space = problem.space
         bdofs = space.tagged_dofs(problem.dirichlet_tags)
@@ -511,3 +518,22 @@ class TestInitialState:
         interior = space.interior_dofs
         exact = poly(space.dof_coords[interior, 0], space.dof_coords[interior, 1], 0.0)
         assert np.abs(initial[interior] - exact).max() < 1e-10
+
+    def test_mixed_initial_data_projected_as_one_block(self):
+        # a zero u0, one u0 two members share and one of its own: one mass
+        # factorization projects them all, each column as its own projection
+        shared = lambda x, y, t: np.sin(np.pi * x) * y
+        own = lambda x, y, t: x * x - 0.5 * y + 0.2
+        g = lambda x, y, t: 0.3 + np.asarray(x) * y
+        members = [heat_member(1.0 + 0.2 * k, g=g, u0=u0)
+                   for k, u0 in enumerate((None, shared, shared, own))]
+        problem = small_problem(members, steps=1)
+        before = sparse.counters().factorizations
+        traj, stats = run_levels(ensemble_solve, problem, groups=[[3, 1], [0, 2]])
+        assert sparse.counters().factorizations - before - stats.factorizations == 1
+        space, initial = problem.space, traj[0].u
+        bdofs = space.tagged_dofs(problem.dirichlet_tags)
+        free = np.setdiff1d(np.arange(space.dof_count), bdofs)
+        for j, member in enumerate(members):
+            assert np.array_equal(initial[free, j], fem.l2_project(space, member.u0)[free])
+            assert np.array_equal(initial[bdofs, j], g(*space.dof_coords[bdofs].T, 0.0))

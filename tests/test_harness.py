@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +104,17 @@ class TestRunCompare:
         assert record["stats_independent"]["factorizations"] == 12
         assert "wall_time_s" not in json.dumps(record)  # rerun-stable payload
 
+    def test_ensemble_wall_time_covers_the_gate(self, monkeypatch):
+        gate = harness.gate_and_group
+
+        def slow_gate(*args, **kwargs):
+            time.sleep(0.2)
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "gate_and_group", slow_gate)
+        result = run_compare(EmcConfig(samples=3, seed=1, nx=4, dt=0.05, t_final=0.2))
+        assert result.stats_ensemble.wall_time >= 0.2
+
 
 class TestAtomicWrite:
     def test_write_and_replace(self, tmp_path):
@@ -177,6 +189,14 @@ class TestCli:
         assert cli([command, "--nx", "4", "--dt", dt, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ensfem: error: dt must be positive and finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["emc", "compare", "rate"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert cli([command, "--nx", "4", "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ensfem: error: seed=-1 and replica=0 must be non-negative")
         assert not out.exists()
 
     def test_emc_outputs_are_byte_identical(self, tmp_path):

@@ -280,6 +280,11 @@ class TestRunEmc:
         with pytest.raises(ValueError, match="divide"):
             tiny_config(dt=0.03)
 
+    @pytest.mark.parametrize("field", ["seed", "replica"])
+    def test_negative_seed_or_replica_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field}=-1 .*must be non-negative"):
+            tiny_config(**{field: -1})
+
 
 class TestRateStudy:
     def test_log_fit_recovers_half_order(self):
