@@ -209,11 +209,22 @@ class TestSolvers:
         for mine, ref in zip(singletons, independent):
             assert np.array_equal(mine.u, ref.u)
 
-    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "independent"])
-    def test_observer_sees_every_level_and_the_final_state(self, grouped):
-        # the observer gets a copy of every level n = 0..N in member order; the
-        # returned final state is its last level, and writing into a copy (here
-        # NaN, which a later step would refuse) changes nothing in the run
+    def test_observer_and_trajectory_policy(self):
+        # the observer is the only trajectory: it sees every level n = 0..N, and
+        # the run returns the final state alone, equal to the last level seen
+        problem = small_problem([heat_member(f=constant_field(1.0))], steps=4)
+        for solver in (ensemble_solve, independent_solve):
+            levels, _ = run_levels(solver, problem)
+            final, _ = solver(problem)
+            assert [st.n for st in levels] == [0, 1, 2, 3, 4]
+            assert final.n == 4 and final.t == levels[-1].t
+            assert final.u.any() and final.u.tobytes() == levels[-1].u.tobytes()
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_observer_writes_leave_the_run_alone(self, grouped):
+        # an observer gets a copy of every level in member order: writing into
+        # it (here NaN, which a later step would refuse) changes neither the
+        # later steps nor the returned final state
         members = [heat_member(1.0 + 0.3 * k, f=constant_field(1.0 + k), g=constant_field(0.5),
                                u0=lambda x, y, t, k=k: np.sin(np.pi * x) * y + k)
                    for k in range(3)]
