@@ -125,9 +125,9 @@ def _column_indexers(groups: Sequence[Sequence[int]], size: int,
             [slice(stop - a.size, stop) for a, stop in zip(arrays, stops)])
 
 
-def _shared_columns(fields: Sequence[Field], fn, step: int, order: Sequence[int],
-                    ) -> np.ndarray:
-    """Column i holds fn(fields[order[i]]); fn runs once per distinct field.
+def _distinct_columns(fields: Sequence[Field], fn, step: int, order: Sequence[int],
+                      ) -> tuple[np.ndarray, list[int]]:
+    """fn of each distinct field as one column, and for each i the column of fields[order[i]].
 
     Members that hold the same callable (by identity) share its column, so data
     common to an ensemble is assembled once. A ValueError is re-raised naming
@@ -144,7 +144,14 @@ def _shared_columns(fields: Sequence[Field], fn, step: int, order: Sequence[int]
             except ValueError as exc:
                 raise ValueError(f"member {j} at step {step}: {exc}") from exc
         columns.append(first[id(field)])
-    return np.column_stack(values)[:, columns]
+    return np.column_stack(values), columns
+
+
+def _shared_columns(fields: Sequence[Field], fn, step: int, order: Sequence[int],
+                    ) -> np.ndarray:
+    """Column i holds fn(fields[order[i]]); fn runs once per distinct field."""
+    values, columns = _distinct_columns(fields, fn, step, order)
+    return values[:, columns]
 
 
 class _GroupedStepper:
@@ -199,13 +206,18 @@ class _GroupedStepper:
         self.block_solves = 0
 
     def initial_state(self) -> EnsembleState:
-        """L2 projection of every member's u0 as one block (one mass factorization, none
-        for zero data), tagged boundary DOFs overwritten by g(., 0)."""
+        """L2 projection of every member's u0, tagged boundary DOFs overwritten by g(., 0).
+
+        Each distinct u0 is projected once, all in one block (one mass
+        factorization, none for zero data), and its column then spread to
+        the members that hold it."""
         space, members, constraint = self.space, self.problem.members, self.constraint
-        u = _shared_columns([m.u0 for m in members],
-                            lambda u0: fem.assemble_load(space, u0, 0.0), 0, self.order)
-        if u.any():
-            u = fem.mass_solver(self.mass)(u)
+        loads, columns = _distinct_columns([m.u0 for m in members],
+                                           lambda u0: fem.assemble_load(space, u0, 0.0), 0,
+                                           self.order)
+        if loads.any():
+            loads = fem.mass_solver(self.mass)(loads)
+        u = loads.take(columns, axis=1)
         u[constraint.bdofs] = _shared_columns(
             [m.g for m in members], lambda g: constraint.boundary_values(g, 0.0), 0,
             self.order)

@@ -44,8 +44,15 @@ class RandomFieldSpec:
     n_modes: int = defaults.RANDOM_FIELD["n_modes"]
 
     def __post_init__(self):
-        if self.corr_length <= 0:
-            raise ValueError("correlation length must be positive")
+        if not (math.isfinite(self.a0) and self.a0 > 0):
+            raise ValueError(f"a0 must be positive and finite, got {self.a0}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
+        if not (math.isfinite(self.corr_length) and self.corr_length > 0):
+            raise ValueError("correlation length must be positive and finite, "
+                             f"got {self.corr_length}")
+        if self.n_modes < 0:
+            raise ValueError(f"n_modes must be non-negative, got {self.n_modes}")
 
     @property
     def dimension(self) -> int:
@@ -102,15 +109,22 @@ def draw_samples(seed: int, count: int, n_modes: int, replica: int = 0) -> list[
     """Deterministic i.i.d. draws, uniform on [-sqrt(3), sqrt(3)] per entry.
 
     Draw j comes from the Philox stream of the (seed, replica) key jumped j
-    times; the key is derived once per call.
+    times, as `Philox.jumped(j)` gives it. The key is derived once per call, and
+    one generator serves every draw: its state is reset to the key's start and
+    advanced by j * 2**128 (what `jumped` does on a fresh copy) before draw j.
     """
     if count < 1:
         raise ValueError("need at least one sample")
     dim = 2 * n_modes + 1
     stream = np.random.Philox(key=_replica_key(seed, replica))
-    return [SampleDraw(y=np.random.Generator(stream.jumped(j)).uniform(-SQRT3, SQRT3, dim),
-                       index=j, replica=replica, seed=seed)
-            for j in range(count)]
+    start, generator = stream.state, np.random.Generator(stream)
+    draws = []
+    for j in range(count):
+        stream.state = start
+        stream.advance(j * 2 ** 128)
+        draws.append(SampleDraw(y=generator.uniform(-SQRT3, SQRT3, dim),
+                                index=j, replica=replica, seed=seed))
+    return draws
 
 
 def left_edge_drive(x, y, t):
@@ -214,13 +228,22 @@ def gate_and_group(config: EmcConfig, members: Sequence[EnsembleMember], space: 
     Large ensembles realize the tails of the sample distribution, so the joint
     condition routinely fails at a few hundred samples even though every single
     field stays coercive; partitioning is then the supported way to proceed.
-    Returns the report, the groups and the coefficient values that the gate
-    and the partition read, shape (members, assembly points), in a one-element
-    list for `solve_sampled_groups` to hand to the stepper: each coefficient
-    is called once per run.
+    The members' coefficients must be time-invariant fields of y alone, as
+    `sample_coefficient` makes them: each is called once, on the distinct y
+    rows of the assembly points (at the x of each row's first point), and its
+    row is spread back to every point. Returns the report, the groups and the
+    coefficient values that the gate and the partition read, shape (members,
+    assembly points), in a one-element list for `solve_sampled_groups` to hand
+    to the stepper, which then calls no coefficient. An `emc` run so calls each
+    coefficient once; the per-sample leg of `harness.run_compare` is handed no
+    values and calls each again.
     """
     sampling = SamplingGrid.from_space(space)  # coefficients are time-invariant
-    values = coefficient_block([m.a for m in members], sampling)
+    _, first, inverse = np.unique(sampling.y, return_index=True, return_inverse=True)
+    rows = SamplingGrid(x=sampling.x[first], y=sampling.y[first], times=sampling.times)
+    # `take` gives a C-ordered block, so the reductions below add in the same
+    # order as on a block evaluated at every point
+    values = coefficient_block([m.a for m in members], rows).take(inverse, axis=2)
     report = estimate_bounds(values, sampling)
     if report.satisfied:
         return report, [list(range(len(members)))], [values[0]]

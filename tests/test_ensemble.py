@@ -548,3 +548,22 @@ class TestInitialState:
         for j, member in enumerate(members):
             assert np.array_equal(initial[free, j], fem.l2_project(space, member.u0)[free])
             assert np.array_equal(initial[bdofs, j], g(*space.dof_coords[bdofs].T, 0.0))
+
+    def test_shared_initial_datum_projected_once(self):
+        # 40 members holding one u0: one mass factorization and one single-column
+        # solve, the projection spread to every column
+        shared = lambda x, y, t: np.sin(np.pi * x) * y
+        members = [heat_member(1.0 + 0.01 * k, u0=shared) for k in range(40)]
+        problem = small_problem(members, nx=6, steps=1)
+        stepper = _GroupedStepper(problem, [range(20, 40), range(20)])
+        before = sparse.counters()
+        initial = stepper.initial_state().u
+        after = sparse.counters()
+        assert after.factorizations - before.factorizations == 1
+        assert after.block_solves - before.block_solves == 1
+        assert after.rhs_columns - before.rhs_columns == 1
+        free = stepper.constraint.free
+        projection = fem.l2_project(problem.space, shared)[free]
+        assert initial.shape == (problem.space.dof_count, 40)
+        for column in initial.T:
+            assert np.array_equal(column[free], projection)

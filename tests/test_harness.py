@@ -199,6 +199,16 @@ class TestCli:
         assert err.startswith("ensfem: error: seed=-1 and replica=0 must be non-negative")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["-1", "-0.1", "nan", "inf"])
+    def test_bad_sigma_exits_one(self, tmp_path, capsys, sigma):
+        # refused by the field spec, before sampling and the stability gate
+        out = tmp_path / "out"
+        assert cli(["emc", "--j", "4", "--nx", "4", "--sigma", sigma, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("ensfem: error: sigma must be non-negative and finite, "
+                       f"got {float(sigma)}\n")
+        assert not out.exists()
+
     def test_emc_outputs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["emc", "--j", "4", "--seed", "7", "--nx", "4", "--dt", "0.05"]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -13,6 +14,8 @@ from ensfem import stochastic
 
 from ensfem.fem import FeSpace, build_space
 from ensfem.mesh import uniform_triangulation
+from ensfem.stability import (SamplingGrid, coefficient_block, estimate_bounds,
+                              partition_ensemble)
 from ensfem.stochastic import (EmcConfig, RandomFieldSpec, SQRT3, StabilityError,
                                draw_samples, kl_eigenvalues, log_log_fit,
                                mc_rate_study, qoi_integral, run_emc,
@@ -49,6 +52,20 @@ class TestModeWeights:
     def test_invalid_correlation_length(self):
         with pytest.raises(ValueError):
             RandomFieldSpec(corr_length=0.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(sigma=-0.1), "sigma must be non-negative and finite, got -0.1"),
+        (dict(sigma=math.inf), "sigma must be non-negative and finite, got inf"),
+        (dict(sigma=math.nan), "sigma must be non-negative and finite, got nan"),
+        (dict(a0=0.0), "a0 must be positive and finite, got 0.0"),
+        (dict(a0=-2.0), "a0 must be positive and finite, got -2.0"),
+        (dict(a0=math.inf), "a0 must be positive and finite, got inf"),
+        (dict(n_modes=-1), "n_modes must be non-negative, got -1"),
+        (dict(corr_length=math.nan), "correlation length must be positive and finite, got nan"),
+    ])
+    def test_invalid_field_parameters_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RandomFieldSpec(**kwargs)
 
 
 class TestSampleCoefficient:
@@ -137,6 +154,65 @@ class TestDrawSamples:
         values = np.concatenate([d.y for d in draws])
         assert abs(values.mean()) <= 0.02
         assert 0.97 <= values.var() <= 1.03
+
+
+def _gate_inputs(degree, nx, samples, seed, spec=None):
+    config = EmcConfig(spec=spec or RandomFieldSpec(sigma=0.2), samples=samples, seed=seed,
+                       nx=nx, dt=0.05, degree=degree, partition=True)
+    space = build_space(uniform_triangulation(nx, nx), degree)
+    return config, stochastic.build_emc_members(config), space
+
+
+class TestGateAndGroup:
+    """The gate evaluates each y-only field on the distinct y rows and spreads them."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(degree=st.sampled_from([1, 2]), nx=st.integers(1, 10),
+           samples=st.integers(1, 12), seed=st.integers(0, 2 ** 32),
+           a0=st.floats(0.5, 3.0), scale=st.floats(0.0, 1.0),
+           corr_length=st.floats(0.1, 1.0), n_modes=st.integers(0, 4))
+    def test_block_matches_full_grid(self, degree, nx, samples, seed, a0, scale,
+                                     corr_length, n_modes):
+        # every field stays positive: for these correlation lengths
+        # sqrt(3) * (sqrt(lambda_0) + 2 sum_i sqrt(lambda_i)) < 12 < 16
+        spec = RandomFieldSpec(a0=a0, sigma=scale * a0 / 16, corr_length=corr_length,
+                               n_modes=n_modes)
+        config, members, space = _gate_inputs(degree, nx, samples, seed, spec)
+        _, _, (values,) = stochastic.gate_and_group(config, members, space)
+        full = coefficient_block([m.a for m in members], SamplingGrid.from_space(space))
+        assert values.flags.c_contiguous
+        assert values.tobytes() == full[0].tobytes()
+
+    @pytest.mark.parametrize("degree, nx, samples, seed", [
+        (1, 8, 60, 20240), (1, 12, 60, 3), (1, 4, 24, 1), (2, 6, 30, 17)])
+    def test_report_and_groups_match_full_block(self, degree, nx, samples, seed):
+        config, members, space = _gate_inputs(degree, nx, samples, seed)
+        report, groups, _ = stochastic.gate_and_group(config, members, space)
+        sampling = SamplingGrid.from_space(space)
+        full = coefficient_block([m.a for m in members], sampling)
+        assert report == estimate_bounds(full, sampling)
+        assert groups == partition_ensemble(full, sampling)
+        if seed == 20240:
+            # a block spread by `[:, :, inverse]` is not C-ordered, and its mean
+            # adds in another order: theta_plus would end in ...292p-1
+            assert report.theta_plus.hex() == "0x1.4962eb508b294p-1"
+
+    @pytest.mark.parametrize("degree, nx, distinct, points", [
+        (1, 12, 51, 864), (1, 32, 131, 6144), (2, 16, 138, 3072)])
+    def test_each_field_called_once_on_distinct_rows(self, degree, nx, distinct, points):
+        config, members, space = _gate_inputs(degree, nx, 3, 5)
+        calls = []
+
+        def counted(j, a):
+            def field(x, y, t):
+                calls.append((j, np.size(x), np.size(y)))
+                return a(x, y, t)
+            return field
+
+        members = [dataclasses.replace(m, a=counted(j, m.a)) for j, m in enumerate(members)]
+        _, _, (values,) = stochastic.gate_and_group(config, members, space)
+        assert values.shape == (3, points)
+        assert sorted(calls) == [(j, distinct, distinct) for j in range(3)]
 
 
 class TestQoi:
