@@ -15,7 +15,7 @@ import importlib
 _EXPORTS = {
     **dict.fromkeys(("EnsembleMember", "EnsembleProblem", "EnsembleState", "SolveStats",
                      "TimeGrid", "ensemble_solve", "independent_solve"), "ensemble"),
-    **dict.fromkeys(("FeSpace", "assemble_load", "assemble_mass", "assemble_stiffness",
+    **dict.fromkeys(("FeSpace", "SeparableField", "assemble_load", "assemble_mass", "assemble_stiffness",
                      "build_space", "constant_field", "error_h1_semi", "error_l2",
                      "l2_project", "zero_field"), "fem"),
     **dict.fromkeys(("BoundaryTag", "Mesh", "dump_mesh", "mesh_size", "refine_uniform",

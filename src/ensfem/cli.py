@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -91,14 +92,21 @@ def cli(argv: list[str]) -> int:
         return EXIT_CONFIG
 
     from . import defaults, harness, stochastic
+    from .ensemble import SolveStats
 
     try:
         harness.check_output_path(args.out)  # before the run, not after it
         if args.command == "converge":
+            start = time.perf_counter()
             rows = harness.run_convergence(mode=args.mode,
                                            **_given(degree=args.degree, levels=args.levels))
+            # the whole study: counts summed over its levels, wall time from the
+            # start of the first level to the end of the last
+            study = SolveStats(factorizations=sum(r.stats.factorizations for r in rows),
+                               block_solves=sum(r.stats.block_solves for r in rows),
+                               wall_time=time.perf_counter() - start)
             harness.write_text_atomic(args.out, harness.convergence_csv(rows))
-            print(json.dumps(rows[-1].stats.to_json_dict()))
+            print(json.dumps(study.to_json_dict()))
             return EXIT_OK
 
         if args.command == "emc":

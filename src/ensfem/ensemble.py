@@ -52,9 +52,12 @@ class TimeGrid:
 class EnsembleMember:
     """One simulation: diffusion coefficient, source, Dirichlet data, initial datum.
 
-    Set `time_invariant` when all four fields ignore their time argument; the
-    solvers then assemble the member's matrices and vectors once instead of
-    once per step.
+    Each field is a callable f(x, y, t) or a `fem.SeparableField`, whose
+    spatial parts the solvers assemble once per run. Set `time_invariant` when
+    all four fields ignore their time argument; when every member of a run
+    does, the run assembles its matrices and vectors once instead of once per
+    step. A separable a, f or g of such a member must have the same weights at
+    every grid time, or the run is refused.
     """
 
     a: Field
@@ -105,7 +108,7 @@ class SolveStats:
 
 Observer = Callable[[EnsembleState], None]
 
-#: members per product when the coefficient values are mapped to stiffness data; small,
+#: plain coefficients per product when their values are mapped to stiffness data; small,
 #: so that the product's temporaries add little to the data it fills
 _CHUNK = 8
 
@@ -125,33 +128,82 @@ def _column_indexers(groups: Sequence[Sequence[int]], size: int,
             [slice(stop - a.size, stop) for a, stop in zip(arrays, stops)])
 
 
-def _distinct_columns(fields: Sequence[Field], fn, step: int, order: Sequence[int],
-                      ) -> tuple[np.ndarray, list[int]]:
-    """fn of each distinct field as one column, and for each i the column of fields[order[i]].
+def _named(member: int, step: int, evaluate, *args):
+    """evaluate(*args); a ValueError is re-raised naming the member and the step."""
+    try:
+        return evaluate(*args)
+    except ValueError as exc:
+        raise ValueError(f"member {member} at step {step}: {exc}") from exc
 
-    Members that hold the same callable (by identity) share its column, so data
-    common to an ensemble is assembled once. A ValueError is re-raised naming
-    the member, first in `order`, that holds the failing field, and the step.
+
+def _check_steady(field: fem.SeparableField, member: int, kind: str,
+                  times: np.ndarray) -> None:
+    """Refuse the separable a, f or g of a time-invariant member if its weights change
+    between grid times: the stepper would freeze them at the first step."""
+    table = np.array([field.weights(t) for t in times])
+    if not np.array_equal(table, np.broadcast_to(table[:1], table.shape), equal_nan=True):
+        raise ValueError(f"member {member} is declared time-invariant, but the time "
+                         f"weights of its {kind} differ between grid times")
+
+
+class _Terms:
+    """One kind of member data (a, f, g or u0), column by column, as a sum of terms.
+
+    A `fem.SeparableField` column is the sum of its terms w(t) * part. Its
+    spatial parts, read as time-free fields, are listed in `parts`, and row i
+    of `weights(t)`, a (columns, parts) matrix, holds column i's weights. Any
+    other callable is a plain field, one term of weight 1 whose part is the
+    callable itself, evaluated at the time of each level: the distinct plain
+    fields are listed in `plain`, and `column_plain[i]` is column i's, or -1
+    for a separable column. Parts and plain fields are told apart by identity,
+    so one that several members hold is assembled once; `holders` and
+    `plain_holders` name the member that first holds each. The separable a, f
+    or g of a time-invariant member is refused if its weights change between
+    grid times.
     """
-    first: dict[int, int] = {}  # id of a field -> its column in `values`
-    values, columns = [], []
-    for j in order:
-        field = fields[j]
-        if id(field) not in first:
-            first[id(field)] = len(values)
-            try:
-                values.append(fn(field))
-            except ValueError as exc:
-                raise ValueError(f"member {j} at step {step}: {exc}") from exc
-        columns.append(first[id(field)])
-    return np.column_stack(values), columns
 
+    def __init__(self, kind: str, problem: EnsembleProblem, order: np.ndarray):
+        self.kind, self.order, members = kind, order, problem.members
+        self.parts, self.holders, self.plain, self.plain_holders = [], [], [], []
+        self._fields, term_parts, counts, column_plain = [], [], [], []
+        part_index, plain_index = {}, {}  # id of a part or plain field -> its position
+        for j in order:
+            field = getattr(members[j], kind)
+            if isinstance(field, fem.SeparableField):
+                if field.terms and members[j].time_invariant and kind != "u0":
+                    _check_steady(field, int(j), kind, problem.grid.times())  # u0: t = 0 only
+                for _, part in field.terms:
+                    if id(part) not in part_index:
+                        part_index[id(part)] = len(self.parts)
+                        self.parts.append(fem.stationary(part))
+                        self.holders.append(int(j))
+                    term_parts.append(part_index[id(part)])
+                self._fields.append(field)
+                counts.append(len(field.terms))
+                column_plain.append(-1)
+            else:
+                if id(field) not in plain_index:
+                    plain_index[id(field)] = len(self.plain)
+                    self.plain.append(field)
+                    self.plain_holders.append(int(j))
+                counts.append(0)
+                column_plain.append(plain_index[id(field)])
+        self.column_plain = np.array(column_plain, dtype=np.intp)
+        self._term_columns = np.repeat(np.arange(len(order)), counts)
+        # each term's slot in the flattened (columns, parts) weights
+        self._slots = self._term_columns * len(self.parts) + np.array(term_parts, dtype=np.intp)
 
-def _shared_columns(fields: Sequence[Field], fn, step: int, order: Sequence[int],
-                    ) -> np.ndarray:
-    """Column i holds fn(fields[order[i]]); fn runs once per distinct field."""
-    values, columns = _distinct_columns(fields, fn, step, order)
-    return values[:, columns]
+    def weights(self, t: float, step: int) -> np.ndarray:
+        """The (columns, parts) weights at time t, zero in plain columns; a non-finite
+        weight raises ValueError naming the member, the field and the step."""
+        values = np.concatenate([np.zeros(0)] + [f.weights(t) for f in self._fields])
+        finite = np.isfinite(values)
+        if not finite.all():
+            term = int(np.argmin(finite))
+            raise ValueError(f"member {self.order[self._term_columns[term]]} at step {step}: "
+                             f"time weight of its {self.kind} is {values[term]}")
+        return np.bincount(self._slots, weights=values, minlength=self.column_plain.size
+                           * len(self.parts)).reshape(self.column_plain.size, len(self.parts))
 
 
 class _GroupedStepper:
@@ -167,6 +219,17 @@ class _GroupedStepper:
     refilled per group, serves the whole run; its order of the free rows is
     the elimination order, so a group's lift, solve, addition of u(t0) and
     write-back run on one row index. The tagged rows of all columns take g(t1).
+
+    Member data are read as terms (`_Terms`). The spatial parts of separable
+    fields are assembled once per run, as stiffness data, loads and boundary
+    values, and each level mixes them with one (columns, parts) product per
+    kind; each group's mean system takes the separable share from the mean
+    weights of its members. Plain fields are assembled again at each level,
+    unless every member is time-invariant, when the whole level is assembled
+    once. Plain coefficients enter the mean system as the stiffness of their
+    mean values at the assembly points, A(mean of a_j), which differs from
+    the mean of the A(a_j) in the last bits; the seeded emc outputs are
+    pinned to it.
     """
 
     def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]],
@@ -180,6 +243,8 @@ class _GroupedStepper:
         self.constraint = fem.DirichletConstraint(self.mass, self.space,
                                                   problem.dirichlet_tags)
         self.static = all(m.time_invariant for m in problem.members)
+        self.terms = {kind: _Terms(kind, problem, self.order)
+                      for kind in ("a", "f", "g", "u0")}
         if coefficients is not None:
             if not (isinstance(coefficients, list) and len(coefficients) == 1):
                 raise ValueError("coefficient values are handed over as a one-element list")
@@ -187,6 +252,8 @@ class _GroupedStepper:
             points = self.space.tabulation(self.space.assembly_rule).xq.size
             if not self.static:
                 raise ValueError("coefficient values need time-invariant members")
+            if self.terms["a"].parts:
+                raise ValueError("coefficient values stand in for plain coefficients only")
             if coefficients.shape != (problem.size, points):
                 raise ValueError(f"coefficient values of shape {coefficients.shape}, "
                                  f"want ({problem.size}, {points})")
@@ -195,6 +262,8 @@ class _GroupedStepper:
                 raise ValueError(f"member {int(np.argmin(finite))}: coefficient values "
                                  "are non-finite")
         self._coefficients = coefficients
+        # the assembled spatial parts of each kind, one row per part, kept for the run
+        self._parts: dict[str, np.ndarray] = {}
         # every member's A(a_j) as one block-diagonal matrix in group order, made
         # on first use (after the initial projection, so that the two do not add
         # up in peak memory) and overwritten in place at each later time level
@@ -205,55 +274,111 @@ class _GroupedStepper:
         self.factorizations = 0
         self.block_solves = 0
 
+    def _assemble(self, kind: str, field: Field, member: int, step: int,
+                  t: float) -> np.ndarray:
+        """One field or part of `kind` assembled at time t (a coefficient's stiffness data)."""
+        if kind == "a":
+            return _named(member, step, fem.assemble_stiffness, self.space, field, t).data
+        if kind == "g":
+            return _named(member, step, self.constraint.boundary_values, field, t)
+        return _named(member, step, fem.assemble_load, self.space, field, t)
+
+    def _part_rows(self, kind: str, step: int, t: float, size: int) -> np.ndarray:
+        """The spatial parts of `kind` assembled, one row of `size` each, kept from their
+        first use."""
+        if kind not in self._parts:
+            terms = self.terms[kind]
+            self._parts[kind] = np.reshape([self._assemble(kind, part, j, step, t) for part, j
+                                            in zip(terms.parts, terms.holders)],
+                                           (len(terms.parts), size))
+        return self._parts[kind]
+
+    def _plain_rows(self, kind: str, step: int, t: float, size: int) -> np.ndarray:
+        """The plain fields of `kind` assembled at time t, one row of `size` each."""
+        terms = self.terms[kind]
+        return np.reshape([self._assemble(kind, field, j, step, t) for field, j
+                           in zip(terms.plain, terms.plain_holders)], (len(terms.plain), size))
+
+    def _mixed(self, kind: str, step: int, t: float, parts: np.ndarray,
+               plain: np.ndarray) -> np.ndarray:
+        """Every column's data of `kind` at time t from its assembled rows, shape (size,
+        columns), C-ordered: a separable column mixes the parts, a plain one is its row."""
+        terms = self.terms[kind]
+        data = np.zeros((parts.shape[1], terms.order.size))
+        if terms.parts:
+            data[:] = (terms.weights(t, step) @ parts).T
+        columns = np.flatnonzero(terms.column_plain >= 0)
+        data[:, columns] = plain[terms.column_plain[columns]].T
+        return data
+
+    def _level(self, kind: str, step: int, t: float, size: int) -> np.ndarray:
+        """Every column's data of `kind` at time t, shape (size, columns)."""
+        return self._mixed(kind, step, t, self._part_rows(kind, step, t, size),
+                           self._plain_rows(kind, step, t, size))
+
     def initial_state(self) -> EnsembleState:
         """L2 projection of every member's u0, tagged boundary DOFs overwritten by g(., 0).
 
-        Each distinct u0 is projected once, all in one block (one mass
-        factorization, none for zero data), and its column then spread to
-        the members that hold it."""
-        space, members, constraint = self.space, self.problem.members, self.constraint
-        loads, columns = _distinct_columns([m.u0 for m in members],
-                                           lambda u0: fem.assemble_load(space, u0, 0.0), 0,
-                                           self.order)
+        The loads of the u0 parts and of the distinct plain u0 are projected
+        once, all in one block (one mass factorization, none for zero data),
+        and the projections mixed into the members' columns."""
+        n, constraint = self.space.dof_count, self.constraint
+        parts, plain = self._part_rows("u0", 0, 0.0, n), self._plain_rows("u0", 0, 0.0, n)
+        del self._parts["u0"]  # read here only
+        loads = np.ascontiguousarray(np.concatenate([parts, plain]).T)
         if loads.any():
             loads = fem.mass_solver(self.mass)(loads)
-        u = loads.take(columns, axis=1)
-        u[constraint.bdofs] = _shared_columns(
-            [m.g for m in members], lambda g: constraint.boundary_values(g, 0.0), 0,
-            self.order)
+        u = self._mixed("u0", 0, 0.0, loads[:, :len(parts)].T, loads[:, len(parts):].T)
+        u[constraint.bdofs] = self._level("g", 0, 0.0, constraint.bdofs.size)
         return EnsembleState(n=0, t=0.0, u=u)
+
+    def _stiffness(self, n1: int, t1: float) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Every column's stiffness data, shape (columns, nnz), and each group's system data."""
+        space, terms = self.space, self.terms["a"]
+        plain = np.flatnonzero(terms.column_plain >= 0)
+        # row value_rows[i] of `values` holds plain column i's coefficient at the
+        # assembly points; handed-over values are in member order
+        values, self._coefficients = self._coefficients, None
+        value_rows = self.order if values is not None else terms.column_plain
+        if values is None and terms.plain:
+            values = np.array([_named(j, n1, fem.coefficient_values, space, a, t1).ravel()
+                               for a, j in zip(terms.plain, terms.plain_holders)])
+        systems = []
+        for group in self.groups:  # the plain coefficients' share of each mean system
+            own = value_rows[plain[(plain >= group.start) & (plain < group.stop)]]
+            systems.append(self.scaled_mass if not own.size else self.scaled_mass
+                           + fem.assemble_stiffness(space, values[own].sum(axis=0)
+                                                    / (group.stop - group.start), t1).data)
+        members = np.zeros((terms.order.size, self.mass.nnz))
+        if terms.parts:  # the separable columns mix the parts, and the groups' mean
+            # weights give the separable share of their mean systems
+            parts, mixing = self._part_rows("a", n1, t1, self.mass.nnz), terms.weights(t1, n1)
+            means = np.add.reduceat(mixing, [group.start for group in self.groups], axis=0)
+            means /= np.array([[group.stop - group.start] for group in self.groups])
+            systems = [system + mean for system, mean in zip(systems, means @ parts)]
+            members[:] = mixing @ parts
+        # a plain column is A(a_j).data = W @ a_j, made a few columns at a time
+        weights = space.stiffness_operator().weights
+        for start in range(0, plain.size, _CHUNK):
+            chunk = plain[start:start + _CHUNK]
+            members[chunk] = (weights @ values[value_rows[chunk]].T).T
+        return members, systems
 
     def _pieces(self, n1: int):
         if self.static and self._cache is not None:
             return self._cache
-        space, members, t1, order = self.space, self.problem.members, n1 * self.dt, self.order
-        # in member order, as handed over: the chunks below read them through `order`
-        coeffs, self._coefficients = self._coefficients, None
-        if coeffs is None:
-            coeffs = _shared_columns(
-                [m.a for m in members],
-                lambda a: fem.coefficient_values(space, a, t1).ravel(), n1,
-                range(len(members))).T
-        systems = [self.scaled_mass + fem.assemble_stiffness(
-            space, coeffs[order[group]].mean(axis=0), t1).data for group in self.groups]
-        # every member's A(a_j) is W @ a_j, made a few members at a time straight
-        # into the block's data, so that no (slots, J) product block is held
-        data = (np.empty((len(members), self.mass.nnz)) if self.stiffness is None
-                else self.stiffness.data.reshape(len(members), -1))
-        weights = space.stiffness_operator().weights
-        for start in range(0, len(members), _CHUNK):
-            chunk = slice(start, start + _CHUNK)
-            data[chunk] = (weights @ coeffs[order[chunk]].T).T
-        del coeffs
+        t1 = n1 * self.dt
+        members, systems = self._stiffness(n1, t1)
         if self.stiffness is None:
-            self.stiffness = sparse.block_diagonal(self.mass, data)
-        loads = _shared_columns([m.f for m in members],
-                                lambda f: fem.assemble_load(space, f, t1), n1, order)
-        gvals = _shared_columns([m.g for m in members],
-                                lambda g: self.constraint.boundary_values(g, t1), n1, order)
+            self.stiffness = sparse.block_diagonal(self.mass, members)
+        else:
+            self.stiffness.data[:] = members.ravel()
+        loads = self._level("f", n1, t1, self.space.dof_count)
+        gvals = self._level("g", n1, t1, self.constraint.bdofs.size)
         pieces = (systems, self.stiffness, loads, gvals)
         if self.static:
             self._cache = pieces
+            self._parts.clear()
         return pieces
 
     def step(self, state: EnsembleState) -> EnsembleState:
@@ -322,8 +447,8 @@ def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
     (initialization factorizes the mass matrix once on top of them if some u0
     has a nonzero load).
 
-    For time-invariant members, `coefficients` may hand over their values at
-    the space's assembly points, shape (J, points) in the order of
+    For time-invariant members with plain-callable coefficients,
+    `coefficients` may hand over their values at the space's assembly points, shape (J, points) in the order of
     `fem.coefficient_values` flattened, as a one-element list; the
     coefficients are then not called. The stepper takes the array out of the
     list, reads it and drops it, so the values are never copied, left

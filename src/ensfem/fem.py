@@ -1,9 +1,12 @@
 """Lagrange P1/P2 elements on triangle meshes: assembly, projection, lifting, error norms.
 
-Coefficient, source, and boundary data are plain callables ``f(x, y, t)`` that
+Coefficient, source, and boundary data are callables ``f(x, y, t)`` that
 broadcast over numpy arrays ``x`` and ``y`` (scalar ``t``); gradients are
 callables returning an ``(fx, fy)`` pair. They are always evaluated directly at
-physical quadrature points, never interpolated onto the element space.
+physical quadrature points, never interpolated onto the element space. A
+`SeparableField` is such a callable that also exposes its structure, a sum of
+scalar time weights times time-free spatial parts, so that a solver can
+assemble each part once and mix the results at every time.
 
 Two rules are attached to each space: an assembly rule of order ``2*degree``
 (exact for the mass matrix) and a data rule of order ``2*degree + 2`` used for
@@ -28,13 +31,48 @@ Field = Callable[[np.ndarray, np.ndarray, float], "np.ndarray | float"]
 GradientField = Callable[[np.ndarray, np.ndarray, float], tuple]
 
 
+#: time weight of a separable term: a number, or a callable of t giving one
+Weight = "float | Callable[[float], float]"
+#: time-free spatial part of a separable term, vectorized over x/y arrays
+SpatialPart = Callable[[np.ndarray, np.ndarray], "np.ndarray | float"]
+
+
 def constant_field(value: float) -> Field:
     def f(x, y, t):
         return np.broadcast_to(np.float64(value), np.shape(x))
     return f
 
 
-zero_field = constant_field(0.0)
+@dataclass(frozen=True, eq=False)
+class SeparableField:
+    """The field sum_k w_k(t) phi_k(x, y), given as its `terms`, pairs (w_k, phi_k).
+
+    Callable as ``f(x, y, t)`` like any field. A solver that reads the terms
+    assembles each spatial part once, however many times and members use it,
+    and mixes the assembled parts with the weights at each time; parts are
+    told apart by identity, so members that share a part should hold the
+    same callable. With no terms it is the zero field.
+    """
+
+    terms: tuple[tuple[Weight, SpatialPart], ...] = ()
+
+    def weights(self, t: float) -> np.ndarray:
+        """The weights w_k(t), one per term."""
+        return np.array([w(t) if callable(w) else w for w, _ in self.terms], dtype=float)
+
+    def __call__(self, x, y, t):
+        total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        for w, (_, part) in zip(self.weights(float(t)), self.terms):
+            total = total + w * np.asarray(part(x, y), dtype=float)
+        return total
+
+
+def stationary(part: SpatialPart) -> Field:
+    """A spatial part as a field that ignores its time argument."""
+    return lambda x, y, t: part(x, y)
+
+
+zero_field = SeparableField()
 
 
 @dataclass

@@ -13,6 +13,7 @@ from ensfem.ensemble import (EnsembleMember, EnsembleProblem, TimeGrid,
                              _GroupedStepper, ensemble_solve, independent_solve)
 from ensfem.fem import (assemble_load, assemble_mass, assemble_stiffness, build_space,
                         coefficient_values, constant_field, error_l2, zero_field)
+from ensfem.harness import run_compare
 from ensfem.mesh import BoundaryTag, uniform_triangulation
 from ensfem.stochastic import EmcConfig, RandomFieldSpec, run_emc
 
@@ -567,3 +568,147 @@ class TestInitialState:
         assert initial.shape == (problem.space.dof_count, 40)
         for column in initial.T:
             assert np.array_equal(column[free], projection)
+
+
+# spatial parts that the separable members below share
+SPATIAL_PARTS = (lambda x, y: np.ones(np.shape(x)),
+                 lambda x, y: np.asarray(x) * np.asarray(y) - 0.5,
+                 lambda x, y: np.sin(np.asarray(x) + 2.0 * np.asarray(y)),
+                 lambda x, y: np.cos(3.0 * np.asarray(x)) * np.asarray(y))
+
+
+def _separable(weights, parts=SPATIAL_PARTS):
+    return fem.SeparableField(tuple(zip(weights, parts)))
+
+
+def _as_plain(field):
+    return lambda x, y, t: field(x, y, t)
+
+
+class TestSeparableData:
+    """Members whose data are sums of time weights times spatial parts."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), degree=st.sampled_from([1, 2]), nx=st.integers(1, 3),
+           count=st.integers(1, 4), static=st.booleans(), grouped=st.booleans())
+    def test_separable_members_match_plain_closures(self, data, degree, nx, count, static,
+                                                    grouped):
+        # each member's a, f, g and u0 is a random combination of the shared
+        # parts; the run with some members separable matches the run with every
+        # field written as a plain closure of the same sum, at every level
+        coefficient = st.floats(-1.0, 1.0)
+
+        def weights(scale, timed):
+            draws = [data.draw(coefficient) * scale for _ in SPATIAL_PARTS]
+            if not timed:
+                return draws
+            rates = [data.draw(st.floats(0.0, 6.0)) for _ in SPATIAL_PARTS]
+            return [lambda t, w=w, r=r: w * math.cos(r * t) for w, r in zip(draws, rates)]
+
+        members = []
+        for _ in range(count):
+            a = weights(0.25, not static)
+            a[0] = 1.0  # the constant part keeps every mean coefficient above 0.25
+            members.append(dict(a=_separable(a), f=_separable(weights(1.0, not static)),
+                                g=_separable(weights(1.0, not static)),
+                                u0=_separable(weights(1.0, False))))
+        separable = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        labels = data.draw(st.lists(st.integers(0, count - 1), min_size=count,
+                                    max_size=count))
+        groups = ([[j for j, k in enumerate(labels) if k == label]
+                   for label in sorted(set(labels))] if grouped else [[j] for j in range(count)])
+        space = build_space(uniform_triangulation(nx, nx), degree)
+        grid = TimeGrid(t_final=0.3, steps=3)
+        runs = []
+        for mine in (separable, [False] * count):
+            problem = EnsembleProblem(members=[
+                EnsembleMember(time_invariant=static, **{
+                    kind: field if keep else _as_plain(field) for kind, field in m.items()})
+                for m, keep in zip(members, mine)], space=space, grid=grid)
+            runs.append(run_levels(ensemble_solve, problem, groups=groups)[0])
+        for mine, plain in zip(*runs):
+            assert np.abs(mine.u - plain.u).max() < 1e-12
+
+    @pytest.mark.parametrize("steps", [5, 20])
+    def test_parts_assembled_once_per_run(self, steps):
+        calls = [0] * len(SPATIAL_PARTS)
+
+        def counted(k):
+            def part(x, y):
+                calls[k] += 1
+                return SPATIAL_PARTS[k](x, y)
+            return part
+
+        one, xy, wave, bump = (counted(k) for k in range(len(SPATIAL_PARTS)))
+        # `one` is in every kind of the first three members, `xy` in their a,
+        # `wave` in the f of two members and `bump` in one g
+        members = [EnsembleMember(
+            a=fem.SeparableField(((1.0, one), (lambda t, c=c: c * math.sin(t), xy))),
+            f=fem.SeparableField(((lambda t: math.cos(t), one),)
+                                 + (((c, wave),) if k < 2 else ())),
+            g=fem.SeparableField(((lambda t: t, one),) + (((0.5, bump),) if k == 0 else ())),
+            u0=fem.SeparableField(((c, one),)))
+            for k, c in enumerate((0.1, 0.3, 0.2))]
+        # plain fields, shared by the last two members, are evaluated at every level
+        plain_calls = {"a": 0, "f": 0}
+
+        def plain(kind, value):
+            def field(x, y, t):
+                plain_calls[kind] += 1
+                return value * (1.0 + t) * np.ones(np.shape(x))
+            return field
+
+        shared = EnsembleMember(a=plain("a", 1.2), f=plain("f", 0.5), g=members[0].g,
+                                u0=zero_field)
+        problem = small_problem(members + [shared, shared], steps=steps, t_final=1.0)
+        levels, stats = run_levels(ensemble_solve, problem, groups=[[0, 2, 4], [1, 3]])
+        assert stats.factorizations == 2 * steps and levels[-1].u.any()
+        assert calls == [4, 1, 1, 1]  # once per field kind that holds the part
+        assert plain_calls == {"a": steps, "f": steps}
+
+    def test_nonfinite_time_weight_names_member_field_and_step(self):
+        late_nan = lambda t: math.nan if t > 0.25 else 1.0
+        cases = {"f": (3, _separable([1.0, late_nan])), "g": (3, _separable([late_nan])),
+                 "a": (3, _separable([1.0, lambda t: math.inf if t > 0.25 else 0.1])),
+                 "u0": (0, _separable([math.inf]))}
+        for kind, (step, field) in cases.items():
+            problem = small_problem([heat_member(), dataclasses.replace(
+                heat_member(), **{kind: field})], steps=5)
+            for solver in (ensemble_solve, independent_solve):
+                with pytest.raises(ValueError,
+                                   match=f"member 1 at step {step}: time weight of its {kind}"):
+                    solver(problem)
+
+    def test_time_invariant_member_with_changing_weights_refused(self):
+        steady = _separable([1.0, 0.2])
+        changing = _separable([1.0, lambda t: 0.2 * t])
+        for kind in ("a", "f", "g"):
+            members = [dataclasses.replace(heat_member(), a=steady, time_invariant=True),
+                       dataclasses.replace(heat_member(), time_invariant=True,
+                                           **{kind: changing})]
+            with pytest.raises(ValueError, match=f"member 1 is declared time-invariant.*{kind}"):
+                ensemble_solve(small_problem(members, steps=2))
+        # u0 is read at t = 0 only, so its weights may change
+        static = small_problem([dataclasses.replace(heat_member(), a=steady, u0=changing,
+                                                    time_invariant=True)], steps=5)
+        assert ensemble_solve(static)[1].factorizations == 5
+
+    def test_zero_fields_assemble_nothing(self, monkeypatch):
+        # emc members hold the zero field as source and initial datum: no
+        # load is assembled on either leg of a comparison, and none in an emc run
+        loads = []
+        original = fem.assemble_load
+        monkeypatch.setattr(fem, "assemble_load",
+                            lambda *args: loads.append(args[1]) or original(*args))
+        config = EmcConfig(samples=4, seed=2, nx=4, dt=0.05, t_final=0.1, partition=True)
+        run_emc(config)
+        run_compare(config)
+        assert loads == []
+        assert fem.zero_field.terms == () and not fem.zero_field(np.ones(3), 0.5, 1.0).any()
+
+    def test_coefficient_values_need_plain_coefficients(self):
+        problem = small_problem([dataclasses.replace(heat_member(), time_invariant=True,
+                                                     a=_separable([1.0]))])
+        points = problem.space.tabulation(problem.space.assembly_rule).xq.size
+        with pytest.raises(ValueError, match="plain"):
+            ensemble_solve(problem, coefficients=[np.ones((1, points))])

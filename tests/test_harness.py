@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ensfem
-from ensfem import harness, stochastic
+from ensfem import fem, harness, stochastic
 from ensfem.cli import cli
 from ensfem.harness import (CONVERGENCE_CSV_HEADER, convergence_csv,
                             manufactured_case, run_compare, run_convergence,
@@ -18,7 +18,51 @@ from ensfem.harness import (CONVERGENCE_CSV_HEADER, convergence_csv,
 from ensfem.stochastic import EmcConfig, RandomFieldSpec
 
 
+def reference_manufactured_case(epsilon):
+    """The manufactured family in closed form, f composed by the chain rule at evaluation."""
+    c = 1.0 + float(epsilon)
+    two_pi = 2.0 * math.pi
+
+    def a(x, y, t):
+        return 1.0 + c * math.sin(t) * np.sin(np.asarray(x) * np.asarray(y))
+
+    def u(x, y, t):
+        return (c * np.sin(two_pi * np.asarray(x)) * np.sin(two_pi * np.asarray(y))
+                + math.sin(4.0 * math.pi * t))
+
+    def f(x, y, t):
+        x = np.asarray(x)
+        y = np.asarray(y)
+        st = math.sin(t)
+        xy = x * y
+        a_val = 1.0 + c * st * np.sin(xy)
+        a_x = c * st * y * np.cos(xy)
+        a_y = c * st * x * np.cos(xy)
+        sx, cx = np.sin(two_pi * x), np.cos(two_pi * x)
+        sy, cy = np.sin(two_pi * y), np.cos(two_pi * y)
+        u_t = 4.0 * math.pi * math.cos(4.0 * math.pi * t)
+        u_x = c * two_pi * cx * sy
+        u_y = c * two_pi * sx * cy
+        lap_u = -2.0 * c * two_pi ** 2 * sx * sy
+        return u_t - a_x * u_x - a_y * u_y - a_val * lap_u
+
+    return {"a": a, "f": f, "g": u, "u0": lambda x, y, t: u(x, y, 0.0), "u": u}
+
+
 class TestManufacturedCase:
+    @pytest.mark.parametrize("epsilon", [0.6207, 0.1841, 0.2691, 0.0, -0.5])
+    def test_separable_fields_match_the_closed_form(self, epsilon):
+        # relative to each field's largest magnitude over the sample, since u
+        # and f cross zero
+        case, reference = manufactured_case(epsilon), reference_manufactured_case(epsilon)
+        rng = np.random.default_rng(7)
+        x, y = rng.uniform(-0.5, 1.5, (2, 2000))
+        for t in rng.uniform(0.0, 2.0, 6):
+            for name, exact in reference.items():
+                mine, want = getattr(case, name)(x, y, t), exact(x, y, t)
+                assert isinstance(getattr(case, name), fem.SeparableField)
+                assert np.abs(mine - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_source_matches_finite_difference_residual(self):
         # independent check: f must equal u_t - div(a grad u), built here by
         # nested central differences of u and a only
@@ -143,6 +187,13 @@ class TestCli:
         assert len(lines) == 4
         stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert stats["factorizations"] == 10
+
+    def test_converge_stats_cover_every_level(self, tmp_path, capsys):
+        # levels of 10 and 20 steps, one group each: the line counts both
+        assert cli(["converge", "--levels", "2", "--degree", "1",
+                    "--out", str(tmp_path / "conv.csv")]) == 0
+        stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert stats["factorizations"] == stats["block_solves"] == 30
 
     def test_rate_rejects_benchmark_not_larger(self, tmp_path, capsys):
         assert cli(["rate", "--j-list", "10", "--j0", "10",
