@@ -56,8 +56,8 @@ class EnsembleMember:
     spatial parts the solvers assemble once per run. Set `time_invariant` when
     all four fields ignore their time argument; when every member of a run
     does, the run assembles its matrices and vectors once instead of once per
-    step. A separable a, f or g of such a member must have the same weights at
-    every grid time, or the run is refused.
+    step. The callable weights of a separable a, f or g of such a member must
+    give the same value at every grid time, or the run is refused.
     """
 
     a: Field
@@ -108,10 +108,6 @@ class SolveStats:
 
 Observer = Callable[[EnsembleState], None]
 
-#: plain coefficients per product when their values are mapped to stiffness data; small,
-#: so that the product's temporaries add little to the data it fills
-_CHUNK = 8
-
 
 def _column_indexers(groups: Sequence[Sequence[int]], size: int,
                      ) -> tuple[np.ndarray, list[slice]]:
@@ -139,7 +135,8 @@ def _named(member: int, step: int, evaluate, *args):
 def _check_steady(field: fem.SeparableField, member: int, kind: str,
                   times: np.ndarray) -> None:
     """Refuse the separable a, f or g of a time-invariant member if its weights change
-    between grid times: the stepper would freeze them at the first step."""
+    between grid times: the stepper would freeze them at the first step. Only a field
+    with a callable weight needs the check, since a number cannot change."""
     table = np.array([field.weights(t) for t in times])
     if not np.array_equal(table, np.broadcast_to(table[:1], table.shape), equal_nan=True):
         raise ValueError(f"member {member} is declared time-invariant, but the time "
@@ -158,8 +155,8 @@ class _Terms:
     for a separable column. Parts and plain fields are told apart by identity,
     so one that several members hold is assembled once; `holders` and
     `plain_holders` name the member that first holds each. The separable a, f
-    or g of a time-invariant member is refused if its weights change between
-    grid times.
+    or g of a time-invariant member is refused if a callable weight of it
+    changes between grid times.
     """
 
     def __init__(self, kind: str, problem: EnsembleProblem, order: np.ndarray):
@@ -170,8 +167,9 @@ class _Terms:
         for j in order:
             field = getattr(members[j], kind)
             if isinstance(field, fem.SeparableField):
-                if field.terms and members[j].time_invariant and kind != "u0":
-                    _check_steady(field, int(j), kind, problem.grid.times())  # u0: t = 0 only
+                if (members[j].time_invariant and kind != "u0"  # u0: t = 0 only
+                        and any(callable(w) for w, _ in field.terms)):
+                    _check_steady(field, int(j), kind, problem.grid.times())
                 for _, part in field.terms:
                     if id(part) not in part_index:
                         part_index[id(part)] = len(self.parts)
@@ -223,17 +221,14 @@ class _GroupedStepper:
     Member data are read as terms (`_Terms`). The spatial parts of separable
     fields are assembled once per run, as stiffness data, loads and boundary
     values, and each level mixes them with one (columns, parts) product per
-    kind; each group's mean system takes the separable share from the mean
-    weights of its members. Plain fields are assembled again at each level,
-    unless every member is time-invariant, when the whole level is assembled
-    once. Plain coefficients enter the mean system as the stiffness of their
-    mean values at the assembly points, A(mean of a_j), which differs from
-    the mean of the A(a_j) in the last bits; the seeded emc outputs are
-    pinned to it.
+    kind. Plain fields are assembled again at each level, unless every member
+    is time-invariant, when the whole level is assembled once. A group's
+    system data are M/dt plus the mean of its columns' stiffness data, for
+    plain and separable coefficients alike: A is linear in the coefficient,
+    so that mean is A(abar).
     """
 
-    def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]],
-                 coefficients: list[np.ndarray] | None = None):
+    def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]]):
         self.problem = problem
         self.order, self.groups = _column_indexers(groups, problem.size)
         self.space = problem.space
@@ -245,23 +240,6 @@ class _GroupedStepper:
         self.static = all(m.time_invariant for m in problem.members)
         self.terms = {kind: _Terms(kind, problem, self.order)
                       for kind in ("a", "f", "g", "u0")}
-        if coefficients is not None:
-            if not (isinstance(coefficients, list) and len(coefficients) == 1):
-                raise ValueError("coefficient values are handed over as a one-element list")
-            coefficients = coefficients.pop()
-            points = self.space.tabulation(self.space.assembly_rule).xq.size
-            if not self.static:
-                raise ValueError("coefficient values need time-invariant members")
-            if self.terms["a"].parts:
-                raise ValueError("coefficient values stand in for plain coefficients only")
-            if coefficients.shape != (problem.size, points):
-                raise ValueError(f"coefficient values of shape {coefficients.shape}, "
-                                 f"want ({problem.size}, {points})")
-            finite = np.isfinite(coefficients).all(axis=1)
-            if not finite.all():
-                raise ValueError(f"member {int(np.argmin(finite))}: coefficient values "
-                                 "are non-finite")
-        self._coefficients = coefficients
         # the assembled spatial parts of each kind, one row per part, kept for the run
         self._parts: dict[str, np.ndarray] = {}
         # every member's A(a_j) as one block-diagonal matrix in group order, made
@@ -301,18 +279,17 @@ class _GroupedStepper:
 
     def _mixed(self, kind: str, step: int, t: float, parts: np.ndarray,
                plain: np.ndarray) -> np.ndarray:
-        """Every column's data of `kind` at time t from its assembled rows, shape (size,
-        columns), C-ordered: a separable column mixes the parts, a plain one is its row."""
+        """Every column's data of `kind` at time t from its assembled rows, shape (columns,
+        size), C-ordered: a separable column mixes the parts, a plain one is its row."""
         terms = self.terms[kind]
-        data = np.zeros((parts.shape[1], terms.order.size))
-        if terms.parts:
-            data[:] = (terms.weights(t, step) @ parts).T
+        data = (terms.weights(t, step) @ parts if terms.parts
+                else np.zeros((terms.order.size, parts.shape[1])))
         columns = np.flatnonzero(terms.column_plain >= 0)
-        data[:, columns] = plain[terms.column_plain[columns]].T
+        data[columns] = plain[terms.column_plain[columns]]
         return data
 
     def _level(self, kind: str, step: int, t: float, size: int) -> np.ndarray:
-        """Every column's data of `kind` at time t, shape (size, columns)."""
+        """Every column's data of `kind` at time t, shape (columns, size)."""
         return self._mixed(kind, step, t, self._part_rows(kind, step, t, size),
                            self._plain_rows(kind, step, t, size))
 
@@ -328,53 +305,26 @@ class _GroupedStepper:
         loads = np.ascontiguousarray(np.concatenate([parts, plain]).T)
         if loads.any():
             loads = fem.mass_solver(self.mass)(loads)
-        u = self._mixed("u0", 0, 0.0, loads[:, :len(parts)].T, loads[:, len(parts):].T)
-        u[constraint.bdofs] = self._level("g", 0, 0.0, constraint.bdofs.size)
+        u = np.ascontiguousarray(self._mixed("u0", 0, 0.0, loads[:, :len(parts)].T,
+                                             loads[:, len(parts):].T).T)
+        u[constraint.bdofs] = self._level("g", 0, 0.0, constraint.bdofs.size).T
         return EnsembleState(n=0, t=0.0, u=u)
 
-    def _stiffness(self, n1: int, t1: float) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Every column's stiffness data, shape (columns, nnz), and each group's system data."""
-        space, terms = self.space, self.terms["a"]
-        plain = np.flatnonzero(terms.column_plain >= 0)
-        # row value_rows[i] of `values` holds plain column i's coefficient at the
-        # assembly points; handed-over values are in member order
-        values, self._coefficients = self._coefficients, None
-        value_rows = self.order if values is not None else terms.column_plain
-        if values is None and terms.plain:
-            values = np.array([_named(j, n1, fem.coefficient_values, space, a, t1).ravel()
-                               for a, j in zip(terms.plain, terms.plain_holders)])
-        systems = []
-        for group in self.groups:  # the plain coefficients' share of each mean system
-            own = value_rows[plain[(plain >= group.start) & (plain < group.stop)]]
-            systems.append(self.scaled_mass if not own.size else self.scaled_mass
-                           + fem.assemble_stiffness(space, values[own].sum(axis=0)
-                                                    / (group.stop - group.start), t1).data)
-        members = np.zeros((terms.order.size, self.mass.nnz))
-        if terms.parts:  # the separable columns mix the parts, and the groups' mean
-            # weights give the separable share of their mean systems
-            parts, mixing = self._part_rows("a", n1, t1, self.mass.nnz), terms.weights(t1, n1)
-            means = np.add.reduceat(mixing, [group.start for group in self.groups], axis=0)
-            means /= np.array([[group.stop - group.start] for group in self.groups])
-            systems = [system + mean for system, mean in zip(systems, means @ parts)]
-            members[:] = mixing @ parts
-        # a plain column is A(a_j).data = W @ a_j, made a few columns at a time
-        weights = space.stiffness_operator().weights
-        for start in range(0, plain.size, _CHUNK):
-            chunk = plain[start:start + _CHUNK]
-            members[chunk] = (weights @ values[value_rows[chunk]].T).T
-        return members, systems
-
     def _pieces(self, n1: int):
+        """Each group's system data, every member's stiffness, loads and g at level n1.
+
+        A group's system data are M/dt plus the mean of its columns' stiffness data."""
         if self.static and self._cache is not None:
             return self._cache
         t1 = n1 * self.dt
-        members, systems = self._stiffness(n1, t1)
+        members = self._level("a", n1, t1, self.mass.nnz)
+        systems = [self.scaled_mass + members[group].mean(axis=0) for group in self.groups]
         if self.stiffness is None:
             self.stiffness = sparse.block_diagonal(self.mass, members)
         else:
             self.stiffness.data[:] = members.ravel()
-        loads = self._level("f", n1, t1, self.space.dof_count)
-        gvals = self._level("g", n1, t1, self.constraint.bdofs.size)
+        loads = np.ascontiguousarray(self._level("f", n1, t1, self.space.dof_count).T)
+        gvals = np.ascontiguousarray(self._level("g", n1, t1, self.constraint.bdofs.size).T)
         pieces = (systems, self.stiffness, loads, gvals)
         if self.static:
             self._cache = pieces
@@ -414,10 +364,9 @@ class _GroupedStepper:
 
 
 def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
-           observer: Observer | None, coefficients: list[np.ndarray] | None = None,
-           ) -> tuple[EnsembleState, SolveStats]:
+           observer: Observer | None) -> tuple[EnsembleState, SolveStats]:
     start = time.perf_counter()
-    stepper = _GroupedStepper(problem, groups, coefficients)
+    stepper = _GroupedStepper(problem, groups)
     inverse = np.argsort(stepper.order)  # states go out as copies in member order
     state = stepper.initial_state()
     for n in range(problem.grid.steps + 1):
@@ -434,28 +383,20 @@ def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
 
 def ensemble_solve(problem: EnsembleProblem, observer: Observer | None = None,
                    groups: Sequence[Sequence[int]] | None = None,
-                   coefficients: list[np.ndarray] | None = None,
                    ) -> tuple[EnsembleState, SolveStats]:
     """Advance the members over the time grid with one factorization per group and step.
 
     Returns the final state, column j for member j, and the run's statistics.
     `groups` partitions the member indices; by default all members form one
-    group. Initial data is the L2 projection of each member's u0 with tagged
-    boundary DOFs overwritten by g(., 0). Only the observer sees the levels
-    along the way: a copy of each level n = 0..N, column j for member j. The
-    reported counts are this run's own and cover its stepping loop
+    group. A group's system is M/dt plus the mean of its members' stiffness
+    matrices. Initial data is the L2 projection of each member's u0 with
+    tagged boundary DOFs overwritten by g(., 0). Only the observer sees the
+    levels along the way: a copy of each level n = 0..N, column j for member
+    j. The reported counts are this run's own and cover its stepping loop
     (initialization factorizes the mass matrix once on top of them if some u0
     has a nonzero load).
-
-    For time-invariant members with plain-callable coefficients,
-    `coefficients` may hand over their values at the space's assembly points, shape (J, points) in the order of
-    `fem.coefficient_values` flattened, as a one-element list; the
-    coefficients are then not called. The stepper takes the array out of the
-    list, reads it and drops it, so the values are never copied, left
-    unchanged and not held for the whole run.
     """
-    return _solve(problem, [range(problem.size)] if groups is None else groups,
-                  observer, coefficients)
+    return _solve(problem, [range(problem.size)] if groups is None else groups, observer)
 
 
 def independent_solve(problem: EnsembleProblem, observer: Observer | None = None,

@@ -40,8 +40,8 @@ from .ensemble import (EnsembleMember, EnsembleProblem, EnsembleState, SolveStat
 from .fem import Field, GradientField, build_space
 from .mesh import uniform_triangulation
 from .quadrature import triangle_rule
-from .stochastic import (EmcConfig, build_emc_members, gate_and_group, histogram_record,
-                         qoi_integral, solve_sampled_groups)
+from .stochastic import (EmcConfig, build_emc_members, draw_samples, gate_and_group,
+                         histogram_record, qoi_integral, solve_sampled_groups)
 
 TWO_PI = 2.0 * math.pi
 
@@ -242,13 +242,13 @@ def run_compare(config: EmcConfig) -> CompareResult:
     when enabled); the per-sample backward-Euler leg needs no gate. The
     shared leg's wall time covers the gate and its stepping, as in `run_emc`.
     """
-    members = build_emc_members(config)
+    draws = draw_samples(config.seed, config.samples, config.spec.n_modes, config.replica)
+    members = build_emc_members(config, draws)
     mesh = uniform_triangulation(config.nx, config.nx)
     space = build_space(mesh, config.degree)
     start = time.perf_counter()
-    _, groups, coefficients = gate_and_group(config, members, space)
-    u_e, stats_e = solve_sampled_groups(config, members, space, groups,
-                                         coefficients=coefficients)
+    _, groups = gate_and_group(config, draws, space)
+    u_e, stats_e = solve_sampled_groups(config, members, space, groups)
     stats_e = replace(stats_e, wall_time=time.perf_counter() - start)
 
     problem = EnsembleProblem(members=members, space=space, grid=config.time_grid())

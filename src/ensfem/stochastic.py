@@ -202,12 +202,31 @@ class EmcResult:
         }
 
 
-def build_emc_members(config: EmcConfig) -> list[EnsembleMember]:
-    """Sampled members, all with zero source and initial data, driven by `left_edge_drive`."""
-    return [EnsembleMember(a=sample_coefficient(config.spec, d), f=fem.zero_field,
+def _vertical_modes(n_modes: int) -> list[fem.SpatialPart]:
+    """The expansion's spatial parts, functions of y alone: 1, then cos(i pi y) and then
+    sin(i pi y) for i = 1..n_modes."""
+    waves = [(np.cos, i) for i in range(1, n_modes + 1)] + [(np.sin, i) for i
+                                                           in range(1, n_modes + 1)]
+    return [lambda x, y: np.ones(np.shape(y))] + [
+        lambda x, y, wave=wave, i=i: wave(i * math.pi * np.asarray(y)) for wave, i in waves]
+
+
+def build_emc_members(config: EmcConfig, draws: Sequence[SampleDraw]) -> list[EnsembleMember]:
+    """Members for the draws, all with zero source and initial data, driven by `left_edge_drive`.
+
+    Member j's coefficient is draw j's expansion as a `fem.SeparableField`
+    with constant weights a0 + s_0 y_0, then s_i y_i, then s_i y_(n+i), over
+    the parts of `_vertical_modes`, which every member holds, so that a run
+    assembles each part once.
+    """
+    spec = config.spec
+    amplitudes = spec.sigma * np.sqrt(kl_eigenvalues(spec))
+    weights = np.array([d.y for d in draws]) * np.concatenate([amplitudes, amplitudes[1:]])
+    weights[:, 0] += spec.a0
+    parts = _vertical_modes(spec.n_modes)
+    return [EnsembleMember(a=fem.SeparableField(tuple(zip(row, parts))), f=fem.zero_field,
                            g=left_edge_drive, u0=fem.zero_field, time_invariant=True)
-            for d in draw_samples(config.seed, config.samples, config.spec.n_modes,
-                                  config.replica)]
+            for row in weights.tolist()]
 
 
 def histogram_record(values: np.ndarray) -> dict:
@@ -221,48 +240,41 @@ def qoi_integral(space: FeSpace, u: np.ndarray) -> float | np.ndarray:
     return integrate(space, np.asarray(u, dtype=float))
 
 
-def gate_and_group(config: EmcConfig, members: Sequence[EnsembleMember], space: FeSpace,
-                   ) -> tuple[StabilityReport, list[list[int]], list[np.ndarray]]:
+def gate_and_group(config: EmcConfig, draws: Sequence[SampleDraw], space: FeSpace,
+                   ) -> tuple[StabilityReport, list[list[int]]]:
     """Stability gate for a sampled ensemble; groups it when partitioning is on.
 
     Large ensembles realize the tails of the sample distribution, so the joint
     condition routinely fails at a few hundred samples even though every single
     field stays coercive; partitioning is then the supported way to proceed.
-    The members' coefficients must be time-invariant fields of y alone, as
-    `sample_coefficient` makes them: each is called once, on the distinct y
+    Each draw's `sample_coefficient` field is called once, on the distinct y
     rows of the assembly points (at the x of each row's first point), and its
-    row is spread back to every point. Returns the report, the groups and the
-    coefficient values that the gate and the partition read, shape (members,
-    assembly points), in a one-element list for `solve_sampled_groups` to hand
-    to the stepper, which then calls no coefficient. An `emc` run so calls each
-    coefficient once; the per-sample leg of `harness.run_compare` is handed no
-    values and calls each again.
+    row is spread back to every point. The gate reads these fields and not
+    the members' separable coefficients, whose terms add in another order:
+    their values differ in the last bits, which could move the greedy groups.
+    Returns the report and the groups.
     """
     sampling = SamplingGrid.from_space(space)  # coefficients are time-invariant
     _, first, inverse = np.unique(sampling.y, return_index=True, return_inverse=True)
     rows = SamplingGrid(x=sampling.x[first], y=sampling.y[first], times=sampling.times)
     # `take` gives a C-ordered block, so the reductions below add in the same
     # order as on a block evaluated at every point
-    values = coefficient_block([m.a for m in members], rows).take(inverse, axis=2)
+    values = coefficient_block([sample_coefficient(config.spec, d) for d in draws],
+                               rows).take(inverse, axis=2)
     report = estimate_bounds(values, sampling)
     if report.satisfied:
-        return report, [list(range(len(members)))], [values[0]]
+        return report, [list(range(len(draws)))]
     if config.partition:
-        return report, partition_ensemble(values, sampling), [values[0]]
+        return report, partition_ensemble(values, sampling)
     raise StabilityError(report)
 
 
 def solve_sampled_groups(config: EmcConfig, members: Sequence[EnsembleMember],
                          space: FeSpace, groups: Sequence[Sequence[int]], observer=None,
-                         coefficients: list[np.ndarray] | None = None,
                          ) -> tuple[np.ndarray, SolveStats]:
-    """Advance the groups in lockstep by the shared-matrix scheme; returns the final block.
-
-    `coefficients` hands the gate's values to the stepper (see `ensemble_solve`).
-    """
+    """Advance the groups in lockstep by the shared-matrix scheme; returns the final block."""
     problem = EnsembleProblem(members=members, space=space, grid=config.time_grid())
-    final, stats = ensemble_solve(problem, observer=observer, groups=groups,
-                                  coefficients=coefficients)
+    final, stats = ensemble_solve(problem, observer=observer, groups=groups)
     # callers reduce across columns (mean, spread); a C-ordered block fixes
     # the summation order of those reductions whatever the stepping layout
     return np.ascontiguousarray(final.u), stats
@@ -277,12 +289,12 @@ def run_emc(config: EmcConfig, observer=None) -> EmcResult:
     covers the whole call: sampling, the gate, stepping and the reductions.
     """
     start = time.perf_counter()
-    members = build_emc_members(config)
+    draws = draw_samples(config.seed, config.samples, config.spec.n_modes, config.replica)
+    members = build_emc_members(config, draws)
     mesh = uniform_triangulation(config.nx, config.nx)
     space = build_space(mesh, config.degree)
-    report, groups, coefficients = gate_and_group(config, members, space)
-    final, run_stats = solve_sampled_groups(config, members, space, groups,
-                                            observer=observer, coefficients=coefficients)
+    report, groups = gate_and_group(config, draws, space)
+    final, run_stats = solve_sampled_groups(config, members, space, groups, observer=observer)
     mean = final.mean(axis=1)
     degenerate = config.samples < 2
     std = np.zeros_like(mean) if degenerate else final.std(axis=1, ddof=1)

@@ -247,39 +247,6 @@ class TestSolvers:
                 members=[members[j] for j in group], space=problem.space, grid=problem.grid))
             assert all(np.array_equal(mine.u[:, group], ref.u) for mine, ref in zip(seen, alone))
 
-    def test_coefficient_values_stand_in_for_calls(self):
-        # values at the assembly points replace the calls bit for bit; the list
-        # is emptied, and the values are read, not written
-        members = [EnsembleMember(
-            a=lambda x, y, t, c=c: 1.0 + c * np.sin(3.0 * np.asarray(x) + np.asarray(y)),
-            f=zero_field, g=lambda x, y, t: np.asarray(y), u0=zero_field, time_invariant=True)
-            for c in (0.2, 0.5, 0.3, 0.4)]
-        problem = small_problem(members, steps=3)
-        values = np.stack([coefficient_values(problem.space, m.a, 0.0).ravel()
-                           for m in members])
-        original = values.copy()
-        groups, handoff = [[0, 2], [1], [3]], [values]
-        mine, _ = run_levels(ensemble_solve, problem, groups=groups, coefficients=handoff)
-        ref, _ = run_levels(ensemble_solve, problem, groups=groups)
-        assert all(np.array_equal(a.u, b.u) for a, b in zip(mine, ref))
-        assert handoff == [] and np.array_equal(values, original)
-
-    def test_coefficient_values_checked(self):
-        problem = small_problem([heat_member(), heat_member(2.0)])
-        points = problem.space.tabulation(problem.space.assembly_rule).xq.size
-        with pytest.raises(ValueError, match="time-invariant"):
-            ensemble_solve(problem, coefficients=[np.ones((2, points))])
-        static = small_problem([dataclasses.replace(m, time_invariant=True)
-                                for m in problem.members])
-        with pytest.raises(ValueError, match="one-element list"):
-            ensemble_solve(static, coefficients=np.ones((2, points)))
-        with pytest.raises(ValueError, match="shape"):
-            ensemble_solve(static, coefficients=[np.ones((2, points + 1))])
-        values = np.ones((2, points))
-        values[1, 3] = np.nan
-        with pytest.raises(ValueError, match="member 1"):
-            ensemble_solve(static, coefficients=[values])
-
     def test_zero_data_stays_zero(self):
         problem = small_problem([heat_member(), heat_member(3.0)])
         traj, _ = run_levels(ensemble_solve, problem)
@@ -693,6 +660,49 @@ class TestSeparableData:
                                                     time_invariant=True)], steps=5)
         assert ensemble_solve(static)[1].factorizations == 5
 
+    def test_numeric_weights_read_once(self):
+        # a number cannot change between grid times: the separable data of a
+        # time-invariant member with numeric weights are read at one level only
+        reads = []
+
+        class Counted(fem.SeparableField):
+            def weights(self, t):
+                reads.append(t)
+                return super().weights(t)
+
+        member = EnsembleMember(a=Counted(((1.0, SPATIAL_PARTS[0]), (0.2, SPATIAL_PARTS[1]))),
+                                f=Counted(((0.5, SPATIAL_PARTS[2]),)), g=zero_field,
+                                u0=zero_field, time_invariant=True)
+        assert ensemble_solve(small_problem([member, member], steps=20))[1].factorizations == 20
+        assert reads == [0.025] * 4  # a and f of each column, at the first step
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_group_system_is_mean_of_member_stiffness(self, degree):
+        # one rule for plain and separable coefficients: a group's system data
+        # are M/dt plus the mean of its columns' stiffness rows, bit for bit,
+        # which is M/dt + A(mean of the coefficients) up to rounding
+        weights = [(1.0, 0.3, -0.2, 0.1), (1.2, -0.1, 0.4, 0.0), (0.9, 0.2, 0.1, -0.3),
+                   (1.1, 0.0, -0.4, 0.2), (1.0, -0.3, 0.0, 0.4)]
+        separable = [_separable(w) for w in weights]
+        groups = [[3, 0, 4], [1], [2]]
+        for fields in (separable, [_as_plain(a) for a in separable]):
+            problem = small_problem([dataclasses.replace(heat_member(), a=a, time_invariant=True)
+                                     for a in fields], nx=3, degree=degree, steps=2)
+            space, t1 = problem.space, problem.grid.dt
+            stepper = _GroupedStepper(problem, groups)
+            systems, stiffness, _, _ = stepper._pieces(1)
+            rows, scaled_mass = stiffness.data.reshape(len(fields), -1), stepper.scaled_mass
+            assert np.array_equal(scaled_mass, assemble_mass(space).data * (1.0 / t1))
+            for group, system, columns in zip(groups, systems, stepper.groups):
+                mine = rows[columns]  # the group's columns, in group order
+                own = np.array([assemble_stiffness(space, fields[j], t1).data for j in group])
+                assert np.abs(mine - own).max() <= 1e-14 * np.abs(own).max()
+                assert np.array_equal(system, scaled_mass + mine.mean(axis=0))
+                values = np.mean([coefficient_values(space, fields[j], t1) for j in group],
+                                 axis=0)
+                reference = scaled_mass + assemble_stiffness(space, values, t1).data
+                assert np.abs(system - reference).max() <= 1e-14 * np.abs(reference).max()
+
     def test_zero_fields_assemble_nothing(self, monkeypatch):
         # emc members hold the zero field as source and initial datum: no
         # load is assembled on either leg of a comparison, and none in an emc run
@@ -705,10 +715,3 @@ class TestSeparableData:
         run_compare(config)
         assert loads == []
         assert fem.zero_field.terms == () and not fem.zero_field(np.ones(3), 0.5, 1.0).any()
-
-    def test_coefficient_values_need_plain_coefficients(self):
-        problem = small_problem([dataclasses.replace(heat_member(), time_invariant=True,
-                                                     a=_separable([1.0]))])
-        points = problem.space.tabulation(problem.space.assembly_rule).xq.size
-        with pytest.raises(ValueError, match="plain"):
-            ensemble_solve(problem, coefficients=[np.ones((1, points))])

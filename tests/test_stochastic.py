@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -160,7 +159,14 @@ def _gate_inputs(degree, nx, samples, seed, spec=None):
     config = EmcConfig(spec=spec or RandomFieldSpec(sigma=0.2), samples=samples, seed=seed,
                        nx=nx, dt=0.05, degree=degree, partition=True)
     space = build_space(uniform_triangulation(nx, nx), degree)
-    return config, stochastic.build_emc_members(config), space
+    return config, draw_samples(seed, samples, config.spec.n_modes), space
+
+
+def _full_block(config, draws, space):
+    """Every draw's `sample_coefficient` field at every assembly point, and the points."""
+    sampling = SamplingGrid.from_space(space)
+    return coefficient_block([sample_coefficient(config.spec, d) for d in draws],
+                             sampling), sampling
 
 
 class TestGateAndGroup:
@@ -177,19 +183,19 @@ class TestGateAndGroup:
         # sqrt(3) * (sqrt(lambda_0) + 2 sum_i sqrt(lambda_i)) < 12 < 16
         spec = RandomFieldSpec(a0=a0, sigma=scale * a0 / 16, corr_length=corr_length,
                                n_modes=n_modes)
-        config, members, space = _gate_inputs(degree, nx, samples, seed, spec)
-        _, _, (values,) = stochastic.gate_and_group(config, members, space)
-        full = coefficient_block([m.a for m in members], SamplingGrid.from_space(space))
-        assert values.flags.c_contiguous
-        assert values.tobytes() == full[0].tobytes()
+        config, draws, space = _gate_inputs(degree, nx, samples, seed, spec)
+        report, groups = stochastic.gate_and_group(config, draws, space)
+        full, sampling = _full_block(config, draws, space)
+        assert report == estimate_bounds(full, sampling)
+        assert groups == (partition_ensemble(full, sampling) if not report.satisfied
+                          else [list(range(samples))])
 
     @pytest.mark.parametrize("degree, nx, samples, seed", [
         (1, 8, 60, 20240), (1, 12, 60, 3), (1, 4, 24, 1), (2, 6, 30, 17)])
     def test_report_and_groups_match_full_block(self, degree, nx, samples, seed):
-        config, members, space = _gate_inputs(degree, nx, samples, seed)
-        report, groups, _ = stochastic.gate_and_group(config, members, space)
-        sampling = SamplingGrid.from_space(space)
-        full = coefficient_block([m.a for m in members], sampling)
+        config, draws, space = _gate_inputs(degree, nx, samples, seed)
+        report, groups = stochastic.gate_and_group(config, draws, space)
+        full, sampling = _full_block(config, draws, space)
         assert report == estimate_bounds(full, sampling)
         assert groups == partition_ensemble(full, sampling)
         if seed == 20240:
@@ -199,20 +205,72 @@ class TestGateAndGroup:
 
     @pytest.mark.parametrize("degree, nx, distinct, points", [
         (1, 12, 51, 864), (1, 32, 131, 6144), (2, 16, 138, 3072)])
-    def test_each_field_called_once_on_distinct_rows(self, degree, nx, distinct, points):
-        config, members, space = _gate_inputs(degree, nx, 3, 5)
+    def test_each_field_called_once_on_distinct_rows(self, monkeypatch, degree, nx, distinct,
+                                                     points):
+        config, draws, space = _gate_inputs(degree, nx, 3, 5)
+        assert SamplingGrid.from_space(space).x.size == points
         calls = []
+        sample = stochastic.sample_coefficient
 
-        def counted(j, a):
+        def counted_coefficient(spec, draw):
+            coeff = sample(spec, draw)
+
             def field(x, y, t):
-                calls.append((j, np.size(x), np.size(y)))
-                return a(x, y, t)
+                calls.append((draw.index, np.size(x), np.size(y)))
+                return coeff(x, y, t)
             return field
 
-        members = [dataclasses.replace(m, a=counted(j, m.a)) for j, m in enumerate(members)]
-        _, _, (values,) = stochastic.gate_and_group(config, members, space)
-        assert values.shape == (3, points)
+        monkeypatch.setattr(stochastic, "sample_coefficient", counted_coefficient)
+        stochastic.gate_and_group(config, draws, space)
         assert sorted(calls) == [(j, distinct, distinct) for j in range(3)]
+
+
+class TestSeparableMembers:
+    """emc members hold their draws' expansions as separable fields with shared parts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_modes=st.integers(0, 4), samples=st.integers(1, 6), seed=st.integers(0, 2 ** 32),
+           a0=st.floats(0.1, 5.0), sigma=st.floats(0.0, 2.0), corr_length=st.floats(0.05, 2.0),
+           points=st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+                           min_size=1, max_size=20))
+    def test_member_field_is_the_sampled_expansion(self, n_modes, samples, seed, a0, sigma,
+                                                   corr_length, points):
+        spec = RandomFieldSpec(a0=a0, sigma=sigma, corr_length=corr_length, n_modes=n_modes)
+        config = EmcConfig(spec=spec, samples=samples, seed=seed)
+        draws = draw_samples(seed, samples, n_modes)
+        members = stochastic.build_emc_members(config, draws)
+        x, y = np.array(points).T
+        parts = members[0].a.terms
+        assert len(parts) == spec.dimension
+        for member, draw in zip(members, draws):
+            # the parts are held by every member, so a run assembles each once
+            assert all(p is q for (_, p), (_, q) in zip(member.a.terms, parts))
+            assert member.time_invariant and not callable(member.a.terms[0][0])
+            closure = sample_coefficient(spec, draw)(x, y, 0.0)
+            assert (np.abs(member.a(x, y, 0.0) - closure).max()
+                    <= 1e-14 * np.abs(closure).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_modes=st.integers(0, 4), samples=st.integers(1, 6), seed=st.integers(0, 2 ** 32),
+           degree=st.sampled_from([1, 2]), nx=st.integers(1, 6), a0=st.floats(0.1, 5.0),
+           sigma=st.floats(0.0, 2.0), corr_length=st.floats(0.05, 2.0))
+    def test_sampled_field_above_continuum_floor(self, n_modes, samples, seed, degree, nx,
+                                                 a0, sigma, corr_length):
+        # a_j >= a0 + s_0 y_0 - sum_i s_i sqrt(y_i^2 + y_(n+i)^2) everywhere, since
+        # y_i cos(t) + y_(n+i) sin(t) >= -sqrt(y_i^2 + y_(n+i)^2)
+        spec = RandomFieldSpec(a0=a0, sigma=sigma, corr_length=corr_length, n_modes=n_modes)
+        config = EmcConfig(spec=spec, samples=samples, seed=seed, nx=nx, degree=degree)
+        draws = draw_samples(seed, samples, n_modes)
+        space = build_space(uniform_triangulation(nx, nx), degree)
+        tab = space.tabulation(space.assembly_rule)
+        s = sigma * np.sqrt(kl_eigenvalues(spec))
+        for member, draw in zip(stochastic.build_emc_members(config, draws), draws):
+            y = draw.y
+            floor = (a0 + s[0] * y[0]
+                     - (s[1:] * np.hypot(y[1:n_modes + 1], y[n_modes + 1:])).sum())
+            scale = a0 + (s * np.abs(np.concatenate([[y[0]], np.hypot(
+                y[1:n_modes + 1], y[n_modes + 1:])]))).sum()
+            assert member.a(tab.xq, tab.yq, 0.0).min() >= floor - 8 * np.spacing(scale)
 
 
 class TestQoi:
