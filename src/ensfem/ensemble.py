@@ -18,6 +18,8 @@ backward Euler for every member: the same scheme on one-member groups.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -37,8 +39,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 1 or self.t_final <= 0:
-            raise ValueError(f"invalid time grid: T={self.t_final}, N={self.steps}")
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
+        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 1):
+            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
 
     @property
     def dt(self) -> float:
@@ -53,18 +57,17 @@ class EnsembleMember:
     """One simulation: diffusion coefficient, source, Dirichlet data, initial datum.
 
     Each field is a callable f(x, y, t) or a `fem.SeparableField`, whose
-    spatial parts the solvers assemble once per run. Set `time_invariant` when
-    all four fields ignore their time argument; when every member of a run
-    does, the run assembles its matrices and vectors once instead of once per
-    step. The callable weights of a separable a, f or g of such a member must
-    give the same value at every grid time, or the run is refused.
+    spatial parts the solvers assemble once per run. A separable field whose
+    weights are all numbers is time-free; a plain callable may depend on t and
+    is evaluated again at every time level. When the a, f and g of every member
+    of a run are time-free, the run assembles its matrices and vectors once
+    instead of once per step; u0 is read at t = 0 only, so it does not count.
     """
 
     a: Field
     f: Field
     g: Field
     u0: Field
-    time_invariant: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,17 +135,6 @@ def _named(member: int, step: int, evaluate, *args):
         raise ValueError(f"member {member} at step {step}: {exc}") from exc
 
 
-def _check_steady(field: fem.SeparableField, member: int, kind: str,
-                  times: np.ndarray) -> None:
-    """Refuse the separable a, f or g of a time-invariant member if its weights change
-    between grid times: the stepper would freeze them at the first step. Only a field
-    with a callable weight needs the check, since a number cannot change."""
-    table = np.array([field.weights(t) for t in times])
-    if not np.array_equal(table, np.broadcast_to(table[:1], table.shape), equal_nan=True):
-        raise ValueError(f"member {member} is declared time-invariant, but the time "
-                         f"weights of its {kind} differ between grid times")
-
-
 class _Terms:
     """One kind of member data (a, f, g or u0), column by column, as a sum of terms.
 
@@ -154,22 +146,19 @@ class _Terms:
     fields are listed in `plain`, and `column_plain[i]` is column i's, or -1
     for a separable column. Parts and plain fields are told apart by identity,
     so one that several members hold is assembled once; `holders` and
-    `plain_holders` name the member that first holds each. The separable a, f
-    or g of a time-invariant member is refused if a callable weight of it
-    changes between grid times.
+    `plain_holders` name the member that first holds each. The kind is
+    `steady`, the same at every level, when it has no plain column and no
+    callable weight.
     """
 
-    def __init__(self, kind: str, problem: EnsembleProblem, order: np.ndarray):
-        self.kind, self.order, members = kind, order, problem.members
+    def __init__(self, kind: str, members: Sequence[EnsembleMember], order: np.ndarray):
+        self.kind, self.order = kind, order
         self.parts, self.holders, self.plain, self.plain_holders = [], [], [], []
         self._fields, term_parts, counts, column_plain = [], [], [], []
         part_index, plain_index = {}, {}  # id of a part or plain field -> its position
         for j in order:
             field = getattr(members[j], kind)
             if isinstance(field, fem.SeparableField):
-                if (members[j].time_invariant and kind != "u0"  # u0: t = 0 only
-                        and any(callable(w) for w, _ in field.terms)):
-                    _check_steady(field, int(j), kind, problem.grid.times())
                 for _, part in field.terms:
                     if id(part) not in part_index:
                         part_index[id(part)] = len(self.parts)
@@ -187,6 +176,8 @@ class _Terms:
                 counts.append(0)
                 column_plain.append(plain_index[id(field)])
         self.column_plain = np.array(column_plain, dtype=np.intp)
+        self.steady = not self.plain and not any(callable(w) for f in self._fields
+                                                 for w, _ in f.terms)
         self._term_columns = np.repeat(np.arange(len(order)), counts)
         # each term's slot in the flattened (columns, parts) weights
         self._slots = self._term_columns * len(self.parts) + np.array(term_parts, dtype=np.intp)
@@ -221,15 +212,15 @@ class _GroupedStepper:
     Member data are read as terms (`_Terms`). The spatial parts of separable
     fields are assembled once per run, as stiffness data, loads and boundary
     values, and each level mixes them with one (columns, parts) product per
-    kind. Plain fields are assembled again at each level, unless every member
-    is time-invariant, when the whole level is assembled once. A group's
+    kind. Plain fields are assembled again at each level. The run is `static`
+    when its a, f and g are all steady (`_Terms.steady`), and then assembles
+    the whole level once; u0, read at t = 0 only, does not count. A group's
     system data are M/dt plus the mean of its columns' stiffness data, for
     plain and separable coefficients alike: A is linear in the coefficient,
     so that mean is A(abar).
     """
 
     def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]]):
-        self.problem = problem
         self.order, self.groups = _column_indexers(groups, problem.size)
         self.space = problem.space
         self.dt = problem.grid.dt
@@ -237,9 +228,9 @@ class _GroupedStepper:
         self.scaled_mass = self.mass.data * (1.0 / self.dt)
         self.constraint = fem.DirichletConstraint(self.mass, self.space,
                                                   problem.dirichlet_tags)
-        self.static = all(m.time_invariant for m in problem.members)
-        self.terms = {kind: _Terms(kind, problem, self.order)
+        self.terms = {kind: _Terms(kind, problem.members, self.order)
                       for kind in ("a", "f", "g", "u0")}
+        self.static = all(self.terms[k].steady for k in ("a", "f", "g"))
         # the assembled spatial parts of each kind, one row per part, kept for the run
         self._parts: dict[str, np.ndarray] = {}
         # every member's A(a_j) as one block-diagonal matrix in group order, made

@@ -127,11 +127,15 @@ def draw_samples(seed: int, count: int, n_modes: int, replica: int = 0) -> list[
     return draws
 
 
-def left_edge_drive(x, y, t):
+def _left_edge_profile(x, y):
     """Dirichlet profile y*(1-y) on the left edge, zero on the other sides."""
     x = np.asarray(x)
     y = np.asarray(y)
     return np.where(x <= 1e-12, y * (1.0 - y), 0.0)
+
+
+# the boundary data of every emc member; time-free, so a run assembles it once
+left_edge_drive = fem.SeparableField(((1.0, _left_edge_profile),))
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,8 @@ class EmcConfig:
             raise ValueError("sample count must be at least 1")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         if min(self.seed, self.replica) < 0:
             raise ValueError(f"seed={self.seed} and replica={self.replica} must be non-negative")
         steps = self.t_final / self.dt
@@ -225,7 +231,7 @@ def build_emc_members(config: EmcConfig, draws: Sequence[SampleDraw]) -> list[En
     weights[:, 0] += spec.a0
     parts = _vertical_modes(spec.n_modes)
     return [EnsembleMember(a=fem.SeparableField(tuple(zip(row, parts))), f=fem.zero_field,
-                           g=left_edge_drive, u0=fem.zero_field, time_invariant=True)
+                           g=left_edge_drive, u0=fem.zero_field)
             for row in weights.tolist()]
 
 

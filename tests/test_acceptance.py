@@ -165,8 +165,7 @@ def test_counting_law_and_wall_time():
     draws = draw_samples(seed=11, count=8, n_modes=3)
     from ensfem.stochastic import RandomFieldSpec, sample_coefficient
     members = [EnsembleMember(a=sample_coefficient(RandomFieldSpec(), d),
-                              f=zero_field, g=zero_field, u0=zero_field,
-                              time_invariant=True) for d in draws]
+                              f=zero_field, g=zero_field, u0=zero_field) for d in draws]
     problem = EnsembleProblem(members=members, space=space, grid=TimeGrid(0.5, 20))
     _, se = ensemble_solve(problem)
     _, si = independent_solve(problem)

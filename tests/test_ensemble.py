@@ -48,6 +48,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(t_final=1.0, steps=0)
 
+    @pytest.mark.parametrize("t_final, steps, message", [
+        (math.inf, 4, "t_final must be positive and finite, got inf"),
+        (math.nan, 4, "t_final must be positive and finite, got nan"),
+        (1.0, 2.5, "steps must be a positive integer, got 2.5"),
+        (1.0, 2.0, "steps must be a positive integer, got 2.0"),
+    ], ids=["t_final-inf", "t_final-nan", "steps-2.5", "steps-2.0"])
+    def test_invalid_values_named(self, t_final, steps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TimeGrid(t_final=t_final, steps=steps)
+
 
 # time-dependent members for the dense reference path of `_dense_oracle`
 DENSE_MEMBERS = [
@@ -410,8 +420,8 @@ def test_member_permutation_permutes_columns(seed, count):
     members = [EnsembleMember(
         a=lambda x, y, t, c=c: 1.0 + c * np.sin(3.0 * np.asarray(x) + np.asarray(y)),
         f=lambda x, y, t, s=s: s * np.ones(np.shape(x)), g=zero_field,
-        u0=lambda x, y, t, s=s: s * np.sin(np.pi * x) * np.sin(np.pi * y),
-        time_invariant=True) for c, s in zip(scales, loads)]
+        u0=lambda x, y, t, s=s: s * np.sin(np.pi * x) * np.sin(np.pi * y))
+        for c, s in zip(scales, loads)]
     order = rng.permutation(count)
     space = build_space(uniform_triangulation(6, 6), 1)
     grid = TimeGrid(t_final=0.1, steps=3)
@@ -589,8 +599,8 @@ class TestSeparableData:
         runs = []
         for mine in (separable, [False] * count):
             problem = EnsembleProblem(members=[
-                EnsembleMember(time_invariant=static, **{
-                    kind: field if keep else _as_plain(field) for kind, field in m.items()})
+                EnsembleMember(**{kind: field if keep else _as_plain(field)
+                                  for kind, field in m.items()})
                 for m, keep in zip(members, mine)], space=space, grid=grid)
             runs.append(run_levels(ensemble_solve, problem, groups=groups)[0])
         for mine, plain in zip(*runs):
@@ -646,23 +656,24 @@ class TestSeparableData:
                                    match=f"member 1 at step {step}: time weight of its {kind}"):
                     solver(problem)
 
-    def test_time_invariant_member_with_changing_weights_refused(self):
-        steady = _separable([1.0, 0.2])
-        changing = _separable([1.0, lambda t: 0.2 * t])
-        for kind in ("a", "f", "g"):
-            members = [dataclasses.replace(heat_member(), a=steady, time_invariant=True),
-                       dataclasses.replace(heat_member(), time_invariant=True,
-                                           **{kind: changing})]
-            with pytest.raises(ValueError, match=f"member 1 is declared time-invariant.*{kind}"):
-                ensemble_solve(small_problem(members, steps=2))
-        # u0 is read at t = 0 only, so its weights may change
-        static = small_problem([dataclasses.replace(heat_member(), a=steady, u0=changing,
-                                                    time_invariant=True)], steps=5)
-        assert ensemble_solve(static)[1].factorizations == 5
+    def test_plain_field_evaluated_at_every_level(self):
+        # time-free a and f beside a plain g = t: g is not frozen at its first
+        # step, however static the rest of the data are
+        member = EnsembleMember(a=_separable([1.0, 0.2]), f=zero_field,
+                                g=lambda x, y, t: t * np.ones(np.shape(x)), u0=zero_field)
+        space = build_space(uniform_triangulation(4, 4), 1)
+        problem = EnsembleProblem(members=[member, member], space=space,
+                                  grid=TimeGrid(t_final=1.0, steps=4),
+                                  dirichlet_tags=(BoundaryTag.LEFT,))
+        levels, _ = run_levels(ensemble_solve, problem)
+        left = space.tagged_dofs((BoundaryTag.LEFT,))
+        assert [level.t for level in levels] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        for level in levels:
+            assert np.array_equal(level.u[left], np.full((left.size, 2), level.t))
 
     def test_numeric_weights_read_once(self):
-        # a number cannot change between grid times: the separable data of a
-        # time-invariant member with numeric weights are read at one level only
+        # a number cannot change between grid times: separable data with numeric
+        # weights are read at one level only
         reads = []
 
         class Counted(fem.SeparableField):
@@ -672,7 +683,7 @@ class TestSeparableData:
 
         member = EnsembleMember(a=Counted(((1.0, SPATIAL_PARTS[0]), (0.2, SPATIAL_PARTS[1]))),
                                 f=Counted(((0.5, SPATIAL_PARTS[2]),)), g=zero_field,
-                                u0=zero_field, time_invariant=True)
+                                u0=zero_field)
         assert ensemble_solve(small_problem([member, member], steps=20))[1].factorizations == 20
         assert reads == [0.025] * 4  # a and f of each column, at the first step
 
@@ -686,8 +697,8 @@ class TestSeparableData:
         separable = [_separable(w) for w in weights]
         groups = [[3, 0, 4], [1], [2]]
         for fields in (separable, [_as_plain(a) for a in separable]):
-            problem = small_problem([dataclasses.replace(heat_member(), a=a, time_invariant=True)
-                                     for a in fields], nx=3, degree=degree, steps=2)
+            problem = small_problem([dataclasses.replace(heat_member(), a=a) for a in fields],
+                                    nx=3, degree=degree, steps=2)
             space, t1 = problem.space, problem.grid.dt
             stepper = _GroupedStepper(problem, groups)
             systems, stiffness, _, _ = stepper._pieces(1)

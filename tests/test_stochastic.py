@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensfem import stochastic
+from ensfem import fem, stochastic
 
 from ensfem.fem import FeSpace, build_space
 from ensfem.mesh import uniform_triangulation
@@ -30,6 +30,12 @@ def tiny_config(**overrides):
     kwargs = dict(samples=4, seed=7, nx=4, dt=0.05, t_final=0.2)
     kwargs.update(overrides)
     return EmcConfig(**kwargs)
+
+
+def _numeric_separable(field):
+    """True for a separable field whose weights are all numbers: a time-free field."""
+    return (isinstance(field, fem.SeparableField)
+            and not any(callable(w) for w, _ in field.terms))
 
 
 class TestModeWeights:
@@ -245,7 +251,7 @@ class TestSeparableMembers:
         for member, draw in zip(members, draws):
             # the parts are held by every member, so a run assembles each once
             assert all(p is q for (_, p), (_, q) in zip(member.a.terms, parts))
-            assert member.time_invariant and not callable(member.a.terms[0][0])
+            assert all(_numeric_separable(getattr(member, kind)) for kind in "afg")
             closure = sample_coefficient(spec, draw)(x, y, 0.0)
             assert (np.abs(member.a(x, y, 0.0) - closure).max()
                     <= 1e-14 * np.abs(closure).max())
@@ -307,6 +313,22 @@ class TestRunEmc:
         u = final["u"]
         assert np.abs(result.mean_field - u.mean(axis=1)).max() < 1e-13
         assert np.abs(result.std_field - u.std(axis=1, ddof=1)).max() < 1e-13
+
+    def test_static_run_assembles_each_part_once(self, monkeypatch):
+        # emc data are time-free, so a run assembles its 2n+1 stiffness parts and
+        # its boundary drive once, however many steps it takes
+        config = tiny_config(samples=6, t_final=0.5)
+        draws = draw_samples(config.seed, config.samples, config.spec.n_modes)
+        for member in stochastic.build_emc_members(config, draws):
+            assert all(_numeric_separable(getattr(member, kind)) for kind in "afg")
+        stiffness, drives = [], []
+        assemble, boundary_values = fem.assemble_stiffness, fem.DirichletConstraint.boundary_values
+        monkeypatch.setattr(fem, "assemble_stiffness",
+                            lambda *args: stiffness.append(args[1]) or assemble(*args))
+        monkeypatch.setattr(fem.DirichletConstraint, "boundary_values",
+                            lambda *args: drives.append(args[1]) or boundary_values(*args))
+        assert run_emc(config).stats.factorizations == 10
+        assert len(stiffness) == config.spec.dimension == 7 and len(drives) == 1
 
     def test_bitwise_reproducibility(self):
         a = json.dumps(run_emc(tiny_config()).to_json_dict())
@@ -413,6 +435,12 @@ class TestRunEmc:
     def test_mismatched_dt_rejected(self):
         with pytest.raises(ValueError, match="divide"):
             tiny_config(dt=0.03)
+
+    @pytest.mark.parametrize("t_final", [math.inf, math.nan])
+    def test_nonfinite_t_final_named(self, t_final):
+        with pytest.raises(ValueError, match=f"^t_final must be positive and finite, "
+                                             f"got {t_final}$"):
+            tiny_config(t_final=t_final)
 
     @pytest.mark.parametrize("field", ["seed", "replica"])
     def test_negative_seed_or_replica_rejected(self, field):
