@@ -152,7 +152,7 @@ class _Terms:
     """
 
     def __init__(self, kind: str, members: Sequence[EnsembleMember], order: np.ndarray):
-        self.kind, self.order = kind, order
+        self.kind, self.order, self._weights = kind, order, None  # the last weights read
         self.parts, self.holders, self.plain, self.plain_holders = [], [], [], []
         self._fields, term_parts, counts, column_plain = [], [], [], []
         part_index, plain_index = {}, {}  # id of a part or plain field -> its position
@@ -184,15 +184,19 @@ class _Terms:
 
     def weights(self, t: float, step: int) -> np.ndarray:
         """The (columns, parts) weights at time t, zero in plain columns; a non-finite
-        weight raises ValueError naming the member, the field and the step."""
+        weight raises ValueError naming the member, the field and the step. Steady
+        weights are read once."""
+        if self.steady and self._weights is not None:
+            return self._weights
         values = np.concatenate([np.zeros(0)] + [f.weights(t) for f in self._fields])
         finite = np.isfinite(values)
         if not finite.all():
             term = int(np.argmin(finite))
             raise ValueError(f"member {self.order[self._term_columns[term]]} at step {step}: "
                              f"time weight of its {self.kind} is {values[term]}")
-        return np.bincount(self._slots, weights=values, minlength=self.column_plain.size
-                           * len(self.parts)).reshape(self.column_plain.size, len(self.parts))
+        self._weights = np.bincount(self._slots, weights=values, minlength=self.column_plain.size
+                                    * len(self.parts)).reshape(self.column_plain.size, -1)
+        return self._weights
 
 
 class _GroupedStepper:
@@ -203,11 +207,13 @@ class _GroupedStepper:
     slice; `_solve` hands states out in member order. A group's system is
     M/dt + A(mean of its members' coefficients), solved for the increment
     u(t1) - u(t0) of its columns against F - A(a_j) u(t0); a one-member group
-    so takes a backward-Euler step, on the same (n, 1) block path. Every
-    system sits on the space's fixed pattern, so one Dirichlet constraint,
-    refilled per group, serves the whole run; its order of the free rows is
-    the elimination order, so a group's lift, solve, addition of u(t0) and
-    write-back run on one row index. The tagged rows of all columns take g(t1).
+    so takes a backward-Euler step, on the same (n, 1) block path. Outside the
+    group loop a step touches the (n, J) block once: one product with the
+    members' interleaved stiffness on the C-ordered state, no load block for
+    zero sources, one gather of the free rows, one addition of u(t0) and
+    write-back. Each group refills the run's one Dirichlet constraint, lifts
+    its own columns (the coupling is its own) and solves them in place. The
+    tagged rows take g(t1).
 
     Member data are read as terms (`_Terms`). The spatial parts of separable
     fields are assembled once per run, as stiffness data, loads and boundary
@@ -233,10 +239,9 @@ class _GroupedStepper:
         self.static = all(self.terms[k].steady for k in ("a", "f", "g"))
         # the assembled spatial parts of each kind, one row per part, kept for the run
         self._parts: dict[str, np.ndarray] = {}
-        # every member's A(a_j) as one block-diagonal matrix in group order, made
-        # on first use (after the initial projection, so that the two do not add
-        # up in peak memory) and overwritten in place at each later time level
-        self.stiffness = None
+        # every member's A(a_j), interleaved in group order, made on first use (after the
+        # initial projection, not to add up in peak memory), refilled through `_order`
+        self.stiffness = self._order = None
         self._cache = None
         # this run's factorizations and solves in `step`; unlike the module
         # counters of `sparse`, they exclude work done meanwhile by other runs
@@ -311,10 +316,15 @@ class _GroupedStepper:
         members = self._level("a", n1, t1, self.mass.nnz)
         systems = [self.scaled_mass + members[group].mean(axis=0) for group in self.groups]
         if self.stiffness is None:
-            self.stiffness = sparse.block_diagonal(self.mass, members)
+            self._order = None if self.static else sparse.interleave(  # for the refills
+                self.mass, np.arange(members.size).reshape(members.shape))
+            values = sparse.interleave(self.mass, members)
+            del members  # freed before the index arrays are made
+            self.stiffness = sparse.interleaved_block_diagonal(self.mass, values, self.order.size)
         else:
-            self.stiffness.data[:] = members.ravel()
-        loads = np.ascontiguousarray(self._level("f", n1, t1, self.space.dof_count).T)
+            np.take(members.ravel(), self._order, out=self.stiffness.data, mode="clip")
+        loads = (np.ascontiguousarray(self._level("f", n1, t1, self.space.dof_count).T)
+                 if self.terms["f"].parts or self.terms["f"].plain else None)  # f = 0: none
         gvals = np.ascontiguousarray(self._level("g", n1, t1, self.constraint.bdofs.size).T)
         pieces = (systems, self.stiffness, loads, gvals)
         if self.static:
@@ -327,7 +337,9 @@ class _GroupedStepper:
         t1 = n1 * self.dt
         systems, stiffness, loads, gvals = self._pieces(n1)
         u0 = state.u
-        rhs = loads - (stiffness @ u0.ravel(order="F")).reshape(u0.shape, order="F")
+        # 0 - A u0 for zero sources: the same bytes as zero loads, -0.0 included
+        rhs = (stiffness @ u0.ravel()).reshape(u0.shape)
+        np.subtract(0.0 if loads is None else loads, rhs, out=rhs)
         if not np.isfinite(rhs).all():
             j = self.order[np.nonzero(~np.isfinite(rhs).all(axis=0))[0][0]]
             raise ValueError(f"non-finite right-hand side for member {j} at step {n1}")
@@ -335,9 +347,10 @@ class _GroupedStepper:
         u1 = np.empty_like(u0)
         u1[constraint.bdofs] = gvals
         boundary_increment = gvals - u0[constraint.bdofs]
+        free = rhs[constraint.free]
         for k, (group, system) in enumerate(zip(self.groups, systems)):
             constraint.refill(system)
-            lifted = constraint.lift(rhs[:, group], boundary_increment[:, group])
+            constraint.lift(free[:, group], boundary_increment[:, group])
             try:
                 factor = sparse.spd_factorize(constraint.matrix)
             except sparse.NotSpdError as exc:
@@ -347,10 +360,10 @@ class _GroupedStepper:
                 raise sparse.NotSpdError(f"system of {who} not SPD at step {n1}: {exc}",
                                          exc.pivot) from exc
             self.factorizations += 1
-            solved = factor.solve(lifted)
+            free[:, group] = factor.solve(free[:, group])
             self.block_solves += 1
-            solved += u0[constraint.free, group]  # in place: a sum would be a third block
-            u1[constraint.free, group] = solved
+        free += u0[constraint.free]
+        u1[constraint.free] = free
         return EnsembleState(n=n1, t=t1, u=u1)
 
 

@@ -398,8 +398,9 @@ class DirichletConstraint:
         return values
 
     def lift(self, rhs: np.ndarray, gvals: np.ndarray) -> np.ndarray:
-        """Right-hand side of the free block: rhs[free] - coupling @ gvals.
-
-        rhs may be (n,) with (nb,) gvals or (n, J) with (nb, J) gvals.
-        """
-        return rhs[self.free] - self.coupling @ gvals
+        """Lift the `free` rows of a right-hand side, (nf,) with (nb,) gvals or (nf, J) with
+        (nb, J) gvals, in place and return them: rhs -= coupling @ gvals. Zero gvals skip
+        the product, all +0.0 for a finite coupling, so the skip changes no bit."""
+        if gvals.any():
+            rhs -= self.coupling @ gvals
+        return rhs

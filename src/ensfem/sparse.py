@@ -14,6 +14,10 @@ block is wide from max(`TILE`, nb // 2) columns on: a band-sized tile is half
 zeros, and below that count the products and triangular solves on it cost
 more than the pbtrs sweeps they replace.
 
+`interleaved_block_diagonal` holds J members' matrices on one pattern, row
+i*J + j member j's row i, so that a product with it reads and writes a
+C-ordered (n, J) block as it lies.
+
 Module-level counters record every factorization and block solve in the
 process, so that solver-call laws can be asserted by tests and measured by
 the benchmark; a run's own counts are kept by its stepper.
@@ -100,20 +104,32 @@ def add_scaled(a, alpha: float, b, beta: float) -> sp.csr_matrix:
     return _as_csr(alpha * a + beta * b)
 
 
-def block_diagonal(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal CSR with J copies of `pattern`'s sparsity; block j holds data[j].
+def interleave(pattern: sp.csr_matrix, data: np.ndarray) -> np.ndarray:
+    """Members' data, shape (J, pattern.nnz) in the pattern's slot order, as the entries of
+    their `interleaved_block_diagonal`. A run of rows of one length, slots a..b, moves
+    data[:, a:b] viewed (J, rows, length) to entries a*J..b*J viewed (rows, J, length)."""
+    j_count, lengths = len(data), np.diff(pattern.indptr)
+    firsts = np.flatnonzero(np.diff(lengths, prepend=-1))  # the first row of each run
+    entries = np.empty(data.size, data.dtype)
+    for r0, r1 in zip(firsts, np.append(firsts[1:], len(lengths))):
+        a, b, rows, length = pattern.indptr[r0], pattern.indptr[r1], r1 - r0, lengths[r0]
+        entries[a * j_count:b * j_count].reshape(rows, j_count, length)[:] = (
+            data[:, a:b].reshape(j_count, rows, length).transpose(1, 0, 2))
+    return entries
 
-    `data` has shape (J, pattern.nnz). Built straight from offsets of the
-    shared index arrays, so no per-block or COO intermediates are made.
-    """
-    j_count, nnz = data.shape
-    n = pattern.shape[0]
-    index_dtype = np.int32 if nnz * j_count <= np.iinfo(np.int32).max else np.int64
-    offsets = np.arange(j_count, dtype=index_dtype)[:, None]
-    indptr = np.append((pattern.indptr[:-1].astype(index_dtype) + nnz * offsets).ravel(),
-                       nnz * j_count)
-    indices = (pattern.indices.astype(index_dtype) + n * offsets).ravel()
-    return sp.csr_matrix((data.ravel(), indices, indptr), shape=(n * j_count, n * j_count))
+
+def interleaved_block_diagonal(pattern: sp.csr_matrix, values: np.ndarray,
+                               j_count: int) -> sp.csr_matrix:
+    """Block-diagonal CSR of J members on `pattern`'s sparsity whose row i*J + j is member
+    j's row i: its product with a C-ordered (n, J) block's ravel is the (n, J) product's
+    ravel. `values` come from `interleave`, whose input the caller may free first."""
+    index_dtype = np.int32 if pattern.nnz * j_count <= np.iinfo(np.int32).max else np.int64
+    members = np.arange(j_count, dtype=index_dtype)
+    indptr = np.append(pattern.indptr[:-1, None].astype(index_dtype) * j_count
+                       + np.diff(pattern.indptr)[:, None] * members,
+                       index_dtype(pattern.nnz * j_count))
+    indices = interleave(pattern, pattern.indices.astype(index_dtype) * j_count + members[:, None])
+    return sp.csr_matrix((values, indices, indptr), shape=(len(indptr) - 1,) * 2)
 
 
 def band_ordering(pattern) -> np.ndarray:

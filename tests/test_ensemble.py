@@ -31,6 +31,13 @@ def small_problem(members, nx=4, degree=1, t_final=0.5, steps=5):
                            grid=TimeGrid(t_final=t_final, steps=steps))
 
 
+def member_rows(stiffness, columns):
+    """The (columns, nnz) stiffness data of each column of an interleaved block diagonal:
+    column i's row k is matrix row k*columns + i, its entries in slot order."""
+    rows = np.split(stiffness.data, stiffness.indptr[1:-1])
+    return np.array([np.concatenate(rows[i::columns]) for i in range(columns)])
+
+
 def run_levels(solver, problem, **kwargs):
     """Every level n = 0..N of a run, as its observer sees them, and the run's stats."""
     levels = []
@@ -134,12 +141,13 @@ class TestSingleStep:
             _, stiffness, _, _ = stepper._pieces(1)
             # the stepper holds its columns in group order: column i is member order[i]
             assert np.array_equal(stepper.order, np.concatenate(groups))
-            block = (stiffness @ u.ravel(order="F")).reshape(u.shape, order="F")
+            # members interleaved: the product reads and writes the C-ordered block
+            block = (stiffness @ u.ravel()).reshape(u.shape)
             for i, j in enumerate(stepper.order):
                 loop = assemble_stiffness(space, members[j].a, t1) @ u[:, i]
                 assert np.abs(block[:, i] - loop).max() < 1e-13
-            data.append(stiffness.data.reshape(len(members), -1)[np.argsort(stepper.order)])
-        # block i is member order[i]'s own stiffness, whatever the grouping
+            data.append(member_rows(stiffness, len(members))[np.argsort(stepper.order)])
+        # column i's rows are member order[i]'s own stiffness, whatever the grouping
         assert all(np.array_equal(data[0], other) for other in data[1:])
 
     def test_nonfinite_coefficient_names_member(self):
@@ -197,28 +205,42 @@ class TestSolvers:
     def test_groups_step_in_lockstep(self, data, count):
         # each group's columns are those of a separate run of that group alone,
         # bit for bit, whatever the partition and the order of its groups and
-        # members; singleton groups are the backward-Euler run
-        members = [EnsembleMember(a=lambda x, y, t, c=c: 1.0 + c * np.asarray(y) + 0.1 * t,
-                                  f=lambda x, y, t, c=c: c * np.asarray(x),
-                                  g=lambda x, y, t, c=c: c * t * np.ones(np.shape(x)),
-                                  u0=lambda x, y, t, c=c: c * np.sin(np.pi * x) * y)
-                   for c in (0.2, 0.7, 0.4, 0.9, 0.5, 0.3)[:count]]
+        # members; singleton groups are the backward-Euler run. The members are
+        # plain callables, and then with f, g and u0 as separable fields mixed
+        # per level, g with a callable weight: g moves, so every group
+        # lifts nonzero boundary increments at every step. a stays plain there:
+        # a one-column run mixes a separable a by a one-row matrix product, which
+        # can differ in the last bit from that row of a wider product
+        plain = [EnsembleMember(a=lambda x, y, t, c=c: 1.0 + c * np.asarray(y) + 0.1 * t,
+                                f=lambda x, y, t, c=c: c * np.asarray(x),
+                                g=lambda x, y, t, c=c: c * t * np.ones(np.shape(x)),
+                                u0=lambda x, y, t, c=c: c * np.sin(np.pi * x) * y)
+                 for c in (0.2, 0.7, 0.4, 0.9, 0.5, 0.3)[:count]]
+        one, x_part = lambda x, y: np.ones(np.shape(x)), lambda x, y: np.asarray(x)
+        wave = lambda x, y: np.sin(np.pi * x) * y
+        separable = [dataclasses.replace(
+            member, f=fem.SeparableField(((c, x_part),)),
+            g=fem.SeparableField(((lambda t, c=c: c * t, one),)),
+            u0=fem.SeparableField(((c, wave),)))
+            for member, c in zip(plain, (0.2, 0.7, 0.4, 0.9, 0.5, 0.3))]
         order = data.draw(st.permutations(range(count)))
         cuts = sorted(data.draw(st.sets(st.integers(1, count - 1))) if count > 1 else [])
         groups = [order[a:b] for a, b in zip([0, *cuts], [*cuts, count])]
-        problem = small_problem(members, nx=5, steps=4)
-        traj, stats = run_levels(ensemble_solve, problem, groups=groups)
-        assert [st.u.shape for st in traj] == [(problem.space.dof_count, count)] * 5
-        assert stats.factorizations == stats.block_solves == 4 * len(groups)
-        for group in groups:
-            alone, _ = run_levels(ensemble_solve, EnsembleProblem(
-                members=[members[j] for j in group], space=problem.space, grid=problem.grid))
-            for mine, ref in zip(traj, alone):
-                assert np.array_equal(mine.u[:, group], ref.u)
-        singletons, _ = run_levels(ensemble_solve, problem, groups=[[j] for j in order])
-        independent, _ = run_levels(independent_solve, problem)
-        for mine, ref in zip(singletons, independent):
-            assert np.array_equal(mine.u, ref.u)
+        for members in (plain, separable):
+            problem = small_problem(members, nx=5, steps=4)
+            traj, stats = run_levels(ensemble_solve, problem, groups=groups)
+            assert [st.u.shape for st in traj] == [(problem.space.dof_count, count)] * 5
+            assert stats.factorizations == stats.block_solves == 4 * len(groups)
+            for group in groups:
+                alone, _ = run_levels(ensemble_solve, EnsembleProblem(
+                    members=[members[j] for j in group], space=problem.space,
+                    grid=problem.grid))
+                for mine, ref in zip(traj, alone):
+                    assert np.array_equal(mine.u[:, group], ref.u)
+            singletons, _ = run_levels(ensemble_solve, problem, groups=[[j] for j in order])
+            independent, _ = run_levels(independent_solve, problem)
+            for mine, ref in zip(singletons, independent):
+                assert np.array_equal(mine.u, ref.u)
 
     def test_observer_and_trajectory_policy(self):
         # the observer is the only trajectory: it sees every level n = 0..N, and
@@ -261,6 +283,28 @@ class TestSolvers:
         problem = small_problem([heat_member(), heat_member(3.0)])
         traj, _ = run_levels(ensemble_solve, problem)
         assert all(not st.u.any() for st in traj)
+
+    def test_zero_source_keeps_the_signs_of_zeros(self, monkeypatch):
+        # zero sources hold no load block: 0 - A u0 must give the bytes that
+        # zero loads minus A u0 give, -0.0 included (-(A u0) would flip +0.0).
+        # A level adds u(t0) to the solved increment, and +0.0 + -0.0 is +0.0,
+        # so the solves' right-hand sides are compared as well as the levels
+        zeros = lambda x, y, t: np.zeros(np.shape(x))
+        solve, seen = sparse.CholeskyFactor.solve, []
+        monkeypatch.setattr(sparse.CholeskyFactor, "solve",
+                            lambda factor, b: seen[-1].append(b.tobytes()) or solve(factor, b))
+        levels = []
+        for f in (zero_field, zeros):
+            members = [EnsembleMember(a=constant_field(1.0 + 0.5 * k), f=f,
+                                      g=lambda x, y, t, k=k: (k - 1.0) * t * np.asarray(y),
+                                      u0=zero_field) for k in range(3)]
+            problem = dataclasses.replace(small_problem(members, steps=4),
+                                          dirichlet_tags=(BoundaryTag.LEFT,))
+            seen.append([])
+            levels.append(run_levels(ensemble_solve, problem, groups=[[0, 2], [1]])[0])
+        assert [st.u.tobytes() for st in levels[0]] == [st.u.tobytes() for st in levels[1]]
+        assert len(seen[0]) == 8 and seen[0] == seen[1]
+        assert any(np.signbit(st.u[st.u == 0.0]).any() for st in levels[0])
 
     def test_j1_paths_identical(self):
         member = EnsembleMember(a=lambda x, y, t: 1.0 + 0.2 * np.asarray(y) + 0.1 * t,
@@ -702,7 +746,7 @@ class TestSeparableData:
             space, t1 = problem.space, problem.grid.dt
             stepper = _GroupedStepper(problem, groups)
             systems, stiffness, _, _ = stepper._pieces(1)
-            rows, scaled_mass = stiffness.data.reshape(len(fields), -1), stepper.scaled_mass
+            rows, scaled_mass = member_rows(stiffness, len(fields)), stepper.scaled_mass
             assert np.array_equal(scaled_mass, assemble_mass(space).data * (1.0 / t1))
             for group, system, columns in zip(groups, systems, stepper.groups):
                 mine = rows[columns]  # the group's columns, in group order

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -145,13 +147,30 @@ class TestSolveBlock:
 
 class TestBlockDiagonal:
     def test_matches_scipy_block_diag(self):
-        pattern = fem_system(nx=3)
-        data = np.random.default_rng(9).normal(size=(4, pattern.nnz))
-        blocks = [sp.csr_matrix((d, pattern.indices, pattern.indptr), shape=pattern.shape)
-                  for d in data]
-        got = sparse.block_diagonal(pattern, data)
-        assert got.shape == (4 * pattern.shape[0],) * 2
-        assert abs(got - sp.block_diag(blocks, format="csr")).max() == 0.0
+        # the member-major block diagonal under the perfect shuffle, which takes
+        # row j*n + i to row i*J + j, for one member and for four; the P1 and P2
+        # row lengths change along the rows, so the fill crosses many runs of
+        # rows of one length
+        for degree, members in itertools.product((1, 2), (1, 4)):
+            pattern = fem_system(nx=3, degree=degree)
+            n = pattern.shape[0]
+            assert np.count_nonzero(np.diff(np.diff(pattern.indptr))) > 5
+            data = np.random.default_rng(9).normal(size=(members, pattern.nnz))
+            blocks = [sp.csr_matrix((d, pattern.indices, pattern.indptr), shape=pattern.shape)
+                      for d in data]
+            shuffle = (np.arange(members) * n + np.arange(n)[:, None]).ravel()
+            reference = sp.block_diag(blocks, format="csr")[shuffle][:, shuffle]
+            got = sparse.interleaved_block_diagonal(pattern, sparse.interleave(pattern, data),
+                                                    members)
+            assert got.shape == (members * n,) * 2 and got.has_sorted_indices
+            assert abs(got - reference).max() == 0.0
+            # member J-1's row 5 holds its entries in the pattern's slot order,
+            # and the interleaved slot numbers refill every entry by one take
+            row = members * 5 + members - 1
+            assert np.array_equal(got.data[got.indptr[row]:got.indptr[row + 1]],
+                                  data[-1, pattern.indptr[5]:pattern.indptr[6]])
+            order = sparse.interleave(pattern, np.arange(data.size).reshape(data.shape))
+            assert np.array_equal(got.data, data.ravel()[order])
 
 
 class TestReuseAndOrdering:
