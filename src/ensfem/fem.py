@@ -51,7 +51,8 @@ class SeparableField:
     assembles each spatial part once, however many times and members use it,
     and mixes the assembled parts with the weights at each time; parts are
     told apart by identity, so members that share a part should hold the
-    same callable. With no terms it is the zero field.
+    same callable. With no terms it is the zero field. Parts that return a
+    pair (fx, fy) make it a gradient field, whose value is the stacked pair.
     """
 
     terms: tuple[tuple[Weight, SpatialPart], ...] = ()
@@ -82,6 +83,7 @@ class _Tabulation:
     xq: np.ndarray       # (nt, nq) physical quadrature x
     yq: np.ndarray       # (nt, nq)
     weights: np.ndarray  # (nq,)
+    dx: np.ndarray       # (nt, nq) area times rule weight, the measure of each point
 
 
 @dataclass
@@ -128,7 +130,7 @@ class FeSpace:
             verts = self.mesh.vertices[self.mesh.triangles]  # (nt, 3, 2)
             pts = np.einsum("ql,tlk->tqk", rule.points, verts)
             tab = _Tabulation(phi=phi, grad=grad, xq=pts[..., 0], yq=pts[..., 1],
-                              weights=rule.weights)
+                              weights=rule.weights, dx=self.areas[:, None] * rule.weights)
             self._tabs[rule.order] = tab
         return tab
 
@@ -148,11 +150,27 @@ class FeSpace:
             tab = self.tabulation(self.data_rule)
             nt, nq = tab.xq.shape
             local = np.einsum("qa,q,t->taq", tab.phi, tab.weights, self.areas)
-            rows = np.broadcast_to(self.cell_dofs[:, :, None], local.shape)
-            points = np.broadcast_to(np.arange(nt * nq).reshape(nt, 1, nq), local.shape)
-            self._load = sp.csr_matrix((local.ravel(), (rows.ravel(), points.ravel())),
-                                       shape=(self.dof_count, nt * nq))
+            self._load = _point_columns(self.cell_dofs, local, self.dof_count)
         return self._load
+
+
+def _point_columns(rows: np.ndarray, values: np.ndarray, row_count: int) -> sp.csr_matrix:
+    """The CSR matrix, (row_count, nt * nq), whose row rows[t, m] holds values[t, m, q] in
+    column t * nq + q, the quadrature point q of element t.
+
+    No row occurs twice in one element, so no entries add up, and a stable
+    sort of the (t, m) pairs by row leaves the columns of each row ascending.
+    The index arrays are made in the dtype scipy keeps them in, so that it
+    casts none.
+    """
+    nt, m, nq = values.shape
+    index = np.int32 if rows.size * nq <= np.iinfo(np.int32).max else np.int64
+    element, local = np.divmod(np.argsort(rows.ravel(), kind="stable").astype(index), index(m))
+    indptr = np.zeros(row_count + 1, dtype=index)
+    np.cumsum(np.bincount(rows.ravel(), minlength=row_count) * nq, out=indptr[1:])
+    return sp.csr_matrix((values[element, local].ravel(),
+                          (element[:, None] * index(nq) + np.arange(nq, dtype=index)).ravel(),
+                          indptr), shape=(row_count, nt * nq))
 
 
 class _StiffnessOperator:
@@ -181,11 +199,8 @@ class _StiffnessOperator:
         self.indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(index_dtype)
         local = np.einsum("tqai,tqbi,q,t->tqab", tab.grad, tab.grad, tab.weights,
                           space.areas, optimize=True)
-        pairs = (nt, nq, nl * nl)
-        slots = np.broadcast_to(slot.reshape(nt, 1, nl * nl), pairs)
-        points = np.broadcast_to(np.arange(nt * nq).reshape(nt, nq, 1), pairs)
-        self.weights = sp.csr_matrix((local.ravel(), (slots.ravel(), points.ravel())),
-                                     shape=(keys.size, nt * nq))
+        self.weights = _point_columns(self.slots, local.reshape(nt, nq, nl * nl)
+                                      .transpose(0, 2, 1), keys.size)
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with the given data on this pattern."""
@@ -312,27 +327,53 @@ def integrate(space: FeSpace, u: np.ndarray) -> float | np.ndarray:
     return np.asarray(space.load_operator().sum(axis=1)).ravel() @ u
 
 
-def error_l2(space: FeSpace, u: np.ndarray, exact: Field | None, t: float = 0.0,
-             rule: QuadratureRule | None = None) -> float:
-    """L2 norm of (u_h - exact); pass exact=None for the plain L2 norm of u_h."""
+def _local(space: FeSpace, u: np.ndarray) -> np.ndarray:
+    """Each element's coefficients of a vector or (ndof, K) block, shape (nt, nl, K)."""
+    return np.take(u.reshape(len(u), -1), space.cell_dofs, axis=0)
+
+
+def _norms(u: np.ndarray, squares: np.ndarray, tab: _Tabulation) -> float | np.ndarray:
+    """Square roots of the integrals of `squares`, (nt, nq, K) values at the points of
+    `tab`: a float for a vector `u`, one per column for a block."""
+    norms = np.sqrt(tab.dx.ravel() @ squares.reshape(tab.dx.size, -1))
+    return float(norms[0]) if u.ndim == 1 else norms
+
+
+def error_l2(space: FeSpace, u: np.ndarray, exact: Field | np.ndarray | None,
+             t: float = 0.0, rule: QuadratureRule | None = None) -> float | np.ndarray:
+    """L2 norm of (u_h - exact); pass exact=None for the plain L2 norm of u_h.
+
+    `u` is a coefficient vector, or an (ndof, K) block for one norm per column.
+    `exact` is a field, evaluated at time t, or its values at the rule's points,
+    shape (nt, nq), or (nt, nq, K) for one exact function per column of a block.
+    """
     tab = space.tabulation(rule if rule is not None else space.data_rule)
-    d = np.einsum("qa,ta->tq", tab.phi, u[space.cell_dofs])
+    d = tab.phi @ _local(space, u)  # (nt, nq, K)
     if exact is not None:
-        d = d - _evaluate(exact, tab.xq, tab.yq, t)
-    return float(np.sqrt(np.einsum("tq,q,t->", d * d, tab.weights, space.areas)))
+        values = _evaluate(exact, tab.xq, tab.yq, t) if callable(exact) else exact
+        d = d - np.reshape(values, d.shape[:2] + (-1,))
+    return _norms(u, d * d, tab)
 
 
-def error_h1_semi(space: FeSpace, u: np.ndarray, exact_gradient: GradientField | None,
-                  t: float = 0.0, rule: QuadratureRule | None = None) -> float:
-    """H1 seminorm of (u_h - exact); pass exact_gradient=None for |u_h|_H1."""
+def error_h1_semi(space: FeSpace, u: np.ndarray,
+                  exact_gradient: GradientField | np.ndarray | None, t: float = 0.0,
+                  rule: QuadratureRule | None = None) -> float | np.ndarray:
+    """H1 seminorm of (u_h - exact); pass exact_gradient=None for |u_h|_H1.
+
+    `u` is a coefficient vector, or an (ndof, K) block for one seminorm per
+    column. `exact_gradient` is a gradient field, evaluated at time t, or the
+    values of its pair (fx, fy) at the rule's points, shape (2, nt, nq), or
+    (2, nt, nq, K) for one exact gradient per column of a block.
+    """
     tab = space.tabulation(rule if rule is not None else space.data_rule)
-    g = np.einsum("tqai,ta->tqi", tab.grad, u[space.cell_dofs])
+    g = np.moveaxis(np.swapaxes(_local(space, u), 1, 2)[:, None] @ tab.grad, -1, 0)
     if exact_gradient is not None:
-        gx, gy = exact_gradient(tab.xq, tab.yq, float(t))
-        g = g - np.stack([np.broadcast_to(gx, tab.xq.shape),
-                          np.broadcast_to(gy, tab.xq.shape)], axis=-1)
-    sq = g[..., 0] ** 2 + g[..., 1] ** 2
-    return float(np.sqrt(np.einsum("tq,q,t->", sq, tab.weights, space.areas)))
+        values = exact_gradient
+        if callable(exact_gradient):
+            values = np.stack([np.broadcast_to(c, tab.xq.shape)
+                               for c in exact_gradient(tab.xq, tab.yq, float(t))])
+        g = g - np.reshape(values, g.shape[:3] + (-1,))  # (2, nt, nq, K)
+    return _norms(u, g[0] ** 2 + g[1] ** 2, tab)
 
 
 class DirichletConstraint:

@@ -149,22 +149,26 @@ class _BandedPlan:
     Lower-banded layout: this LAPACK build runs pbtrf an order of magnitude
     faster on lower storage than on upper."""
 
-    __slots__ = ("bandwidth", "edge", "mask", "ab_rows", "ab_cols", "n", "_tiles")
+    __slots__ = ("bandwidth", "edge", "slots", "positions", "n", "_tiles")
 
     def __init__(self, a: sp.csr_matrix):
         coo = a.tocoo(copy=False)
-        self.mask = coo.row <= coo.col  # keep one triangle; store at (i-j, j) of the lower form
-        # intp, so that the scatter of every factorization casts no index array
-        rows, cols = (index[self.mask].astype(np.intp) for index in (coo.row, coo.col))
+        upper = coo.row <= coo.col  # keep one triangle; store at (i-j, j) of the lower form
+        rows, cols = (index[upper].astype(np.intp) for index in (coo.row, coo.col))
         self.bandwidth = int(np.max(cols - rows)) if len(rows) else 0
         self.edge = max(self.bandwidth + 1, TILE)  # tile edge nb of the multi-column solve
-        self.ab_rows, self.ab_cols = cols - rows, rows
+        # the kept data slots and their flat positions in the column-major
+        # (bandwidth + 1, n) storage; intp, so that no scatter casts an index array
+        self.slots = np.flatnonzero(upper)
+        self.positions = cols - rows + rows * (self.bandwidth + 1)
         self.n, self._tiles = a.shape[0], None
 
     def banded(self, data: np.ndarray) -> np.ndarray:
-        ab = np.zeros((self.bandwidth + 1, self.n), order="F")
-        ab[self.ab_rows, self.ab_cols] = data[self.mask]
-        return ab
+        """The band storage of the matrix with these data, Fortran-contiguous, so that
+        pbtrf factors it in place."""
+        ab = np.zeros((self.bandwidth + 1) * self.n)
+        ab[self.positions] = data.take(self.slots)
+        return ab.reshape((self.bandwidth + 1, self.n), order="F")
 
     def tiles(self) -> tuple[np.ndarray, np.ndarray]:
         """Gather indices of the diagonal and sub-diagonal tiles of a band factor.

@@ -167,10 +167,14 @@ def test_counting_law_and_wall_time():
     members = [EnsembleMember(a=sample_coefficient(RandomFieldSpec(), d),
                               f=zero_field, g=zero_field, u0=zero_field) for d in draws]
     problem = EnsembleProblem(members=members, space=space, grid=TimeGrid(0.5, 20))
-    _, se = ensemble_solve(problem)
-    _, si = independent_solve(problem)
-    ok &= se.wall_time < si.wall_time
-    details.append(f"walls ens {se.wall_time:.2f}s < ind {si.wall_time:.2f}s")
+    # the legs alternate three times and the fastest of each counts, so that a slow
+    # spell of a shared machine does not decide the comparison
+    walls_e, walls_i = [], []
+    for _ in range(3):
+        walls_e.append(ensemble_solve(problem)[1].wall_time)
+        walls_i.append(independent_solve(problem)[1].wall_time)
+    ok &= min(walls_e) < min(walls_i)
+    details.append(f"fastest walls ens {min(walls_e):.2f}s < ind {min(walls_i):.2f}s")
     report("counting-law", ok, "; ".join(details))
 
 

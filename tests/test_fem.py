@@ -12,6 +12,7 @@ from ensfem.fem import (DirichletConstraint, assemble_load, assemble_mass,
                         constant_field, error_h1_semi, error_l2, integrate,
                         l2_project, zero_field)
 from ensfem.mesh import BoundaryTag, refine_uniform, uniform_triangulation
+from ensfem.quadrature import triangle_rule
 
 from _dense_oracle import p1_mass, p1_stiffness
 
@@ -152,6 +153,31 @@ class TestStiffness:
         assert np.array_equal(values.data, a.data)
 
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_operator_csr_matches_coo_construction(self, degree):
+        # built directly, the weights are the CSR that scipy makes of the COO triple
+        # (slot, point, weight), index arrays and data identical
+        space = build_space(uniform_triangulation(5, 3), degree)
+        op = space.stiffness_operator()
+        tab = space.tabulation(space.assembly_rule)
+        nt, nq, nl = tab.grad.shape[:3]
+        local = np.einsum("tqai,tqbi,q,t->tqab", tab.grad, tab.grad, tab.weights,
+                          space.areas, optimize=True)
+        pairs = (nt, nq, nl * nl)
+        slots = np.broadcast_to(op.slots.reshape(nt, 1, nl * nl), pairs)
+        points = np.broadcast_to(np.arange(nt * nq).reshape(nt, nq, 1), pairs)
+        assert_same_csr(op.weights, sp.csr_matrix(
+            (local.ravel(), (slots.ravel(), points.ravel())), shape=op.weights.shape))
+
+
+def assert_same_csr(a, b):
+    """indptr, indices and data equal, dtypes too, data bit for bit."""
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.shape == b.shape
+
+
 def einsum_scatter_stiffness(space, coeff, t):
     """Reference assembly: local matrices by einsum, scattered via COO, duplicates summed."""
     tab = space.tabulation(space.assembly_rule)
@@ -199,6 +225,18 @@ class TestLoad:
                           minlength=space.dof_count)
         load = assemble_load(space, f, 0.3)
         assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_operator_csr_matches_coo_construction(self, degree):
+        space = build_space(uniform_triangulation(5, 3), degree)
+        tab = space.tabulation(space.data_rule)
+        nt, nq = tab.xq.shape
+        local = np.einsum("qa,q,t->taq", tab.phi, tab.weights, space.areas)
+        rows = np.broadcast_to(space.cell_dofs[:, :, None], local.shape)
+        points = np.broadcast_to(np.arange(nt * nq).reshape(nt, 1, nq), local.shape)
+        assert_same_csr(space.load_operator(), sp.csr_matrix(
+            (local.ravel(), (rows.ravel(), points.ravel())), shape=(space.dof_count, nt * nq)))
 
 
 class TestL2Projection:
@@ -386,6 +424,38 @@ class TestErrorNorms:
         space = build_space(uniform_triangulation(8, 8), 2)
         h = math.sqrt(2.0) / 8.0
         assert error_l2(space, l2_project(space, g), g) < h ** 3
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_block_columns_equal_vector_calls(self, degree):
+        # a block gives one norm per column, each the vector call's to rounding, with
+        # the exact function a field (the same for every column), values at the rule's
+        # points (one per column) or absent
+        space = build_space(uniform_triangulation(5, 4), degree)
+        rule = triangle_rule(2)
+        u = np.random.default_rng(3).normal(size=(space.dof_count, 3))
+        fields = [lambda x, y, t, k=k: np.sin(x + k * t) * y for k in range(3)]
+        gradients = [lambda x, y, t, k=k: (np.cos(x + k * t) * y, np.sin(x + k * t))
+                     for k in range(3)]
+        tab, grad_tab = space.tabulation(space.data_rule), space.tabulation(rule)
+        values = np.stack([f(tab.xq, tab.yq, 0.7) for f in fields], axis=-1)
+        grad_values = np.stack([np.stack(g(grad_tab.xq, grad_tab.yq, 0.7))
+                                for g in gradients], axis=-1)
+        for block, columns in (
+                (error_l2(space, u, fields[1], 0.7),
+                 [error_l2(space, u[:, j], fields[1], 0.7) for j in range(3)]),
+                (error_l2(space, u, values),
+                 [error_l2(space, u[:, j], f, 0.7) for j, f in enumerate(fields)]),
+                (error_l2(space, u, None), [error_l2(space, u[:, j], None) for j in range(3)]),
+                (error_h1_semi(space, u, gradients[2], 0.7, rule=rule),
+                 [error_h1_semi(space, u[:, j], gradients[2], 0.7, rule=rule)
+                  for j in range(3)]),
+                (error_h1_semi(space, u, grad_values, rule=rule),
+                 [error_h1_semi(space, u[:, j], g, 0.7, rule=rule)
+                  for j, g in enumerate(gradients)]),
+                (error_h1_semi(space, u, None), [error_h1_semi(space, u[:, j], None)
+                                                 for j in range(3)])):
+            assert block.shape == (3,) and all(isinstance(c, float) for c in columns)
+            assert np.abs(block - columns).max() <= 1e-14 * max(columns)
 
     def test_integrate_constant_and_nodal_linear(self, space_p1):
         assert integrate(space_p1, np.ones(space_p1.dof_count)) == pytest.approx(1.0)

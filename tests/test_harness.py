@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ import pytest
 import ensfem
 from ensfem import fem, harness, stochastic
 from ensfem.cli import cli
+from ensfem.ensemble import EnsembleProblem, TimeGrid, ensemble_solve, independent_solve
 from ensfem.harness import (CONVERGENCE_CSV_HEADER, convergence_csv,
                             manufactured_case, run_compare, run_convergence,
                             write_text_atomic)
+from ensfem.mesh import uniform_triangulation
+from ensfem.quadrature import triangle_rule
 from ensfem.stochastic import EmcConfig, RandomFieldSpec
 
 
@@ -124,6 +128,98 @@ class TestRunConvergence:
     def test_invalid_mode(self):
         with pytest.raises(ValueError, match="mode"):
             run_convergence(levels=1, mode="both")
+
+
+def per_column_errors(problem, levels, cases, output_stride):
+    """The study's figures by one L2 and one H1 call per output level and member, each
+    evaluating the exact u or gradient at its time: the oracle of the block pass."""
+    space, grad_rule = problem.space, triangle_rule(2)
+    e_l2, e_h1_sq = np.zeros(len(cases)), np.zeros(len(cases))
+    for state in levels:
+        for j, case in enumerate(cases):
+            e_l2[j] = max(e_l2[j], fem.error_l2(space, state.u[:, j], case.u, state.t))
+            e_h1_sq[j] += fem.error_h1_semi(space, state.u[:, j], case.grad_u, state.t,
+                                            rule=grad_rule) ** 2
+    return e_l2, np.sqrt(problem.grid.dt * output_stride * e_h1_sq)
+
+
+def _xy(x, y):
+    return np.asarray(x) * np.asarray(y)
+
+
+def _grad_xy(x, y):
+    return np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(x, dtype=float))
+
+
+def drifting_cases():
+    """Cases whose exact u carries t * x * y, so that the exact gradient depends on t:
+    one with plain u and gradient, one separable with a callable weight, and one of
+    the manufactured family."""
+    plain, separable = manufactured_case(0.3), manufactured_case(0.5)
+
+    def u(x, y, t):
+        return plain.u(x, y, t) + t * _xy(x, y)
+
+    def grad_u(x, y, t):
+        gx, gy = plain.grad_u(x, y, t)
+        dx, dy = _grad_xy(x, y)
+        return gx + t * dx, gy + t * dy
+
+    drift = (lambda t: t, _xy), (lambda t: t, _grad_xy)
+    return [replace(plain, u=u, grad_u=grad_u),
+            replace(separable, u=fem.SeparableField(separable.u.terms + (drift[0],)),
+                    grad_u=fem.SeparableField(separable.grad_u.terms + (drift[1],))),
+            manufactured_case(0.2691)]
+
+
+class TestStudyErrors:
+    @staticmethod
+    def outputs(degree, mode, level):
+        """A run of the manufactured members at one study level, and its output levels."""
+        cases = [manufactured_case(e) for e in (0.6207, 0.1841, 0.2691)]
+        nx, stride = 4 * 2 ** (level - 1), 2 ** (level - 1)
+        problem = EnsembleProblem(members=[c.member() for c in cases],
+                                  space=fem.build_space(uniform_triangulation(nx, nx), degree),
+                                  grid=TimeGrid(1.0, 10 * stride))
+        kept = []
+        solve = ensemble_solve if mode == "ensemble" else independent_solve
+        solve(problem, observer=lambda s: kept.append(s) if s.n and s.n % stride == 0
+              else None)
+        return problem, kept, cases, stride
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("mode", ["ensemble", "independent"])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_block_pass_matches_per_column_oracle(self, degree, mode, level):
+        problem, kept, cases, stride = self.outputs(degree, mode, level)
+        for exact in (cases, drifting_cases()):
+            got = harness.study_errors(problem, kept, exact, output_stride=stride)
+            want = per_column_errors(problem, kept, exact, output_stride=stride)
+            for g, w in zip(got, want):
+                assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w))
+
+    def test_one_block_norm_call_per_level_and_parts_evaluated_once(self, monkeypatch):
+        problem, kept, cases, stride = self.outputs(2, "ensemble", 2)
+        calls = []
+        for name in ("error_l2", "error_h1_semi"):
+            norm = getattr(fem, name)
+            monkeypatch.setattr(fem, name, lambda space, u, *args, _n=norm, _name=name, **kw:
+                                calls.append((_name, u.shape)) or _n(space, u, *args, **kw))
+        evaluated = []
+
+        def counted(part):
+            return lambda x, y: evaluated.append(part) or part(x, y)
+
+        parts = {id(p): counted(p) for c in cases for _, p in c.u.terms + c.grad_u.terms}
+        shared = [replace(c, u=fem.SeparableField(tuple((w, parts[id(p)]) for w, p in c.u.terms)),
+                          grad_u=fem.SeparableField(tuple((w, parts[id(p)])
+                                                          for w, p in c.grad_u.terms)))
+                  for c in cases]
+        harness.study_errors(problem, kept, shared, output_stride=stride)
+        shape = (problem.space.dof_count, len(cases))
+        assert sorted(calls) == sorted([("error_l2", shape), ("error_h1_semi", shape)]
+                                       * len(kept))
+        assert len(evaluated) == len(parts) == 3  # S and 1 of u, grad S of the gradient
 
 
 class TestRunCompare:

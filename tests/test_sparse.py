@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf
 
 from ensfem import sparse
 from ensfem.fem import (DirichletConstraint, assemble_mass, assemble_stiffness, build_space,
@@ -207,6 +208,22 @@ class TestReuseAndOrdering:
         x = spd_factorize(a).solve(b)
         x_renumbered = spd_factorize(a[p][:, p]).solve(b[p])
         assert np.abs(x_renumbered - x[p]).max() < 1e-10
+
+    @pytest.mark.parametrize("nx, degree", [(8, 1), (6, 2)])
+    def test_band_storage_matches_two_dimensional_scatter(self, nx, degree):
+        # the flat scatter writes the bytes the (i-j, j) fancy assignment wrote, into
+        # Fortran-contiguous storage that pbtrf factors in place
+        a = constrained_system(nx, degree)
+        plan = sparse._BandedPlan(a)
+        coo = a.tocoo()
+        upper = coo.row <= coo.col
+        reference = np.zeros((plan.bandwidth + 1, a.shape[0]), order="F")
+        reference[(coo.col - coo.row)[upper], coo.row[upper]] = a.data[upper]
+        ab = plan.banded(a.data)
+        assert ab.flags.f_contiguous and ab.shape == reference.shape
+        assert ab.tobytes(order="F") == reference.tobytes(order="F")
+        factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        assert info == 0 and np.shares_memory(factor, ab)
 
 
 def banded_reference(factor, b):
