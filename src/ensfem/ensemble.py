@@ -18,6 +18,7 @@ backward Euler for every member: the same scheme on one-member groups.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -138,65 +139,89 @@ def _named(member: int, step: int, evaluate, *args):
 class _Terms:
     """One kind of member data (a, f, g or u0), column by column, as a sum of terms.
 
-    A `fem.SeparableField` column is the sum of its terms w(t) * part. Its
-    spatial parts, read as time-free fields, are listed in `parts`, and row i
-    of `weights(t)`, a (columns, parts) matrix, holds column i's weights. Any
-    other callable is a plain field, one term of weight 1 whose part is the
-    callable itself, evaluated at the time of each level: the distinct plain
-    fields are listed in `plain`, and `column_plain[i]` is column i's, or -1
-    for a separable column. Parts and plain fields are told apart by identity,
-    so one that several members hold is assembled once; `holders` and
-    `plain_holders` name the member that first holds each. The kind is
-    `steady`, the same at every level, when it has no plain column and no
-    callable weight.
+    Every field is read as terms w(t) * part. A `fem.SeparableField` gives its
+    own, whose spatial parts do not move: their rows are evaluated at first
+    use and kept. Any other callable is one term of weight 1 whose part is the
+    callable itself and moves: its row is evaluated again at every level.
+    `evaluate(part, member, step, t)` gives a part's row of `size` values.
+    Parts are told apart by identity, so one that several columns hold is
+    evaluated once, for the member in `holders` that first holds it.
+
+    Columns that hold the same parts in the same order form one class, mixed
+    by one (columns, terms) @ (terms, size) product. A one-term class is mixed
+    by a broadcast product, which keeps the bits of a plain row, -0.0
+    included. The kind is `steady`, the same at every level, when no part
+    moves and no weight is callable; its weights are then read once.
     """
 
-    def __init__(self, kind: str, members: Sequence[EnsembleMember], order: np.ndarray):
-        self.kind, self.order, self._weights = kind, order, None  # the last weights read
-        self.parts, self.holders, self.plain, self.plain_holders = [], [], [], []
-        self._fields, term_parts, counts, column_plain = [], [], [], []
-        part_index, plain_index = {}, {}  # id of a part or plain field -> its position
-        for j in order:
+    def __init__(self, kind: str, members: Sequence, order: np.ndarray, size: int,
+                 evaluate: Callable[[Field, int, int, float], np.ndarray]):
+        self.kind, self.size, self._evaluate = kind, size, evaluate
+        self.parts, self.holders, moves, self._fields, term_members = [], [], [], [], []
+        index, classes = {}, {}  # (moves, id) of a part -> position; positions -> columns
+        for column, j in enumerate(order):
             field = getattr(members[j], kind)
-            if isinstance(field, fem.SeparableField):
-                for _, part in field.terms:
-                    if id(part) not in part_index:
-                        part_index[id(part)] = len(self.parts)
-                        self.parts.append(fem.stationary(part))
-                        self.holders.append(int(j))
-                    term_parts.append(part_index[id(part)])
-                self._fields.append(field)
-                counts.append(len(field.terms))
-                column_plain.append(-1)
-            else:
-                if id(field) not in plain_index:
-                    plain_index[id(field)] = len(self.plain)
-                    self.plain.append(field)
-                    self.plain_holders.append(int(j))
-                counts.append(0)
-                column_plain.append(plain_index[id(field)])
-        self.column_plain = np.array(column_plain, dtype=np.intp)
-        self.steady = not self.plain and not any(callable(w) for f in self._fields
-                                                 for w, _ in f.terms)
-        self._term_columns = np.repeat(np.arange(len(order)), counts)
-        # each term's slot in the flattened (columns, parts) weights
-        self._slots = self._term_columns * len(self.parts) + np.array(term_parts, dtype=np.intp)
+            plain = not isinstance(field, fem.SeparableField)
+            terms = ((1.0, field),) if plain else field.terms
+            for _, part in terms:
+                if (plain, id(part)) not in index:
+                    index[plain, id(part)] = len(self.parts)
+                    self.parts.append(part if plain else fem.stationary(part))
+                    self.holders.append(int(j))
+                    moves.append(plain)
+            classes.setdefault(tuple(index[plain, id(p)] for _, p in terms), []).append(column)
+            self._fields.append(fem.SeparableField(terms) if plain else field)
+            term_members += [int(j)] * len(terms)
+        starts = np.cumsum([0] + [len(f.terms) for f in self._fields])
+        # each class: its columns, its parts' positions and its terms' weight slots
+        self._classes = [(np.array(columns), np.array(parts, dtype=np.intp),
+                          starts[columns, None] + np.arange(len(parts)))
+                         for parts, columns in classes.items()]
+        self._term_members, self._moving = term_members, np.flatnonzero(moves)
+        self.steady = not self._moving.size and not any(
+            callable(w) for f in self._fields for w, _ in f.terms)
+        self._rows = self._weights = None  # the rows kept; the last weights read
 
-    def weights(self, t: float, step: int) -> np.ndarray:
-        """The (columns, parts) weights at time t, zero in plain columns; a non-finite
-        weight raises ValueError naming the member, the field and the step. Steady
-        weights are read once."""
+    def _weights_at(self, t: float, step: int) -> list[np.ndarray]:
+        """Each class's (columns, terms) weights at time t; a non-finite weight raises
+        ValueError naming the member, the field and the step. Steady weights are read once."""
         if self.steady and self._weights is not None:
             return self._weights
         values = np.concatenate([np.zeros(0)] + [f.weights(t) for f in self._fields])
         finite = np.isfinite(values)
         if not finite.all():
             term = int(np.argmin(finite))
-            raise ValueError(f"member {self.order[self._term_columns[term]]} at step {step}: "
+            raise ValueError(f"member {self._term_members[term]} at step {step}: "
                              f"time weight of its {self.kind} is {values[term]}")
-        self._weights = np.bincount(self._slots, weights=values, minlength=self.column_plain.size
-                                    * len(self.parts)).reshape(self.column_plain.size, -1)
+        self._weights = [values[slots] for _, _, slots in self._classes]
         return self._weights
+
+    def rows(self, step: int, t: float) -> np.ndarray:
+        """Every part's row at time t, shape (parts, size); the rows that do not move are
+        those of their first use."""
+        if self._rows is None:
+            self._rows = np.reshape([self._evaluate(part, j, step, t) for part, j in
+                                     zip(self.parts, self.holders)], (len(self.parts), self.size))
+        else:
+            for k in self._moving:
+                self._rows[k] = np.ravel(self._evaluate(self.parts[k], self.holders[k], step, t))
+        return self._rows
+
+    def mix(self, rows: np.ndarray, step: int, t: float) -> np.ndarray:
+        """Every column's data at time t from the parts' `rows`, shape (columns, size),
+        C-ordered."""
+        blocks = (w * rows[parts] if parts.size == 1 else w @ rows[parts]
+                  for (_, parts, _), w in zip(self._classes, self._weights_at(t, step)))
+        if len(self._classes) == 1:
+            return next(blocks)
+        data = np.empty((len(self._fields), rows.shape[1]))
+        for (columns, _, _), block in zip(self._classes, blocks):
+            data[columns] = block
+        return data
+
+    def __call__(self, step: int, t: float) -> np.ndarray:
+        """Every column's data at level `step`, time t, shape (columns, size)."""
+        return self.mix(self.rows(step, t), step, t)
 
 
 class _GroupedStepper:
@@ -215,15 +240,14 @@ class _GroupedStepper:
     its own columns (the coupling is its own) and solves them in place. The
     tagged rows take g(t1).
 
-    Member data are read as terms (`_Terms`). The spatial parts of separable
-    fields are assembled once per run, as stiffness data, loads and boundary
-    values, and each level mixes them with one (columns, parts) product per
-    kind. Plain fields are assembled again at each level. The run is `static`
-    when its a, f and g are all steady (`_Terms.steady`), and then assembles
-    the whole level once; u0, read at t = 0 only, does not count. A group's
-    system data are M/dt plus the mean of its columns' stiffness data, for
-    plain and separable coefficients alike: A is linear in the coefficient,
-    so that mean is A(abar).
+    Member data are read as terms, one `_Terms` per kind, which assembles each
+    part as stiffness data, a load or boundary values: a separable field's
+    parts once per run, a plain field at every level, and mixes them per
+    level, one product per class of columns. The run is `static` when its a, f
+    and g are all steady, and then assembles the whole level once; u0, read
+    at t = 0 only, does not count. A group's system data are M/dt plus the
+    mean of its columns' stiffness data, for plain and separable coefficients
+    alike: A is linear in the coefficient, so that mean is A(abar).
     """
 
     def __init__(self, problem: EnsembleProblem, groups: Sequence[Sequence[int]]):
@@ -234,11 +258,11 @@ class _GroupedStepper:
         self.scaled_mass = self.mass.data * (1.0 / self.dt)
         self.constraint = fem.DirichletConstraint(self.mass, self.space,
                                                   problem.dirichlet_tags)
-        self.terms = {kind: _Terms(kind, problem.members, self.order)
-                      for kind in ("a", "f", "g", "u0")}
+        n, nb = self.space.dof_count, self.constraint.bdofs.size
+        self.terms = {kind: _Terms(kind, problem.members, self.order, size,
+                                   functools.partial(self._assemble, kind))
+                      for kind, size in (("a", self.mass.nnz), ("f", n), ("g", nb), ("u0", n))}
         self.static = all(self.terms[k].steady for k in ("a", "f", "g"))
-        # the assembled spatial parts of each kind, one row per part, kept for the run
-        self._parts: dict[str, np.ndarray] = {}
         # every member's A(a_j), interleaved in group order, made on first use (after the
         # initial projection, not to add up in peak memory), refilled through `_order`
         self.stiffness = self._order = None
@@ -257,53 +281,18 @@ class _GroupedStepper:
             return _named(member, step, self.constraint.boundary_values, field, t)
         return _named(member, step, fem.assemble_load, self.space, field, t)
 
-    def _part_rows(self, kind: str, step: int, t: float, size: int) -> np.ndarray:
-        """The spatial parts of `kind` assembled, one row of `size` each, kept from their
-        first use."""
-        if kind not in self._parts:
-            terms = self.terms[kind]
-            self._parts[kind] = np.reshape([self._assemble(kind, part, j, step, t) for part, j
-                                            in zip(terms.parts, terms.holders)],
-                                           (len(terms.parts), size))
-        return self._parts[kind]
-
-    def _plain_rows(self, kind: str, step: int, t: float, size: int) -> np.ndarray:
-        """The plain fields of `kind` assembled at time t, one row of `size` each."""
-        terms = self.terms[kind]
-        return np.reshape([self._assemble(kind, field, j, step, t) for field, j
-                           in zip(terms.plain, terms.plain_holders)], (len(terms.plain), size))
-
-    def _mixed(self, kind: str, step: int, t: float, parts: np.ndarray,
-               plain: np.ndarray) -> np.ndarray:
-        """Every column's data of `kind` at time t from its assembled rows, shape (columns,
-        size), C-ordered: a separable column mixes the parts, a plain one is its row."""
-        terms = self.terms[kind]
-        data = (terms.weights(t, step) @ parts if terms.parts
-                else np.zeros((terms.order.size, parts.shape[1])))
-        columns = np.flatnonzero(terms.column_plain >= 0)
-        data[columns] = plain[terms.column_plain[columns]]
-        return data
-
-    def _level(self, kind: str, step: int, t: float, size: int) -> np.ndarray:
-        """Every column's data of `kind` at time t, shape (columns, size)."""
-        return self._mixed(kind, step, t, self._part_rows(kind, step, t, size),
-                           self._plain_rows(kind, step, t, size))
-
     def initial_state(self) -> EnsembleState:
         """L2 projection of every member's u0, tagged boundary DOFs overwritten by g(., 0).
 
-        The loads of the u0 parts and of the distinct plain u0 are projected
+        The loads of the distinct u0 parts, separable or plain, are projected
         once, all in one block (one mass factorization, none for zero data),
         and the projections mixed into the members' columns."""
-        n, constraint = self.space.dof_count, self.constraint
-        parts, plain = self._part_rows("u0", 0, 0.0, n), self._plain_rows("u0", 0, 0.0, n)
-        del self._parts["u0"]  # read here only
-        loads = np.ascontiguousarray(np.concatenate([parts, plain]).T)
+        u0 = self.terms.pop("u0")  # read here only
+        loads = u0.rows(0, 0.0)
         if loads.any():
-            loads = fem.mass_solver(self.mass)(loads)
-        u = np.ascontiguousarray(self._mixed("u0", 0, 0.0, loads[:, :len(parts)].T,
-                                             loads[:, len(parts):].T).T)
-        u[constraint.bdofs] = self._level("g", 0, 0.0, constraint.bdofs.size).T
+            loads = fem.mass_solver(self.mass)(np.ascontiguousarray(loads.T)).T
+        u = np.ascontiguousarray(u0.mix(loads, 0, 0.0).T)
+        u[self.constraint.bdofs] = self.terms["g"](0, 0.0).T
         return EnsembleState(n=0, t=0.0, u=u)
 
     def _pieces(self, n1: int):
@@ -313,7 +302,7 @@ class _GroupedStepper:
         if self.static and self._cache is not None:
             return self._cache
         t1 = n1 * self.dt
-        members = self._level("a", n1, t1, self.mass.nnz)
+        members = self.terms["a"](n1, t1)
         systems = [self.scaled_mass + members[group].mean(axis=0) for group in self.groups]
         if self.stiffness is None:
             self._order = None if self.static else sparse.interleave(  # for the refills
@@ -323,13 +312,13 @@ class _GroupedStepper:
             self.stiffness = sparse.interleaved_block_diagonal(self.mass, values, self.order.size)
         else:
             np.take(members.ravel(), self._order, out=self.stiffness.data, mode="clip")
-        loads = (np.ascontiguousarray(self._level("f", n1, t1, self.space.dof_count).T)
-                 if self.terms["f"].parts or self.terms["f"].plain else None)  # f = 0: none
-        gvals = np.ascontiguousarray(self._level("g", n1, t1, self.constraint.bdofs.size).T)
+        f = self.terms["f"]
+        loads = np.ascontiguousarray(f(n1, t1).T) if f.parts else None  # f = 0: none
+        gvals = np.ascontiguousarray(self.terms["g"](n1, t1).T)
         pieces = (systems, self.stiffness, loads, gvals)
         if self.static:
             self._cache = pieces
-            self._parts.clear()
+            self.terms.clear()  # their kept rows are not read again
         return pieces
 
     def step(self, state: EnsembleState) -> EnsembleState:

@@ -127,39 +127,6 @@ class ConvergenceRow:
     stats: SolveStats
 
 
-class _AtPoints:
-    """The cases' exact u or grad_u at fixed points (x, y), one column per case.
-
-    Called with (t, step), it gives shape (*x.shape, J) for u and (2, *x.shape,
-    J) for the gradient pair. The data are read as terms (`ensemble._Terms`):
-    each spatial part, shared by identity, is evaluated once, here, and mixed
-    with the cases' weights at each call; a plain field is evaluated at each
-    call.
-    """
-
-    def __init__(self, kind: str, cases: Sequence[ManufacturedCase], x: np.ndarray,
-                 y: np.ndarray):
-        self.terms = _Terms(kind, cases, np.arange(len(cases)))
-        self.x, self.y, self.gradient = x, y, kind == "grad_u"
-        self.shape = (2,) * self.gradient + x.shape
-        self.parts = np.empty((math.prod(self.shape), len(self.terms.parts)))
-        for k, part in enumerate(self.terms.parts):
-            self.parts[:, k] = self._at(part, 0.0).ravel()
-
-    def _at(self, field, t: float) -> np.ndarray:
-        value = field(self.x, self.y, t)
-        if self.gradient:
-            return np.stack([np.broadcast_to(c, self.x.shape) for c in value])
-        return np.broadcast_to(value, self.shape)
-
-    def __call__(self, t: float, step: int) -> np.ndarray:
-        values = (self.parts @ self.terms.weights(t, step).T).reshape(self.shape + (-1,))
-        plain = [self._at(field, t) for field in self.terms.plain]
-        for j in np.flatnonzero(self.terms.column_plain >= 0):
-            values[..., j] = plain[self.terms.column_plain[j]]
-        return values
-
-
 def study_errors(problem: EnsembleProblem, levels: Sequence[EnsembleState],
                  cases: Sequence[ManufacturedCase],
                  output_stride: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,18 +137,35 @@ def study_errors(problem: EnsembleProblem, levels: Sequence[EnsembleState],
     order-2 interior points. Comparing all levels at the same physical output
     times (and the same gradient sample layout per cell) keeps table columns
     commensurable. Each level is one block pass over the members: one L2 and
-    one H1 call on the (ndof, J) block, against the exact values of every
-    case at the rule's points (`_AtPoints`).
+    one H1 call on the (ndof, J) block, against every case's exact u and grad
+    u at the rule's points. These are read as terms (`ensemble._Terms`), whose
+    rows are values at the points: a separable part is evaluated once per
+    run, a plain field at every output level.
     """
     space, grad_rule = problem.space, triangle_rule(2)
     tab, grad_tab = space.tabulation(space.data_rule), space.tabulation(grad_rule)
-    exact_u = _AtPoints("u", cases, tab.xq, tab.yq)
-    exact_grad = _AtPoints("grad_u", cases, grad_tab.xq, grad_tab.yq)
+
+    def exact(kind: str, x: np.ndarray, y: np.ndarray):
+        """The cases' exact `kind` at the points, shape (*x.shape, J) for u and (2,
+        *x.shape, J) for the gradient pair, at (step, t)."""
+        shape = (2,) * (kind == "grad_u") + x.shape
+
+        def at(field, member, step, t):
+            value = field(x, y, t)
+            if kind == "grad_u":
+                return np.stack([np.broadcast_to(c, x.shape) for c in value])
+            return np.broadcast_to(value, shape)
+
+        terms = _Terms(kind, cases, np.arange(len(cases)), math.prod(shape), at)
+        return lambda step, t: terms(step, t).T.reshape(shape + (-1,))
+
+    exact_u = exact("u", tab.xq, tab.yq)
+    exact_grad = exact("grad_u", grad_tab.xq, grad_tab.yq)
     e_l2 = np.zeros(len(cases))
     e_h1_sq = np.zeros(len(cases))
     for state in levels:
-        e_l2 = np.maximum(e_l2, fem.error_l2(space, state.u, exact_u(state.t, state.n)))
-        e_h1_sq += fem.error_h1_semi(space, state.u, exact_grad(state.t, state.n),
+        e_l2 = np.maximum(e_l2, fem.error_l2(space, state.u, exact_u(state.n, state.t)))
+        e_h1_sq += fem.error_h1_semi(space, state.u, exact_grad(state.n, state.t),
                                      rule=grad_rule) ** 2
     return e_l2, np.sqrt(problem.grid.dt * output_stride * e_h1_sq)
 

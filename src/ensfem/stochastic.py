@@ -9,6 +9,7 @@ comparisons in `mc_rate_study` well defined.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -24,6 +25,13 @@ from .stability import (SamplingGrid, StabilityReport, coefficient_block, estima
                         partition_ensemble)
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _require_integers(**values) -> None:
+    """Raise ValueError naming the first of `values` that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class StabilityError(RuntimeError):
@@ -51,6 +59,7 @@ class RandomFieldSpec:
         if not (math.isfinite(self.corr_length) and self.corr_length > 0):
             raise ValueError("correlation length must be positive and finite, "
                              f"got {self.corr_length}")
+        _require_integers(n_modes=self.n_modes)
         if self.n_modes < 0:
             raise ValueError(f"n_modes must be non-negative, got {self.n_modes}")
 
@@ -101,8 +110,7 @@ def sample_coefficient(spec: RandomFieldSpec, draw: SampleDraw) -> Field:
 
 
 def _replica_key(seed: int, replica: int) -> np.ndarray:
-    return np.random.SeedSequence(entropy=int(seed),
-                                  spawn_key=(int(replica),)).generate_state(2, np.uint64)
+    return np.random.SeedSequence(entropy=seed, spawn_key=(replica,)).generate_state(2, np.uint64)
 
 
 def draw_samples(seed: int, count: int, n_modes: int, replica: int = 0) -> list[SampleDraw]:
@@ -153,6 +161,8 @@ class EmcConfig:
     partition: bool = False
 
     def __post_init__(self):
+        _require_integers(samples=self.samples, seed=self.seed, replica=self.replica,
+                          nx=self.nx, degree=self.degree)
         if self.samples < 1:
             raise ValueError("sample count must be at least 1")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -357,8 +367,10 @@ def mc_rate_study(config: EmcConfig, j_list: Sequence[int] | None = None,
     log-log regression slopes, which need at least two distinct J.
     """
     j_list = list(j_list if j_list is not None else defaults.RATE_STUDY["j_list"])
-    j0 = int(j_benchmark if j_benchmark is not None else defaults.RATE_STUDY["j_benchmark"])
-    m_replicas = int(replicas if replicas is not None else defaults.RATE_STUDY["replicas"])
+    j0 = j_benchmark if j_benchmark is not None else defaults.RATE_STUDY["j_benchmark"]
+    m_replicas = replicas if replicas is not None else defaults.RATE_STUDY["replicas"]
+    _require_integers(replicas=m_replicas, j_benchmark=j0,
+                      **{f"j_list[{k}]": j for k, j in enumerate(j_list)})
     if not j_list or min(j_list) < 1 or m_replicas < 1:
         raise ValueError("j_list and replicas must be positive")
     if max(j_list) >= j0:

@@ -62,3 +62,35 @@ def test_refuses_records_that_do_not_belong_together(changes, message):
     records = [record("emc_wide", 1, 30.0), {**record("emc_wide", 2, 31.0), **changes}]
     with pytest.raises(ValueError, match=message):
         bench_record.summarize(records)
+
+
+def test_pair_table_medians_wins_and_parent_iqr():
+    parent = bench_record.summarize([record("emc_gate", seed, wall) for seed, wall
+                                     in ((1, 10.0), (2, 11.0), (3, 12.0), (4, 13.0))])
+    change = bench_record.summarize([record("emc_gate", seed, wall) for seed, wall
+                                     in ((1, 9.0), (2, 11.0), (3, 13.0), (4, 12.0), (5, 1.0))]
+                                    + [record("emc_wide", 1, 30.0)])
+    rows = {row["metric"]: row for row in bench_record.pair_table(parent, change)}
+    assert set(rows) == set(bench_record.END_TO_END)  # emc_gate only: emc_wide has no parent
+    wall = rows["wall_ref"]
+    assert (wall["workload"], wall["unit"]) == ("emc_gate", "ref")
+    assert (wall["parent"], wall["change"]) == (11.5, 11.0)  # each side's own median
+    # seed 1 wins, 2 ties, 3 loses, 4 wins; seed 5 has no parent run
+    assert (wall["wins"], wall["pairs"]) == (2, 4)
+    assert wall["parent_iqr"] == parent["emc_gate"]["metrics"]["wall_ref"]["iqr"] == 1.5
+    # higher is better for the rate, so the same seeds win
+    assert (rows["member_steps_per_ref"]["wins"], rows["member_steps_per_ref"]["pairs"]) == (2, 4)
+    assert rows["setup_s"]["wins"] == 0  # every pair ties
+
+
+def test_pair_runs_take_turns_going_first(monkeypatch):
+    runs = []
+    monkeypatch.setattr(bench_record, "run_one", lambda root, workload, seed:
+                        runs.append((root, workload, seed)) or record(workload, seed, 1.0))
+    before, after = bench_record.run_benchmark([Path("parent"), Path("change")],
+                                               ["emc_gate", "emc_wide"], [7, 8])
+    assert runs == [(Path(root), workload, seed) for seed, first, second
+                    in ((7, "parent", "change"), (8, "change", "parent"))
+                    for workload in ("emc_gate", "emc_wide") for root in (first, second)]
+    assert [(r["workload"], r["seed"]) for r in before] == [(r["workload"], r["seed"])
+                                                            for r in after]

@@ -206,9 +206,11 @@ class TestSolvers:
         # each group's columns are those of a separate run of that group alone,
         # bit for bit, whatever the partition and the order of its groups and
         # members; singleton groups are the backward-Euler run. The members are
-        # plain callables, and then with f, g and u0 as separable fields mixed
+        # plain callables, then with f, g and u0 as separable fields mixed
         # per level, g with a callable weight: g moves, so every group
-        # lifts nonzero boundary increments at every step. a stays plain there:
+        # lifts nonzero boundary increments at every step. In the third set f,
+        # g and u0 alternate between plain and separable across the members, so
+        # each kind has several classes of columns mixed apart. a stays plain:
         # a one-column run mixes a separable a by a one-row matrix product, which
         # can differ in the last bit from that row of a wider product
         plain = [EnsembleMember(a=lambda x, y, t, c=c: 1.0 + c * np.asarray(y) + 0.1 * t,
@@ -223,10 +225,13 @@ class TestSolvers:
             g=fem.SeparableField(((lambda t, c=c: c * t, one),)),
             u0=fem.SeparableField(((c, wave),)))
             for member, c in zip(plain, (0.2, 0.7, 0.4, 0.9, 0.5, 0.3))]
+        plain_kinds = (("g",), ("f", "u0"), ("g", "u0"), ("f",), ("g",), ("f", "u0"))
+        alternating = [dataclasses.replace(sep, **{kind: getattr(member, kind) for kind in kinds})
+                       for member, sep, kinds in zip(plain, separable, plain_kinds)]
         order = data.draw(st.permutations(range(count)))
         cuts = sorted(data.draw(st.sets(st.integers(1, count - 1))) if count > 1 else [])
         groups = [order[a:b] for a, b in zip([0, *cuts], [*cuts, count])]
-        for members in (plain, separable):
+        for members in (plain, separable, alternating):
             problem = small_problem(members, nx=5, steps=4)
             traj, stats = run_levels(ensemble_solve, problem, groups=groups)
             assert [st.u.shape for st in traj] == [(problem.space.dof_count, count)] * 5

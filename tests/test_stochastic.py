@@ -447,6 +447,28 @@ class TestRunEmc:
         with pytest.raises(ValueError, match=f"{field}=-1 .*must be non-negative"):
             tiny_config(**{field: -1})
 
+    @pytest.mark.parametrize("make, kwargs, message", [
+        (tiny_config, dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (tiny_config, dict(replica=1.9), "replica must be an integer, got 1.9"),
+        (tiny_config, dict(samples=2.5), "samples must be an integer, got 2.5"),
+        (tiny_config, dict(nx=2.5), "nx must be an integer, got 2.5"),
+        (tiny_config, dict(degree=1.0), "degree must be an integer, got 1.0"),
+        (RandomFieldSpec, dict(n_modes=2.0), "n_modes must be an integer, got 2.0"),
+        (lambda **kw: mc_rate_study(tiny_config(), **kw),
+         dict(j_list=[2, 4], j_benchmark=8, replicas=2.7), "replicas must be an integer, got 2.7"),
+        (lambda **kw: mc_rate_study(tiny_config(), **kw),
+         dict(j_list=[2, 4], j_benchmark=8.5, replicas=1),
+         "j_benchmark must be an integer, got 8.5"),
+        (lambda **kw: mc_rate_study(tiny_config(), **kw),
+         dict(j_list=[2, 4.0], j_benchmark=8, replicas=1),
+         r"j_list\[1\] must be an integer, got 4.0"),
+    ], ids=["seed", "replica", "samples", "nx", "degree", "n_modes", "replicas", "j_benchmark",
+            "j_list"])
+    def test_non_integer_counts_seed_and_replica_named(self, make, kwargs, message):
+        # a float count, seed or replica is refused, not truncated or left to fail in numpy
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(**kwargs)
+
 
 class TestRateStudy:
     def test_log_fit_recovers_half_order(self):
