@@ -57,12 +57,14 @@ class TimeGrid:
 class EnsembleMember:
     """One simulation: diffusion coefficient, source, Dirichlet data, initial datum.
 
-    Each field is a callable f(x, y, t) or a `fem.SeparableField`, whose
-    spatial parts the solvers assemble once per run. A separable field whose
-    weights are all numbers is time-free; a plain callable may depend on t and
-    is evaluated again at every time level. When the a, f and g of every member
-    of a run are time-free, the run assembles its matrices and vectors once
-    instead of once per step; u0 is read at t = 0 only, so it does not count.
+    The solvers read each field as a sum of terms w(t) * part. A
+    `fem.SeparableField` gives its own terms, whose spatial parts are
+    assembled once per run; a separable field whose weights are all numbers is
+    time-free. Any other callable f(x, y, t) is one term of weight 1 whose part
+    may depend on t, so it is assembled again at every time level. When the a,
+    f and g of every member of a run are time-free, the run assembles its
+    matrices and vectors once instead of once per step; u0 is read at t = 0
+    only, so it does not count.
     """
 
     a: Field
@@ -134,6 +136,16 @@ def _named(member: int, step: int, evaluate, *args):
         return evaluate(*args)
     except ValueError as exc:
         raise ValueError(f"member {member} at step {step}: {exc}") from exc
+
+
+def _assemble(space: FeSpace, constraint: fem.DirichletConstraint, kind: str, field: Field,
+              member: int, step: int, t: float) -> np.ndarray:
+    """One field or part of `kind` assembled at time t (a coefficient's stiffness data)."""
+    if kind == "a":
+        return _named(member, step, fem.assemble_stiffness, space, field, t).data
+    if kind == "g":
+        return _named(member, step, constraint.boundary_values, field, t)
+    return _named(member, step, fem.assemble_load, space, field, t)
 
 
 class _Terms:
@@ -258,9 +270,12 @@ class _GroupedStepper:
         self.scaled_mass = self.mass.data * (1.0 / self.dt)
         self.constraint = fem.DirichletConstraint(self.mass, self.space,
                                                   problem.dirichlet_tags)
+        # the evaluators hold no reference to the stepper: a cycle through it would keep
+        # a finished run's matrices until the cycle collector, which arrays do not trigger
         n, nb = self.space.dof_count, self.constraint.bdofs.size
+        assemble = functools.partial(_assemble, self.space, self.constraint)
         self.terms = {kind: _Terms(kind, problem.members, self.order, size,
-                                   functools.partial(self._assemble, kind))
+                                   functools.partial(assemble, kind))
                       for kind, size in (("a", self.mass.nnz), ("f", n), ("g", nb), ("u0", n))}
         self.static = all(self.terms[k].steady for k in ("a", "f", "g"))
         # every member's A(a_j), interleaved in group order, made on first use (after the
@@ -271,15 +286,6 @@ class _GroupedStepper:
         # counters of `sparse`, they exclude work done meanwhile by other runs
         self.factorizations = 0
         self.block_solves = 0
-
-    def _assemble(self, kind: str, field: Field, member: int, step: int,
-                  t: float) -> np.ndarray:
-        """One field or part of `kind` assembled at time t (a coefficient's stiffness data)."""
-        if kind == "a":
-            return _named(member, step, fem.assemble_stiffness, self.space, field, t).data
-        if kind == "g":
-            return _named(member, step, self.constraint.boundary_values, field, t)
-        return _named(member, step, fem.assemble_load, self.space, field, t)
 
     def initial_state(self) -> EnsembleState:
         """L2 projection of every member's u0, tagged boundary DOFs overwritten by g(., 0).

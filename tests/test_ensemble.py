@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -246,6 +248,25 @@ class TestSolvers:
             independent, _ = run_levels(independent_solve, problem)
             for mine, ref in zip(singletons, independent):
                 assert np.array_equal(mine.u, ref.u)
+
+    @pytest.mark.parametrize("solver", [ensemble_solve, independent_solve])
+    def test_finished_run_frees_its_stepper(self, monkeypatch, solver):
+        # a run's stepper holds its matrices and member data; a reference cycle
+        # through it would keep them alive until the cycle collector runs, which
+        # large arrays do not trigger, so runs in a loop would pile up memory.
+        # The members are time-dependent, so the stepper keeps its data to the end
+        steppers, init = [], _GroupedStepper.__init__
+        monkeypatch.setattr(_GroupedStepper, "__init__", lambda self, *args: steppers.append(
+            weakref.ref(self)) or init(self, *args))
+        members = [heat_member(f=lambda x, y, t: t * np.asarray(x)), EnsembleMember(
+            a=lambda x, y, t: 1.0 + t * np.asarray(y), f=_separable([1.0]), g=zero_field,
+            u0=lambda x, y, t: np.asarray(x) * y)]
+        gc.disable()
+        try:
+            final, _ = solver(small_problem(members, steps=3))
+            assert final.u.any() and len(steppers) == 1 and steppers[0]() is None
+        finally:
+            gc.enable()
 
     def test_observer_and_trajectory_policy(self):
         # the observer is the only trajectory: it sees every level n = 0..N, and
