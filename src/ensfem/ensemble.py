@@ -168,28 +168,31 @@ class _Terms:
 
     def __init__(self, kind: str, members: Sequence, order: np.ndarray, size: int,
                  evaluate: Callable[[Field, int, int, float], np.ndarray]):
-        self.kind, self.size, self._evaluate = kind, size, evaluate
-        self.parts, self.holders, moves, self._fields, term_members = [], [], [], [], []
+        self.kind, self.order, self.size, self._evaluate = kind, order, size, evaluate
+        self.parts, self.holders, moves, self._fields = [], [], [], []
         index, classes = {}, {}  # (moves, id) of a part -> position; positions -> columns
-        for column, j in enumerate(order):
+        for column, j in enumerate(order.tolist()):
             field = getattr(members[j], kind)
             plain = not isinstance(field, fem.SeparableField)
             terms = ((1.0, field),) if plain else field.terms
+            positions = []
             for _, part in terms:
-                if (plain, id(part)) not in index:
-                    index[plain, id(part)] = len(self.parts)
+                key = (plain, id(part))
+                if key not in index:
+                    index[key] = len(self.parts)
                     self.parts.append(part if plain else fem.stationary(part))
-                    self.holders.append(int(j))
+                    self.holders.append(j)
                     moves.append(plain)
-            classes.setdefault(tuple(index[plain, id(p)] for _, p in terms), []).append(column)
+                positions.append(index[key])
+            classes.setdefault(tuple(positions), []).append(column)
             self._fields.append(fem.SeparableField(terms) if plain else field)
-            term_members += [int(j)] * len(terms)
-        starts = np.cumsum([0] + [len(f.terms) for f in self._fields])
+        # where each column's terms start among all terms' weights
+        self._starts = np.cumsum([0] + [len(f.terms) for f in self._fields])
         # each class: its columns, its parts' positions and its terms' weight slots
         self._classes = [(np.array(columns), np.array(parts, dtype=np.intp),
-                          starts[columns, None] + np.arange(len(parts)))
+                          self._starts[columns, None] + np.arange(len(parts)))
                          for parts, columns in classes.items()]
-        self._term_members, self._moving = term_members, np.flatnonzero(moves)
+        self._moving = np.flatnonzero(moves)
         self.steady = not self._moving.size and not any(
             callable(w) for f in self._fields for w, _ in f.terms)
         self._rows = self._weights = None  # the rows kept; the last weights read
@@ -203,7 +206,8 @@ class _Terms:
         finite = np.isfinite(values)
         if not finite.all():
             term = int(np.argmin(finite))
-            raise ValueError(f"member {self._term_members[term]} at step {step}: "
+            column = np.searchsorted(self._starts, term, side="right") - 1
+            raise ValueError(f"member {self.order[column]} at step {step}: "
                              f"time weight of its {self.kind} is {values[term]}")
         self._weights = [values[slots] for _, _, slots in self._classes]
         return self._weights
