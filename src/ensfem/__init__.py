@@ -17,11 +17,9 @@ _EXPORTS = {
                      "TimeGrid", "ensemble_solve", "independent_solve"), "ensemble"),
     **dict.fromkeys(("FeSpace", "SeparableField", "assemble_load", "assemble_mass", "assemble_stiffness",
                      "build_space", "constant_field", "error_h1_semi", "error_l2",
-                     "l2_project", "zero_field"), "fem"),
-    **dict.fromkeys(("BoundaryTag", "Mesh", "dump_mesh", "mesh_size", "refine_uniform",
-                     "uniform_triangulation"), "mesh"),
-    **dict.fromkeys(("NotSpdError", "add_scaled", "counters", "reset_counters",
-                     "spd_factorize"), "sparse"),
+                     "zero_field"), "fem"),
+    **dict.fromkeys(("BoundaryTag", "Mesh", "uniform_triangulation"), "mesh"),
+    **dict.fromkeys(("NotSpdError", "add_scaled", "counters", "spd_factorize"), "sparse"),
     **dict.fromkeys(("SamplingGrid", "StabilityReport", "coefficient_block",
                      "estimate_bounds", "partition_ensemble"), "stability"),
     **dict.fromkeys(("EmcConfig", "EmcResult", "RandomFieldSpec", "SampleDraw",

@@ -108,13 +108,6 @@ class FeSpace:
     _stiffness: "_StiffnessOperator | None" = field(repr=False, default=None)
     _load: "sp.csr_matrix | None" = field(repr=False, default=None)
 
-    @property
-    def interior_dofs(self) -> np.ndarray:
-        mask = np.ones(self.dof_count, dtype=bool)
-        for dofs in self.boundary_dofs.values():
-            mask[dofs] = False
-        return np.nonzero(mask)[0]
-
     def tagged_dofs(self, tags: Iterable[BoundaryTag]) -> np.ndarray:
         """Sorted union of the DOF sets of the given boundary tags."""
         sets = [self.boundary_dofs[t] for t in tags]
@@ -311,11 +304,6 @@ def mass_solver(mass: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     order = sparse.band_ordering(mass)
     factor, inverse = sparse.spd_factorize(mass[order][:, order]), np.argsort(order)
     return lambda b: factor.solve(b[order])[inverse]
-
-
-def l2_project(space: FeSpace, g: Field, t: float = 0.0) -> np.ndarray:
-    """Element of the space whose inner product with every basis function matches g."""
-    return mass_solver(assemble_mass(space))(assemble_load(space, g, t))
 
 
 def integrate(space: FeSpace, u: np.ndarray) -> float | np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TextIO
 
 import numpy as np
 
@@ -36,14 +35,12 @@ class Mesh:
         triangles: (nt, 3) vertex indices, counterclockwise.
         boundary_edges: (nb, 2) vertex index pairs lying on the rectangle sides.
         boundary_tags: tag per boundary edge, aligned with `boundary_edges`.
-        domain: the rectangle (x0, x1, y0, y1) the mesh covers.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: tuple[BoundaryTag, ...]
-    domain: Rectangle
 
     def __post_init__(self) -> None:
         for arr in (self.vertices, self.triangles, self.boundary_edges):
@@ -95,7 +92,7 @@ def uniform_triangulation(nx: int, ny: int, domain: Rectangle = UNIT_SQUARE) -> 
     tags = ((BoundaryTag.BOTTOM, BoundaryTag.TOP) * nx
             + (BoundaryTag.LEFT, BoundaryTag.RIGHT) * ny)
     return Mesh(vertices=vertices, triangles=triangles, boundary_edges=boundary_edges,
-                boundary_tags=tags, domain=(x0, x1, y0, y1))
+                boundary_tags=tags)
 
 
 def edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,49 +113,3 @@ def edge_numbering(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("a boundary edge is not an edge of the triangles")
     edges = np.column_stack([keys // nv, keys % nv])
     return edges, inverse.reshape(3, nt).T, np.searchsorted(keys, boundary_keys)
-
-
-def refine_uniform(mesh: Mesh) -> Mesh:
-    """Split every triangle into four congruent children via edge midpoints.
-
-    The midpoint of edge k of `edge_numbering` becomes vertex num_vertices + k.
-    """
-    edges, cell_edges, boundary_edges = edge_numbering(mesh)
-    p = mesh.vertices
-    vertices = np.concatenate([p, 0.5 * (p[edges[:, 0]] + p[edges[:, 1]])])
-    v0, v1, v2 = mesh.triangles.T
-    m01, m12, m20 = (mesh.num_vertices + cell_edges).T
-    triangles = np.stack([v0, m01, m20, m01, v1, m12, m20, m12, v2, m01, m12, m20], axis=1)
-    i, j = mesh.boundary_edges.T
-    m = mesh.num_vertices + boundary_edges
-    return Mesh(vertices=vertices, triangles=triangles.reshape(-1, 3),
-                boundary_edges=np.stack([i, m, m, j], axis=1).reshape(-1, 2),
-                boundary_tags=tuple(t for tag in mesh.boundary_tags for t in (tag, tag)),
-                domain=mesh.domain)
-
-
-def mesh_size(mesh: Mesh) -> float:
-    """Longest triangle edge over the whole mesh."""
-    if mesh.num_triangles == 0:
-        raise ValueError("mesh has no triangles")
-    p = mesh.vertices[mesh.triangles]
-    h2 = 0.0
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        d = p[:, a] - p[:, b]
-        h2 = max(h2, float(np.max(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
-    return math.sqrt(h2)
-
-
-def dump_mesh(mesh: Mesh, stream: TextIO) -> None:
-    """Write the plain-text mesh dump.
-
-    Format: one header line ``vertices <n> triangles <m>``, then ``v x y``
-    lines, ``t i j k`` lines, and ``b i j TAG`` boundary lines.
-    """
-    stream.write(f"vertices {mesh.num_vertices} triangles {mesh.num_triangles}\n")
-    for x, y in mesh.vertices:
-        stream.write(f"v {x!r} {y!r}\n")
-    for i, j, k in mesh.triangles:
-        stream.write(f"t {i} {j} {k}\n")
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        stream.write(f"b {i} {j} {tag.name}\n")

@@ -65,14 +65,6 @@ def counters() -> CounterSnapshot:
         return CounterSnapshot(_factorizations, _block_solves, _rhs_columns)
 
 
-def reset_counters() -> None:
-    global _factorizations, _block_solves, _rhs_columns
-    with _lock:
-        _factorizations = 0
-        _block_solves = 0
-        _rhs_columns = 0
-
-
 def _count_factorization() -> None:
     global _factorizations
     with _lock:

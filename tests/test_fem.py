@@ -9,12 +9,22 @@ from hypothesis import strategies as st
 from ensfem import sparse
 from ensfem.fem import (DirichletConstraint, assemble_load, assemble_mass,
                         assemble_stiffness, build_space, coefficient_values,
-                        constant_field, error_h1_semi, error_l2, integrate,
-                        l2_project, zero_field)
-from ensfem.mesh import BoundaryTag, refine_uniform, uniform_triangulation
+                        constant_field, error_h1_semi, error_l2, integrate, mass_solver,
+                        zero_field)
+from ensfem.mesh import BoundaryTag, uniform_triangulation
 from ensfem.quadrature import triangle_rule
 
 from _dense_oracle import p1_mass, p1_stiffness
+
+
+def project(space, g):
+    """L2 projection of g onto the space, as a run projects its initial data."""
+    return mass_solver(assemble_mass(space))(assemble_load(space, g, 0.0))
+
+
+def interior_dofs(space):
+    """The DOFs on no tagged boundary side."""
+    return np.setdiff1d(np.arange(space.dof_count), space.tagged_dofs(tuple(BoundaryTag)))
 
 
 @pytest.fixture
@@ -45,10 +55,10 @@ class TestBuildSpace:
             build_space(uniform_triangulation(2, 2), 3)
 
     def test_dof_partition(self, space_p2):
-        tagged = set(space_p2.tagged_dofs(tuple(BoundaryTag)).tolist())
-        interior = set(space_p2.interior_dofs.tolist())
-        assert tagged | interior == set(range(space_p2.dof_count))
-        assert not (tagged & interior)
+        # the four tags cover exactly the DOFs on the boundary of the unit square
+        x, y = space_p2.dof_coords.T
+        inside = (x > 0.0) & (x < 1.0) & (y > 0.0) & (y < 1.0)
+        assert np.array_equal(interior_dofs(space_p2), np.nonzero(inside)[0])
 
     def test_every_dof_in_some_cell(self, space_p2):
         assert set(np.unique(space_p2.cell_dofs)) == set(range(space_p2.dof_count))
@@ -124,7 +134,7 @@ class TestStiffness:
     def test_interior_rows_annihilate_linear_solution(self, space_p1):
         a = assemble_stiffness(space_p1, constant_field(1.0), 0.0)
         u = space_p1.dof_coords[:, 0] + space_p1.dof_coords[:, 1]
-        residual = (a @ u)[space_p1.interior_dofs]
+        residual = (a @ u)[interior_dofs(space_p1)]
         assert np.abs(residual).max() < 1e-12
 
     def test_nonfinite_coefficient_reports_element(self, space_p1):
@@ -241,7 +251,7 @@ class TestLoad:
 
 class TestL2Projection:
     def test_constant_reproduced(self, space_p1):
-        u = l2_project(space_p1, constant_field(3.5))
+        u = project(space_p1, constant_field(3.5))
         assert np.allclose(u, 3.5, atol=1e-12)
 
     @pytest.mark.parametrize("degree,poly", [
@@ -250,25 +260,23 @@ class TestL2Projection:
     ])
     def test_polynomial_reproduced_nodally(self, degree, poly):
         space = build_space(uniform_triangulation(4, 4), degree)
-        u = l2_project(space, lambda x, y, t: poly(x, y))
+        u = project(space, lambda x, y, t: poly(x, y))
         exact = poly(space.dof_coords[:, 0], space.dof_coords[:, 1])
         assert np.abs(u - exact).max() < 1e-10
 
     def test_galerkin_orthogonality(self, space_p2):
         g = lambda x, y, t: np.sin(2.0 * np.pi * x) * np.cos(np.pi * y)
-        u = l2_project(space_p2, g)
+        u = project(space_p2, g)
         residual = assemble_load(space_p2, g, 0.0) - assemble_mass(space_p2) @ u
         assert np.abs(residual).max() < 1e-10
 
     def test_projection_rate_for_smooth_field(self):
         g = lambda x, y, t: np.sin(2.0 * np.pi * x) * np.sin(2.0 * np.pi * y)
         errs = []
-        mesh = uniform_triangulation(8, 8)
-        for _ in range(3):
-            space = build_space(mesh, 2)
-            errs.append(error_l2(space, l2_project(space, g), g))
-            mesh = refine_uniform(mesh)
-        # cubic rate: each refinement shrinks the error by about 8x
+        for nx in (8, 16, 32):
+            space = build_space(uniform_triangulation(nx, nx), 2)
+            errs.append(error_l2(space, project(space, g), g))
+        # cubic rate: each halving of h shrinks the error by about 8x
         for coarse, fine in zip(errs, errs[1:]):
             assert 6.5 < coarse / fine < 9.5
 
@@ -294,7 +302,7 @@ class TestDirichlet:
         a = assemble_stiffness(space_p1, constant_field(1.0), 0.0)
         b = assemble_load(space_p1, constant_field(1.0), 0.0)
         _, x = constrain(a, b, space_p1, zero_field, tuple(BoundaryTag))
-        free = space_p1.interior_dofs
+        free = interior_dofs(space_p1)
         dense = np.linalg.solve(a.toarray()[np.ix_(free, free)], b[free])
         assert np.allclose(x[free], dense, atol=1e-12)
         assert np.abs(x[space_p1.tagged_dofs(tuple(BoundaryTag))]).max() == 0.0
@@ -332,7 +340,7 @@ class TestDirichlet:
         system = (m + a).tocsr()
         rhs = np.random.default_rng(3).normal(size=(space_p1.dof_count, 4))
         _, x = constrain(system, rhs, space_p1, constant_field(2.0), tuple(BoundaryTag))
-        free = space_p1.interior_dofs
+        free = interior_dofs(space_p1)
         assert (x[space_p1.tagged_dofs(tuple(BoundaryTag))] == 2.0).all()
         assert np.abs((system @ x - rhs)[free]).max() <= 1e-12 * np.abs(rhs).max()
 
@@ -423,7 +431,7 @@ class TestErrorNorms:
         g = lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y)
         space = build_space(uniform_triangulation(8, 8), 2)
         h = math.sqrt(2.0) / 8.0
-        assert error_l2(space, l2_project(space, g), g) < h ** 3
+        assert error_l2(space, project(space, g), g) < h ** 3
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_block_columns_equal_vector_calls(self, degree):

@@ -1,14 +1,10 @@
-import io
-import math
-import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from ensfem.fem import build_space
-from ensfem.mesh import (UNIT_SQUARE, BoundaryTag, Mesh, dump_mesh, edge_numbering,
-                         mesh_size, refine_uniform, uniform_triangulation)
+from ensfem.mesh import UNIT_SQUARE, BoundaryTag, Mesh, edge_numbering, uniform_triangulation
 
 
 def reference_triangulation(nx, ny, domain):
@@ -61,25 +57,17 @@ def test_single_cell_unit_square():
     assert m.num_vertices == 4
     assert m.num_triangles == 2
     assert build_space(m, 1).areas.sum() == pytest.approx(1.0, rel=1e-14)
-    assert mesh_size(m) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_four_by_four_matches_study_header():
     m = uniform_triangulation(4, 4)
     assert m.num_triangles == 32
-    assert mesh_size(m) == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-15)
 
 
 def test_rectangular_grid_counts_and_area():
     m = uniform_triangulation(3, 2)
     assert m.num_triangles == 12
     assert build_space(m, 1).areas.sum() == pytest.approx(1.0, rel=1e-12)
-
-
-def test_mesh_size_anisotropic_cells():
-    # 0.5 x 0.25 cells: longest edge is the cell diagonal
-    m = uniform_triangulation(2, 4)
-    assert mesh_size(m) == pytest.approx(math.sqrt(0.25 + 0.0625), rel=1e-14)
 
 
 @pytest.mark.parametrize("bad", [(0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0),
@@ -102,12 +90,8 @@ def test_area_conservation(nx, ny):
     assert (areas > 0).all()
 
 
-@pytest.mark.parametrize("make", [
-    lambda: uniform_triangulation(3, 4),
-    lambda: refine_uniform(uniform_triangulation(2, 2)),
-])
-def test_conformity_edge_counts(make):
-    m = make()
+def test_conformity_edge_counts():
+    m = uniform_triangulation(3, 4)
     counts = Counter()
     for tri in m.triangles:
         for a, b in ((0, 1), (1, 2), (2, 0)):
@@ -116,33 +100,6 @@ def test_conformity_edge_counts(make):
     for edge, n in counts.items():
         assert n == (1 if edge in boundary else 2)
     assert boundary <= set(counts)
-
-
-def test_refine_single_cell():
-    m = refine_uniform(uniform_triangulation(1, 1))
-    assert m.num_triangles == 8
-    assert mesh_size(m) == pytest.approx(math.sqrt(2.0) / 2.0)
-
-
-def test_refine_matches_doubled_resolution():
-    fine = refine_uniform(uniform_triangulation(4, 4))
-    direct = uniform_triangulation(8, 8)
-    assert mesh_size(fine) == mesh_size(direct)
-    canon = lambda m: sorted(map(tuple, np.round(m.vertices, 14)))
-    assert canon(fine) == canon(direct)
-    # same triangles as vertex-coordinate sets
-    def tri_keys(m):
-        return sorted(tuple(sorted(map(tuple, np.round(m.vertices[t], 14)))) for t in m.triangles)
-    assert tri_keys(fine) == tri_keys(direct)
-
-
-def test_refinement_halves_mesh_size():
-    m = uniform_triangulation(4, 4)
-    r = refine_uniform(m)
-    assert mesh_size(r) == mesh_size(m) / 2.0  # dyadic coordinates: exact
-    assert mesh_size(refine_uniform(r)) == mesh_size(m) / 4.0
-    m3 = uniform_triangulation(3, 3)
-    assert mesh_size(refine_uniform(m3)) == pytest.approx(mesh_size(m3) / 2.0, rel=4e-16)
 
 
 def test_boundary_tags_match_coordinates():
@@ -169,19 +126,8 @@ def test_corner_vertices_appear_under_two_tags():
     assert corner in touched[BoundaryTag.BOTTOM]
 
 
-def test_refinement_preserves_tags():
-    m = refine_uniform(uniform_triangulation(2, 3))
-    per_tag = Counter(m.boundary_tags)
-    assert per_tag[BoundaryTag.BOTTOM] == per_tag[BoundaryTag.TOP] == 4
-    assert per_tag[BoundaryTag.LEFT] == per_tag[BoundaryTag.RIGHT] == 6
-    test_boundary_tags = zip(m.boundary_edges, m.boundary_tags)
-    for (i, j), tag in test_boundary_tags:
-        if tag is BoundaryTag.LEFT:
-            assert m.vertices[i, 0] == 0.0 and m.vertices[j, 0] == 0.0
-
-
 def test_edge_numbering_addresses_triangle_and_boundary_edges():
-    m = refine_uniform(uniform_triangulation(2, 3))
+    m = uniform_triangulation(2, 3)
     edges, cell_edges, boundary = edge_numbering(m)
     assert (edges[:, 0] < edges[:, 1]).all()
     assert (np.diff(edges[:, 0] * m.num_vertices + edges[:, 1]) > 0).all()
@@ -193,24 +139,9 @@ def test_edge_numbering_addresses_triangle_and_boundary_edges():
 def test_boundary_edge_off_the_triangles_is_rejected():
     m = uniform_triangulation(1, 1)  # triangles (0, 1, 3) and (0, 3, 2)
     bad = Mesh(vertices=m.vertices.copy(), triangles=m.triangles.copy(),
-               boundary_edges=np.array([[1, 2]]), boundary_tags=(BoundaryTag.LEFT,),
-               domain=m.domain)
-    with pytest.raises(ValueError, match="boundary edge"):
-        refine_uniform(bad)
+               boundary_edges=np.array([[1, 2]]), boundary_tags=(BoundaryTag.LEFT,))
     with pytest.raises(ValueError, match="boundary edge"):
         build_space(bad, 2)
-
-
-def test_dump_format():
-    m = uniform_triangulation(1, 1)
-    buf = io.StringIO()
-    dump_mesh(m, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "vertices 4 triangles 2"
-    assert sum(1 for ln in lines if ln.startswith("v ")) == 4
-    assert sum(1 for ln in lines if ln.startswith("t ")) == 2
-    assert sum(1 for ln in lines if ln.startswith("b ")) == 4
-    assert re.fullmatch(r"b \d+ \d+ (LEFT|RIGHT|TOP|BOTTOM)", lines[-1])
 
 
 def test_vertices_are_immutable():
