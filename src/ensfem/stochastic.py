@@ -8,6 +8,7 @@ comparisons in `mc_rate_study` well defined.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -19,7 +20,7 @@ import numpy as np
 from . import defaults, fem
 from .ensemble import (EnsembleMember, EnsembleProblem, SolveStats, TimeGrid,
                        ensemble_solve)
-from .fem import FeSpace, Field, build_space, integrate
+from .fem import FeSpace, build_space, integrate
 from .mesh import uniform_triangulation
 from .stability import (SamplingGrid, StabilityReport, coefficient_block, estimate_bounds,
                         partition_ensemble)
@@ -67,6 +68,15 @@ class RandomFieldSpec:
     def dimension(self) -> int:
         return 2 * self.n_modes + 1
 
+    @functools.cached_property
+    def _expansion(self) -> tuple[np.ndarray, list[fem.SpatialPart]]:
+        """The amplitudes s_i = sigma sqrt(lambda_i) of a draw's weights (i = 0..n, then 1..n
+        again) and the spatial parts, functions of y alone: 1, cos(i pi y), sin(i pi y)."""
+        s = self.sigma * np.sqrt(kl_eigenvalues(self))
+        waves = [(wave, i) for wave in (np.cos, np.sin) for i in range(1, self.n_modes + 1)]
+        return np.concatenate([s, s[1:]]), [lambda x, y: np.ones(np.shape(y))] + [
+            lambda x, y, wave=wave, i=i: wave(i * math.pi * np.asarray(y)) for wave, i in waves]
+
 
 def kl_eigenvalues(spec: RandomFieldSpec) -> np.ndarray:
     """Mode weights lambda_0..lambda_{n_modes} of the truncated expansion."""
@@ -90,23 +100,9 @@ class SampleDraw:
         self.y.setflags(write=False)
 
 
-def sample_coefficient(spec: RandomFieldSpec, draw: SampleDraw) -> Field:
+def sample_coefficient(spec: RandomFieldSpec, draw: SampleDraw) -> fem.SeparableField:
     """Realized diffusion coefficient; depends on y only (constant in x and t)."""
-    yvec = np.asarray(draw.y, dtype=float)
-    if yvec.shape != (spec.dimension,):
-        raise ValueError(f"draw has {yvec.shape[0]} entries, expected {spec.dimension}")
-    lam = kl_eigenvalues(spec)
-    s = spec.sigma * np.sqrt(lam)
-    nf = spec.n_modes
-
-    def coeff(x, y, t):
-        acc = spec.a0 + s[0] * yvec[0] + np.zeros(np.shape(y))
-        for i in range(1, nf + 1):
-            acc = acc + s[i] * (yvec[i] * np.cos(i * math.pi * np.asarray(y))
-                                + yvec[nf + i] * np.sin(i * math.pi * np.asarray(y)))
-        return acc
-
-    return coeff
+    return _draw_field(spec, draw)
 
 
 def _replica_key(seed: int, replica: int) -> np.ndarray:
@@ -172,6 +168,8 @@ class EmcConfig:
         if min(self.seed, self.replica) < 0:
             raise ValueError(f"seed={self.seed} and replica={self.replica} must be non-negative")
         steps = self.t_final / self.dt
+        if not math.isfinite(steps):
+            raise ValueError(f"dt={self.dt} is too small: t_final/dt={steps} steps")
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"dt={self.dt} does not divide t_final={self.t_final}")
 
@@ -218,31 +216,29 @@ class EmcResult:
         }
 
 
-def _vertical_modes(n_modes: int) -> list[fem.SpatialPart]:
-    """The expansion's spatial parts, functions of y alone: 1, then cos(i pi y) and then
-    sin(i pi y) for i = 1..n_modes."""
-    waves = [(np.cos, i) for i in range(1, n_modes + 1)] + [(np.sin, i) for i
-                                                           in range(1, n_modes + 1)]
-    return [lambda x, y: np.ones(np.shape(y))] + [
-        lambda x, y, wave=wave, i=i: wave(i * math.pi * np.asarray(y)) for wave, i in waves]
+def _draw_field(spec: RandomFieldSpec, draw: SampleDraw) -> fem.SeparableField:
+    """The draw's expansion: constant weights a0 + s_0 y_0, then s_i y_i, then s_i y_(n+i),
+    over the spec's spatial parts, which every draw of the spec shares."""
+    y = np.asarray(draw.y, dtype=float)
+    if y.shape != (spec.dimension,):
+        raise ValueError(f"draw has {y.shape[0]} entries, expected {spec.dimension}")
+    amplitudes, parts = spec._expansion
+    weights = y * amplitudes
+    weights[0] += spec.a0
+    return fem.SeparableField(tuple(zip(weights.tolist(), parts)))
 
 
 def build_emc_members(config: EmcConfig, draws: Sequence[SampleDraw]) -> list[EnsembleMember]:
     """Members for the draws, all with zero source and initial data, driven by `left_edge_drive`.
 
-    Member j's coefficient is draw j's expansion as a `fem.SeparableField`
-    with constant weights a0 + s_0 y_0, then s_i y_i, then s_i y_(n+i), over
-    the parts of `_vertical_modes`, which every member holds, so that a run
-    assembles each part once.
+    Member j's coefficient is draw j's `sample_coefficient` field, whose parts
+    every member holds, so that a run assembles each part once.
     """
-    spec = config.spec
-    amplitudes = spec.sigma * np.sqrt(kl_eigenvalues(spec))
-    weights = np.array([d.y for d in draws]) * np.concatenate([amplitudes, amplitudes[1:]])
-    weights[:, 0] += spec.a0
-    parts = _vertical_modes(spec.n_modes)
-    return [EnsembleMember(a=fem.SeparableField(tuple(zip(row, parts))), f=fem.zero_field,
-                           g=left_edge_drive, u0=fem.zero_field)
-            for row in weights.tolist()]
+    # `_draw_field`, not `sample_coefficient`: `perfbench/tracer.py` swaps that
+    # name for a counting wrapper, and members holding plain wrappers would be
+    # stepped as moving fields and write other `emc.json` bytes
+    return [EnsembleMember(a=_draw_field(config.spec, d), f=fem.zero_field,
+                           g=left_edge_drive, u0=fem.zero_field) for d in draws]
 
 
 def histogram_record(values: np.ndarray) -> dict:
@@ -263,12 +259,11 @@ def gate_and_group(config: EmcConfig, draws: Sequence[SampleDraw], space: FeSpac
     Large ensembles realize the tails of the sample distribution, so the joint
     condition routinely fails at a few hundred samples even though every single
     field stays coercive; partitioning is then the supported way to proceed.
-    Each draw's `sample_coefficient` field is called once, on the distinct y
+    Each draw's `sample_coefficient` field, the separable coefficient that
+    `build_emc_members` gives its member, is called once, on the distinct y
     rows of the assembly points (at the x of each row's first point), and its
-    row is spread back to every point. The gate reads these fields and not
-    the members' separable coefficients, whose terms add in another order:
-    their values differ in the last bits, which could move the greedy groups.
-    Returns the report and the groups.
+    row is spread back to every point. So the gate checks the coefficients
+    the stepper assembles. Returns the report and the groups.
     """
     sampling = SamplingGrid.from_space(space)  # coefficients are time-invariant
     _, first, inverse = np.unique(sampling.y, return_index=True, return_inverse=True)

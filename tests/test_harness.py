@@ -330,12 +330,15 @@ class TestCli:
         assert cli(["transmogrify"]) == 1
 
     @pytest.mark.parametrize("command", ["emc", "compare", "rate"])
-    @pytest.mark.parametrize("dt", ["0", "-0.05", "nan", "inf"])
-    def test_bad_dt_exits_one(self, tmp_path, capsys, command, dt):
+    @pytest.mark.parametrize("dt, message", [
+        *[pytest.param(dt, "dt must be positive and finite", id=dt)
+          for dt in ("0", "-0.05", "nan", "inf")],
+        pytest.param("1e-310", "dt=1e-310 is too small: t_final/dt=inf steps", id="1e-310")])
+    def test_bad_dt_exits_one(self, tmp_path, capsys, command, dt, message):
         out = tmp_path / "out"
         assert cli([command, "--nx", "4", "--dt", dt, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("ensfem: error: dt must be positive and finite")
+        assert err.startswith(f"ensfem: error: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["emc", "compare", "rate"])

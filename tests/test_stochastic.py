@@ -3,6 +3,7 @@ import json
 import math
 import time
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,23 @@ def _numeric_separable(field):
     """True for a separable field whose weights are all numbers: a time-free field."""
     return (isinstance(field, fem.SeparableField)
             and not any(callable(w) for w, _ in field.terms))
+
+
+def _reference_coefficient(spec, draw):
+    """The expansion summed mode by mode, cos and sin together: the reference for
+    the separable field that `sample_coefficient` builds."""
+    yvec = np.asarray(draw.y, dtype=float)
+    s = spec.sigma * np.sqrt(kl_eigenvalues(spec))
+    nf = spec.n_modes
+
+    def coeff(x, y, t):
+        acc = spec.a0 + s[0] * yvec[0] + np.zeros(np.shape(y))
+        for i in range(1, nf + 1):
+            acc = acc + s[i] * (yvec[i] * np.cos(i * math.pi * np.asarray(y))
+                                + yvec[nf + i] * np.sin(i * math.pi * np.asarray(y)))
+        return acc
+
+    return coeff
 
 
 class TestModeWeights:
@@ -113,6 +131,8 @@ class TestSampleCoefficient:
         draw = draw_samples(seed=0, count=1, n_modes=2)[0]  # 5 entries, spec wants 7
         with pytest.raises(ValueError, match="entries"):
             sample_coefficient(spec, draw)(0.5, 0.5, 0.0)
+        with pytest.raises(ValueError, match="^draw has 5 entries, expected 7$"):
+            stochastic.build_emc_members(EmcConfig(spec=spec), [draw])
 
 
 class TestDrawSamples:
@@ -206,8 +226,8 @@ class TestGateAndGroup:
         assert groups == partition_ensemble(full, sampling)
         if seed == 20240:
             # a block spread by `[:, :, inverse]` is not C-ordered, and its mean
-            # adds in another order: theta_plus would end in ...292p-1
-            assert report.theta_plus.hex() == "0x1.4962eb508b294p-1"
+            # adds in another order: theta_plus would end in ...290p-1
+            assert report.theta_plus.hex() == "0x1.4962eb508b292p-1"
 
     @pytest.mark.parametrize("degree, nx, distinct, points", [
         (1, 12, 51, 864), (1, 32, 131, 6144), (2, 16, 138, 3072)])
@@ -252,9 +272,29 @@ class TestSeparableMembers:
             # the parts are held by every member, so a run assembles each once
             assert all(p is q for (_, p), (_, q) in zip(member.a.terms, parts))
             assert all(_numeric_separable(getattr(member, kind)) for kind in "afg")
-            closure = sample_coefficient(spec, draw)(x, y, 0.0)
-            assert (np.abs(member.a(x, y, 0.0) - closure).max()
-                    <= 1e-14 * np.abs(closure).max())
+            reference = _reference_coefficient(spec, draw)(x, y, 0.0)
+            assert (np.abs(member.a(x, y, 0.0) - reference).max()
+                    <= 1e-14 * np.abs(reference).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_modes=st.integers(0, 4), samples=st.integers(1, 6), seed=st.integers(0, 2 ** 32),
+           a0=st.floats(0.1, 5.0), sigma=st.floats(0.0, 2.0), corr_length=st.floats(0.05, 2.0))
+    def test_sample_coefficient_is_the_member_field(self, n_modes, samples, seed, a0, sigma,
+                                                     corr_length):
+        # one definition: the gate's field is the member's, and a spec computes
+        # its mode weights once however many draws it serves
+        spec = RandomFieldSpec(a0=a0, sigma=sigma, corr_length=corr_length, n_modes=n_modes)
+        draws = draw_samples(seed, samples, n_modes)
+        with mock.patch.object(stochastic, "kl_eigenvalues", wraps=kl_eigenvalues) as lam:
+            members = stochastic.build_emc_members(EmcConfig(spec=spec, samples=samples,
+                                                             seed=seed), draws)
+            fields = [sample_coefficient(spec, d) for d in draws]
+        assert lam.call_count == 1
+        for member, field in zip(members, fields):
+            assert isinstance(field, fem.SeparableField)
+            assert ([w.hex() for w, _ in field.terms]
+                    == [w.hex() for w, _ in member.a.terms])
+            assert all(p is q for (_, p), (_, q) in zip(field.terms, member.a.terms))
 
     @settings(max_examples=40, deadline=None)
     @given(n_modes=st.integers(0, 4), samples=st.integers(1, 6), seed=st.integers(0, 2 ** 32),
