@@ -7,12 +7,15 @@ reverse Cuthill-McKee order of their block (`band_ordering`), so its stepping
 systems arrive banded and no solve permutes. A vector or a narrow block is
 solved by LAPACK pbtrs, two level-2 band sweeps per column. A wide block is
 solved by a level-3 tiled path instead: the band factor is viewed as block
-lower-bidiagonal with square tiles of edge nb = max(band width + 1, `TILE`),
-and each sweep is, per tile, one matrix product with the sub-diagonal tile
-and one BLAS trsm on the factor's own diagonal tile, over all columns. A
-block is wide from max(`TILE`, nb // 2) columns on: a band-sized tile is half
-zeros, and below that count the products and triangular solves on it cost
-more than the pbtrs sweeps they replace.
+lower-bidiagonal with square tiles of edge nb = max(band width kd + 1,
+`TILE`), and each sweep is, per tile, one BLAS gemm that updates in place
+only the kd rows the sub-diagonal tile's (kd, kd) corner couples, and one
+BLAS trsm on the factor's own diagonal tile, over all columns. The band
+storage is padded to whole tiles with a unit diagonal, so both tile families
+are strided views of the factor, masked to the band, and nothing is gathered
+by index. A block is wide from ceil(8 nb / (kd + 1)) columns on under tiles
+of edge `TILE` and from 12 under wider ones, the measured crossovers below
+which the per-tile BLAS calls cost more than the pbtrs sweeps they replace.
 
 `interleaved_block_diagonal` holds J members' matrices on one pattern, row
 i*J + j member j's row i, so that a product with it reads and writes a
@@ -29,13 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrsm
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
-#: smallest column count of a block solved by the tiled level-3 path, and the
-#: smallest tile edge of that path
+#: smallest tile edge of the tiled level-3 solve
 TILE = 32
 
 
@@ -133,61 +136,68 @@ def band_ordering(pattern) -> np.ndarray:
 
 class _BandedPlan:
     """Pattern-only preprocessing for the banded backend: the scatter map from
-    CSR data slots into banded storage, and on demand the gather map from
-    banded storage into the tiles of the multi-column solve. Valid for any
-    matrix with the same sparsity pattern, so repeated factorizations of an
-    evolving or reused matrix skip this work.
+    CSR data slots into banded storage, and on demand the masks of the tiles
+    of the multi-column solve. Valid for any matrix with the same sparsity
+    pattern, so repeated factorizations of an evolving or reused matrix skip
+    this work.
 
     Lower-banded layout: this LAPACK build runs pbtrf an order of magnitude
     faster on lower storage than on upper."""
 
-    __slots__ = ("bandwidth", "edge", "slots", "positions", "n", "_tiles")
+    __slots__ = ("bandwidth", "edge", "count", "slots", "positions", "n", "_masks")
 
     def __init__(self, a: sp.csr_matrix):
         coo = a.tocoo(copy=False)
         upper = coo.row <= coo.col  # keep one triangle; store at (i-j, j) of the lower form
         rows, cols = (index[upper].astype(np.intp) for index in (coo.row, coo.col))
         self.bandwidth = int(np.max(cols - rows)) if len(rows) else 0
+        self.n = a.shape[0]
         self.edge = max(self.bandwidth + 1, TILE)  # tile edge nb of the multi-column solve
+        self.count = -(-self.n // self.edge)        # tile count K
         # the kept data slots and their flat positions in the column-major
-        # (bandwidth + 1, n) storage; intp, so that no scatter casts an index array
+        # (bandwidth + 1, K nb) storage; intp, so that no scatter casts an index array
         self.slots = np.flatnonzero(upper)
         self.positions = cols - rows + rows * (self.bandwidth + 1)
-        self.n, self._tiles = a.shape[0], None
+        self._masks = None
 
     def banded(self, data: np.ndarray) -> np.ndarray:
-        """The band storage of the matrix with these data, Fortran-contiguous, so that
-        pbtrf factors it in place."""
-        ab = np.zeros((self.bandwidth + 1) * self.n)
+        """The band storage of the matrix with these data, Fortran-contiguous, padded to
+        K nb columns whose last ones hold a unit diagonal; pbtrf factors the leading
+        (bandwidth + 1, n) view in place, and the padding is the identity past row n."""
+        width = self.bandwidth + 1
+        ab = np.zeros(width * self.count * self.edge)
         ab[self.positions] = data.take(self.slots)
-        return ab.reshape((self.bandwidth + 1, self.n), order="F")
+        ab[width * self.n::width] = 1.0
+        return ab.reshape((width, self.count * self.edge), order="F")
 
-    def tiles(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gather indices of the diagonal and sub-diagonal tiles of a band factor.
+    def tiles(self, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonal tiles and the coupling corners of a padded band factor.
 
-        Tiles are square with edge nb = max(bandwidth + 1, TILE), so the band
-        factor L is block lower-bidiagonal: block row k holds the lower
-        triangular D_k and, for k >= 1, S_k to its left. The indices address
-        the factor's column-major banded storage extended by a trailing 0 and 1;
-        rows past n gather zeros, with ones on the diagonal of the last tile.
-        Shapes are (K, nb, nb) for D and (K - 1, nb, nb) for S.
+        Tiles are square with edge nb = max(kd + 1, TILE), kd the band width,
+        so the band factor L is block lower-bidiagonal: block row k holds the
+        lower triangular D_k and, for k >= 1, S_k to its left. S_k is zero
+        outside its upper triangular (kd, kd) corner C_k = S_k[:kd, nb - kd:].
+        L[i, j] sits at flat index i + j kd of the column-major storage, so
+        each family is one strided view of it, copied and masked to the
+        band. Shapes are (K, nb, nb) for D and (K - 1, kd, kd) for C.
         """
-        if self._tiles is None:
-            n, width, nb = self.n, self.bandwidth + 1, self.edge
-            count = -(-n // nb)
-            zero, one = width * n, width * n + 1
-            index_dtype = np.int32 if one <= np.iinfo(np.int32).max else np.int64
-            r = np.arange(nb)[:, None]
-            c = np.arange(nb)[None, :]
-            i = np.arange(count)[:, None, None] * nb + r  # global row of each tile entry
-            j = i - r + c                                   # global column, diagonal tile
-            d = r - c
-            diagonal = np.where((d >= 0) & (d < width) & (i < n), j * width + d,
-                                np.where((d == 0) & (i >= n), one, zero))
-            d = d + nb                                      # S_k sits one tile to the left
-            sub = np.where((d < width) & (i < n), (j - nb) * width + d, zero)[1:]
-            self._tiles = (diagonal.astype(index_dtype), sub.astype(index_dtype))
-        return self._tiles
+        if self._masks is None:
+            kd, nb = self.bandwidth, self.edge
+            d = np.arange(nb)[:, None] - np.arange(nb)
+            self._masks = ((d >= 0) & (d <= kd)).astype(float), np.triu(np.ones((kd, kd)))
+        lower, upper = self._masks
+        kd, nb, item = self.bandwidth, self.edge, factor.itemsize
+        flat = factor.ravel(order="F")
+        step = nb * (kd + 1) * item  # from one tile to the next
+        diagonal = as_strided(flat, (self.count, nb, nb), (step, item, kd * item))
+        corner = as_strided(flat[nb * (kd + 1) - kd * kd:], (max(self.count - 1, 0), kd, kd),
+                            (step, item, kd * item))
+        # a copy, then a product in place, runs faster than one product that reads
+        # the strided views
+        diagonal, corner = diagonal.copy(), corner.copy()
+        diagonal *= lower
+        corner *= upper
+        return diagonal, corner
 
 
 class CholeskyFactor:
@@ -211,7 +221,8 @@ class CholeskyFactor:
             if a.nnz and abs(a - a.T).max() > 1e-12 * np.abs(a.data).max():
                 raise ValueError("matrix is not symmetric; the factor reads its upper triangle")
             plan = a._ensfem_plan = _BandedPlan(a)
-        self._cb, info = dpbtrf(plan.banded(a.data), lower=1, overwrite_ab=1)
+        self._padded = plan.banded(a.data)
+        self._cb, info = dpbtrf(self._padded[:, :plan.n], lower=1, overwrite_ab=1)
         if info > 0:
             raise NotSpdError(f"matrix is not positive definite (pivot {info})", pivot=info)
         if info < 0:
@@ -225,8 +236,11 @@ class CholeskyFactor:
 
     @property
     def tiled_columns(self) -> int:
-        """Smallest column count of a block that `solve` runs on the tiled path."""
-        return max(TILE, self._plan.edge // 2)
+        """Smallest column count of a block that `solve` runs on the tiled path, the
+        measured crossover with pbtrs: ceil(8 nb / (kd + 1)) under tiles of edge TILE,
+        where a narrow band pads each tile, and 12 under wider band-sized tiles."""
+        plan = self._plan
+        return -(-8 * plan.edge // (plan.bandwidth + 1)) if plan.edge == TILE else 12
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for a vector or an n-by-J block of right-hand sides."""
@@ -245,23 +259,27 @@ class CholeskyFactor:
         return x
 
     def _solve_tiled(self, b: np.ndarray) -> np.ndarray:
-        banded = np.append(self._cb.ravel(order="F"), (0.0, 1.0))
-        diagonal, sub = (banded[index] for index in self._plan.tiles())
+        diagonal, corner = self._plan.tiles(self._padded)
         count, nb, _ = diagonal.shape
+        kd = corner.shape[1]
         z = np.zeros((count, nb, b.shape[1]))
         z.reshape(count * nb, b.shape[1])[:len(b)] = b  # rows past n stay zero
-        # a row-major tile or block is its column-major transpose, so trsm solves
-        # from the right on D_k^T and z[k].T; z[k].T is Fortran-contiguous, so
-        # trsm overwrites it in place
-        # forward, L y = b: D_k Y_k = B_k - S_k Y_{k-1}
+        # a row-major tile or block is its column-major transpose, so BLAS works
+        # from the right on D_k^T, C_k^T and the transposed row blocks of z,
+        # which are Fortran-contiguous and so overwritten in place
+        # forward, L y = b: D_k Y_k = B_k - S_k Y_{k-1}, and S_k Y_{k-1} is
+        # C_k Y_{k-1}[nb - kd:] in rows :kd
         for k in range(count):
-            if k:
-                z[k] -= sub[k - 1] @ z[k - 1]
+            if k and kd:
+                dgemm(-1.0, z[k - 1, nb - kd:].T, corner[k - 1].T, 1.0, z[k, :kd].T,
+                      overwrite_c=1)
             dtrsm(1.0, diagonal[k].T, z[k].T, side=1, overwrite_b=1)
-        # backward, L^T x = y: D_k^T X_k = Y_k - S_{k+1}^T X_{k+1}
+        # backward, L^T x = y: D_k^T X_k = Y_k - S_{k+1}^T X_{k+1}, and S_{k+1}^T X_{k+1}
+        # is C_{k+1}^T X_{k+1}[:kd] in rows nb - kd:
         for k in reversed(range(count)):
-            if k < count - 1:
-                z[k] -= sub[k].T @ z[k + 1]
+            if k < count - 1 and kd:
+                dgemm(-1.0, z[k + 1, :kd].T, corner[k].T, 1.0, z[k, nb - kd:].T,
+                      trans_b=1, overwrite_c=1)
             dtrsm(1.0, diagonal[k].T, z[k].T, side=1, trans_a=1, overwrite_b=1)
         return z.reshape(count * nb, b.shape[1])[:len(b)]
 

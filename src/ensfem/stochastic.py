@@ -168,8 +168,11 @@ class EmcConfig:
         if min(self.seed, self.replica) < 0:
             raise ValueError(f"seed={self.seed} and replica={self.replica} must be non-negative")
         steps = self.t_final / self.dt
-        if not math.isfinite(steps):
-            raise ValueError(f"dt={self.dt} is too small: t_final/dt={steps} steps")
+        # from 2**53 on every float is an integer, so the divisibility check below
+        # passes vacuously on a run that cannot finish
+        if not steps < 2 ** 53:
+            raise ValueError(f"dt={self.dt} is too small: t_final/dt={steps} steps, "
+                             f"at least 2**53")
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"dt={self.dt} does not divide t_final={self.t_final}")
 

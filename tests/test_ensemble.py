@@ -483,7 +483,8 @@ class TestFixedPattern:
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(sparse.TILE, sparse.TILE + 8))
 def test_member_permutation_permutes_columns(seed, count):
-    # J >= TILE, so every block solve runs the tiled path
+    # J >= TILE, the tiled_columns of the 8 x 8 P1 system (band width 7; pinned in
+    # test_sparse), so every block solve runs the tiled path
     rng = np.random.default_rng(seed)
     scales = rng.uniform(0.0, 0.4, count)
     loads = rng.uniform(-1.0, 1.0, count)
@@ -493,7 +494,7 @@ def test_member_permutation_permutes_columns(seed, count):
         u0=lambda x, y, t, s=s: s * np.sin(np.pi * x) * np.sin(np.pi * y))
         for c, s in zip(scales, loads)]
     order = rng.permutation(count)
-    space = build_space(uniform_triangulation(6, 6), 1)
+    space = build_space(uniform_triangulation(8, 8), 1)
     grid = TimeGrid(t_final=0.1, steps=3)
     final = [ensemble_solve(EnsembleProblem(members=ms, space=space, grid=grid))[0].u
              for ms in (members, [members[k] for k in order])]

@@ -333,7 +333,8 @@ class TestCli:
     @pytest.mark.parametrize("dt, message", [
         *[pytest.param(dt, "dt must be positive and finite", id=dt)
           for dt in ("0", "-0.05", "nan", "inf")],
-        pytest.param("1e-310", "dt=1e-310 is too small: t_final/dt=inf steps", id="1e-310")])
+        pytest.param("1e-310", "dt=1e-310 is too small: t_final/dt=inf steps", id="1e-310"),
+        pytest.param("1e-20", "dt=1e-20 is too small: t_final/dt=5e+19 steps", id="1e-20")])
     def test_bad_dt_exits_one(self, tmp_path, capsys, command, dt, message):
         out = tmp_path / "out"
         assert cli([command, "--nx", "4", "--dt", dt, "--out", str(out)]) == 1

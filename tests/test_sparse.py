@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dpbtrf
 
@@ -205,19 +207,26 @@ class TestReuseAndOrdering:
 
     @pytest.mark.parametrize("nx, degree", [(8, 1), (6, 2)])
     def test_band_storage_matches_two_dimensional_scatter(self, nx, degree):
-        # the flat scatter writes the bytes the (i-j, j) fancy assignment wrote, into
-        # Fortran-contiguous storage that pbtrf factors in place
+        # the flat scatter writes the bytes the (i-j, j) fancy assignment wrote into the
+        # leading (bandwidth + 1, n) view of Fortran-contiguous storage padded to K nb
+        # columns with a unit diagonal; pbtrf factors that view in place and leaves the
+        # padding as it is
         a = constrained_system(nx, degree)
         plan = sparse._BandedPlan(a)
+        n, padded = a.shape[0], plan.count * plan.edge
+        assert plan.count == -(-n // plan.edge) and padded > n
         coo = a.tocoo()
         upper = coo.row <= coo.col
-        reference = np.zeros((plan.bandwidth + 1, a.shape[0]), order="F")
+        reference = np.zeros((plan.bandwidth + 1, padded), order="F")
         reference[(coo.col - coo.row)[upper], coo.row[upper]] = a.data[upper]
+        reference[0, n:] = 1.0
         ab = plan.banded(a.data)
         assert ab.flags.f_contiguous and ab.shape == reference.shape
         assert ab.tobytes(order="F") == reference.tobytes(order="F")
-        factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        factor, info = dpbtrf(ab[:, :n], lower=1, overwrite_ab=1)
         assert info == 0 and np.shares_memory(factor, ab)
+        assert np.array_equal(factor, cholesky_banded(reference[:, :n], lower=True))
+        assert ab[:, n:].tobytes() == reference[:, n:].tobytes()
 
 
 def banded_reference(factor, b):
@@ -260,25 +269,50 @@ class TestTiledSolve:
         return calls
 
     def test_tile_shape(self, tiled_calls):
-        f = spd_factorize(constrained_system(16, 2))
-        f.solve(np.ones((f.shape[0], f.tiled_columns)))
-        assert tiled_calls == [f.tiled_columns]
-        bandwidth = f._cb.shape[0] - 1
-        assert bandwidth + 1 > sparse.TILE
-        assert f._plan.tiles()[0].shape[1:] == (bandwidth + 1,) * 2
+        # P2 nx=16: band-sized tiles of edge 66 > TILE; P1 nx=8: tiles of edge TILE over a
+        # band of 7, so the views read entries past the band that the masks clear. Each
+        # tile is the block of the dense factor padded with the identity to K nb rows
+        for nx, degree, edge in ((16, 2, 66), (8, 1, sparse.TILE)):
+            f = spd_factorize(constrained_system(nx, degree))
+            tiled_calls.clear()
+            f.solve(np.ones((f.shape[0], f.tiled_columns)))
+            assert tiled_calls == [f.tiled_columns]
+            bandwidth, count = f._cb.shape[0] - 1, -(-f.shape[0] // edge)
+            assert f._plan.edge == max(bandwidth + 1, sparse.TILE) == edge
+            diagonal, corner = f._plan.tiles(f._padded)
+            assert diagonal.shape == (count, edge, edge)
+            assert corner.shape == (count - 1, bandwidth, bandwidth)
+            dense = np.eye(count * edge)
+            for d in range(bandwidth + 1):
+                k = np.arange(f.shape[0] - d)
+                dense[k + d, k] = f._cb[d, :f.shape[0] - d]
+            for k in range(count):
+                rows = slice(k * edge, (k + 1) * edge)
+                assert np.array_equal(diagonal[k], dense[rows, rows])
+                if k:
+                    left = dense[rows, (k - 1) * edge:k * edge]
+                    assert np.array_equal(corner[k - 1], left[:bandwidth, edge - bandwidth:])
+                    left[:bandwidth, edge - bandwidth:] = 0.0
+                    assert not left.any()  # S_k is zero outside its corner
 
     def test_chosen_by_column_count(self, tiled_calls):
-        f = spd_factorize(constrained_system(8, 1))
+        # band width 11 under tiles of edge TILE: the rule's 22 columns, not TILE
+        f = spd_factorize(constrained_system(12, 1))
+        assert f.tiled_columns == 22 < sparse.TILE
         f.solve(np.ones(f.shape[0]))
-        f.solve(np.ones((f.shape[0], sparse.TILE - 1)))
+        f.solve(np.ones((f.shape[0], 1)))
+        f.solve(np.ones((f.shape[0], f.tiled_columns - 1)))
         assert tiled_calls == []
+        f.solve(np.ones((f.shape[0], f.tiled_columns)))
         f.solve(np.ones((f.shape[0], sparse.TILE)))
-        assert tiled_calls == [sparse.TILE]
+        assert tiled_calls == [f.tiled_columns, sparse.TILE]
 
-    # (nx, degree, band width): up to band width 63 the tiled path starts at TILE
-    # columns; above it at half the band-sized tile edge
+    # (nx, degree, band width, tiled_from): tiles of edge nb = max(band width + 1, TILE);
+    # up to band width 31 tiled from ceil(8 TILE / (band width + 1)) columns on, above it
+    # from 12, the measured crossovers with pbtrs
     @pytest.mark.parametrize("nx, degree, bandwidth, tiled_from",
-                             [(8, 1, 7, 32), (8, 2, 53, 32), (16, 2, 65, 33)])
+                             [(8, 1, 7, 32), (12, 1, 11, 22), (32, 1, 31, 8), (8, 2, 53, 12),
+                              (16, 2, 65, 12)])
     def test_chosen_by_band_width(self, tiled_calls, nx, degree, bandwidth, tiled_from):
         f = spd_factorize(constrained_system(nx, degree))
         assert f._cb.shape[0] - 1 == bandwidth
@@ -287,6 +321,41 @@ class TestTiledSolve:
         assert tiled_calls == []
         f.solve(np.ones((f.shape[0], tiled_from)))
         assert tiled_calls == [tiled_from]
+
+    # (n, band width): n % nb != 0 with band-sized tiles (kd + 1 > TILE) and with TILE
+    # tiles; n < nb; n a multiple of nb; n = 0; a diagonal matrix
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(0, 150), bandwidth=st.integers(0, 48), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=150, bandwidth=40, seed=1)
+    @example(n=100, bandwidth=12, seed=2)
+    @example(n=20, bandwidth=5, seed=3)
+    @example(n=96, bandwidth=31, seed=4)
+    @example(n=0, bandwidth=0, seed=5)
+    @example(n=70, bandwidth=0, seed=6)
+    def test_random_band_matrices(self, tiled_calls, n, bandwidth, seed):
+        # on either side of the threshold a solve agrees with pbtrs and leaves the
+        # factor's band bytes as they were
+        tiled_calls.clear()  # the fixture is shared by the examples
+        rng = np.random.default_rng(seed)
+        bandwidth = min(bandwidth, max(n - 1, 0))
+        offsets = range(1, bandwidth + 1)
+        upper = (sp.diags([rng.uniform(-1.0, 1.0, n - d) for d in offsets], list(offsets),
+                          shape=(n, n)) if bandwidth else sp.csr_matrix((n, n)))
+        a = (upper + upper.T + sp.diags(abs(upper + upper.T).sum(axis=1).A1 + 1.0)).tocsr()
+        f = spd_factorize(a)
+        assert f._plan.bandwidth == bandwidth
+        band = f._padded.tobytes(order="F")
+        for columns in (f.tiled_columns - 1, f.tiled_columns):
+            b = rng.normal(size=(n, columns))
+            x = f.solve(b)
+            assert x.shape == b.shape
+            if n:
+                ref = banded_reference(f, b)
+                assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+                assert np.abs(a @ x - b).max() <= 1e-12 * np.abs(a).max() * np.abs(x).max()
+        assert tiled_calls == [f.tiled_columns]
+        assert f._padded.tobytes(order="F") == band
 
     def test_factor_is_immutable(self):
         f = spd_factorize(constrained_system(8, 1))

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import time
 import types
 from unittest import mock
@@ -475,6 +476,15 @@ class TestRunEmc:
     def test_mismatched_dt_rejected(self):
         with pytest.raises(ValueError, match="divide"):
             tiny_config(dt=0.03)
+
+    def test_step_count_below_two_to_the_53(self):
+        # every float from 2**53 on is an integer, so the divisibility check alone
+        # would pass a run of 2**53 steps or more
+        assert tiny_config(t_final=1.0, dt=2.0 ** -52).time_grid().steps == 2 ** 52
+        for dt in (2.0 ** -53, 1e-20):
+            message = f"dt={dt} is too small: t_final/dt={1.0 / dt} steps, at least 2**53"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                tiny_config(t_final=1.0, dt=dt)
 
     @pytest.mark.parametrize("t_final", [math.inf, math.nan])
     def test_nonfinite_t_final_named(self, t_final):
