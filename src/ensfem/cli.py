@@ -29,6 +29,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _sample_counts(text: str) -> tuple[int, ...]:
+    """`--j-list`; argparse reports a bad list as a usage error naming the flag."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ensfem", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -50,7 +58,7 @@ def _build_parser() -> _Parser:
     emc.add_argument("--out", default="emc.json")
 
     rate = sub.add_parser("rate", help="sampling-error decay study")
-    rate.add_argument("--j-list", default=None, help="comma-separated sample counts")
+    rate.add_argument("--j-list", type=_sample_counts, help="comma-separated sample counts")
     rate.add_argument("--j0", type=int, default=None, help="benchmark sample count")
     rate.add_argument("--replicas", type=int, default=None)
     rate.add_argument("--seed", type=int, default=None)
@@ -117,16 +125,11 @@ def cli(argv: list[str]) -> int:
             return EXIT_OK
 
         if args.command == "rate":
-            j_list = (tuple(int(v) for v in args.j_list.split(","))
-                      if args.j_list else defaults.RATE_STUDY["j_list"])
-            config = stochastic.EmcConfig(
-                samples=max(j_list),
-                seed=args.seed if args.seed is not None else defaults.RATE_STUDY["seed"],
-                nx=args.nx if args.nx is not None else defaults.RATE_STUDY["nx"],
-                dt=args.dt if args.dt is not None else defaults.RATE_STUDY["dt"],
-                partition=True)
-            result = stochastic.mc_rate_study(config, j_list=j_list, j_benchmark=args.j0,
-                                              replicas=args.replicas)
+            config = stochastic.EmcConfig(partition=True, **{
+                **{name: defaults.RATE_STUDY[name] for name in ("seed", "nx", "dt")},
+                **_given(seed=args.seed, nx=args.nx, dt=args.dt)})
+            result = stochastic.mc_rate_study(config, **_given(
+                j_list=args.j_list, j_benchmark=args.j0, replicas=args.replicas))
             text = "\n".join(result.csv_lines()) + "\n" + json.dumps(result.footer_dict()) + "\n"
             harness.write_text_atomic(args.out, text)
             print(json.dumps(result.footer_dict()))

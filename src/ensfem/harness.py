@@ -287,7 +287,9 @@ def run_compare(config: EmcConfig) -> CompareResult:
 
 
 def check_output_path(path: str) -> None:
-    """Raise ValueError, naming the path, if it is a directory or its directory is missing."""
+    """Raise ValueError, naming the path, unless it names a file in an existing directory."""
+    if os.path.basename(path) in ("", os.curdir, os.pardir):
+        raise ValueError(f"output path {path!r} has no file name")
     if os.path.isdir(path):
         raise ValueError(f"output path {path} is a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):

@@ -337,10 +337,8 @@ class RateStudyResult:
     fit_c_l2: float
 
     def csv_lines(self) -> list[str]:
-        lines = ["J,E_L2,E_H1"]
-        for j, el2, eh1 in zip(self.j_values, self.e_l2, self.e_h1):
-            lines.append(f"{j},{el2:.6e},{eh1:.6e}")
-        return lines
+        return ["J,E_L2,E_H1"] + [f"{j},{el2:.6e},{eh1:.6e}"
+                                  for j, el2, eh1 in zip(self.j_values, self.e_l2, self.e_h1)]
 
     def footer_dict(self) -> dict:
         return {"slope_L2": self.slope_l2, "slope_H1": self.slope_h1,
@@ -354,46 +352,42 @@ def _mean_trajectory(config: EmcConfig) -> np.ndarray:
     return np.array(levels)
 
 
-def mc_rate_study(config: EmcConfig, j_list: Sequence[int] | None = None,
-                  j_benchmark: int | None = None,
-                  replicas: int | None = None) -> RateStudyResult:
+def mc_rate_study(config: EmcConfig,
+                  j_list: Sequence[int] = defaults.RATE_STUDY["j_list"],
+                  j_benchmark: int = defaults.RATE_STUDY["j_benchmark"],
+                  replicas: int = defaults.RATE_STUDY["replicas"]) -> RateStudyResult:
     """Sampling-error decay against a large-J benchmark sharing each stream's prefix.
 
     For every replica, the benchmark run and each smaller-J run reuse the first
-    J draws of that replica's stream. The reported figures are the max-in-time
-    RMS-over-replicas L2 distance and the time-accumulated H1 analog, plus
-    log-log regression slopes, which need at least two distinct J.
+    J draws of that replica's stream: the study sets `samples` (each J, then J0)
+    and `replica` (0..replicas-1) itself and never reads those fields of `config`.
+    It reports the max-in-time RMS-over-replicas L2 distance and the time-accumulated
+    H1 analog, both `fem` norms, and their log-log slopes, which need two distinct J.
     """
-    j_list = list(j_list if j_list is not None else defaults.RATE_STUDY["j_list"])
-    j0 = j_benchmark if j_benchmark is not None else defaults.RATE_STUDY["j_benchmark"]
-    m_replicas = replicas if replicas is not None else defaults.RATE_STUDY["replicas"]
-    _require_integers(replicas=m_replicas, j_benchmark=j0,
+    j_list = list(j_list)
+    _require_integers(replicas=replicas, j_benchmark=j_benchmark,
                       **{f"j_list[{k}]": j for k, j in enumerate(j_list)})
-    if not j_list or min(j_list) < 1 or m_replicas < 1:
+    if not j_list or min(j_list) < 1 or replicas < 1:
         raise ValueError("j_list and replicas must be positive")
-    if max(j_list) >= j0:
-        raise ValueError(f"benchmark sample count {j0} must exceed every J in {j_list}")
+    if max(j_list) >= j_benchmark:
+        raise ValueError(f"benchmark sample count {j_benchmark} must exceed every J in {j_list}")
     if len(set(j_list)) < 2:
         raise ValueError(f"the rate fit needs two distinct sample counts, got {j_list}")
 
-    mesh = uniform_triangulation(config.nx, config.nx)
-    space = build_space(mesh, config.degree)
-    mass = fem.assemble_mass(space)
-    stiff = fem.assemble_stiffness(space, fem.constant_field(1.0), 0.0)
-    dt = config.time_grid().dt
-
-    sq_l2 = np.zeros((len(j_list), config.time_grid().steps + 1))
+    space = build_space(uniform_triangulation(config.nx, config.nx), config.degree)
+    grid = config.time_grid()
+    sq_l2 = np.zeros((len(j_list), grid.steps + 1))
     sq_h1 = np.zeros(len(j_list))
-    for m in range(m_replicas):
-        bench = _mean_trajectory(replace(config, samples=j0, replica=m))
+    for m in range(replicas):
+        bench = _mean_trajectory(replace(config, samples=j_benchmark, replica=m))
         for k, j in enumerate(j_list):
             diff = bench - _mean_trajectory(replace(config, samples=j, replica=m))
-            sq_l2[k] += np.einsum("ni,ni->n", diff, (mass @ diff.T).T)
-            sq_h1[k] += np.einsum("ni,ni->", diff[1:], (stiff @ diff[1:].T).T)
+            sq_l2[k] += fem.error_l2(space, diff.T, None) ** 2
+            sq_h1[k] += np.sum(fem.error_h1_semi(space, diff[1:].T, None) ** 2)
 
-    e_l2 = [float(np.sqrt((sq_l2[k][1:] / m_replicas).max())) for k in range(len(j_list))]
-    e_h1 = [float(np.sqrt(dt * sq_h1[k] / m_replicas)) for k in range(len(j_list))]
+    e_l2 = np.sqrt((sq_l2[:, 1:] / replicas).max(axis=1)).tolist()
+    e_h1 = np.sqrt(grid.dt * sq_h1 / replicas).tolist()
     slope_l2, c_l2 = log_log_fit(j_list, e_l2)
     slope_h1, _ = log_log_fit(j_list, e_h1)
-    return RateStudyResult(j_values=list(j_list), e_l2=e_l2, e_h1=e_h1,
+    return RateStudyResult(j_values=j_list, e_l2=e_l2, e_h1=e_h1,
                            slope_l2=slope_l2, slope_h1=slope_h1, fit_c_l2=c_l2)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import ensfem
-from ensfem import fem, harness, stochastic
+from ensfem import defaults, fem, harness, stochastic
 from ensfem.cli import cli
 from ensfem.ensemble import EnsembleProblem, TimeGrid, ensemble_solve, independent_solve
 from ensfem.harness import (CONVERGENCE_CSV_HEADER, convergence_csv,
@@ -256,6 +257,13 @@ class TestRunCompare:
         assert result.stats_ensemble.wall_time >= 0.2
 
 
+def _work_in_subdirectory(tmp_path, monkeypatch):
+    """Run in tmp_path/cwd: an empty output path resolves to the working directory's
+    parent, so a stray temporary file would land in tmp_path."""
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+
+
 class TestAtomicWrite:
     def test_write_and_replace(self, tmp_path):
         target = tmp_path / "out.txt"
@@ -264,13 +272,17 @@ class TestAtomicWrite:
         assert target.read_text() == "two\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
-    def test_bad_path_named_and_nothing_left(self, tmp_path):
-        for path, reason in ((tmp_path / "missing" / "x.txt", "does not exist"),
-                             (tmp_path, "is a directory")):
+    def test_bad_path_named_and_nothing_left(self, tmp_path, monkeypatch):
+        _work_in_subdirectory(tmp_path, monkeypatch)
+        for path, reason in ((str(tmp_path / "missing" / "x.txt"), "does not exist"),
+                             (str(tmp_path), "is a directory"),
+                             ("", "has no file name"),
+                             (str(tmp_path / "new") + os.sep, "has no file name")):
             with pytest.raises(ValueError, match=reason) as err:
-                write_text_atomic(str(path), "one\n")
-            assert str(path) in str(err.value)
-        assert list(tmp_path.iterdir()) == []
+                write_text_atomic(path, "one\n")
+            assert f"output path {path} " in str(err.value) or repr(path) in str(err.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["cwd"]
+        assert list((tmp_path / "cwd").iterdir()) == []
 
 
 class TestCli:
@@ -296,22 +308,59 @@ class TestCli:
                     "--out", str(tmp_path / "r.csv")]) == 1
         assert "benchmark" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["emc", "compare", "rate", "converge"])
-    @pytest.mark.parametrize("where", ["missing directory", "directory"])
-    def test_bad_out_path_exits_one_before_the_run(self, tmp_path, capsys, monkeypatch,
-                                                    command, where):
-        out = tmp_path / "missing" / "x.out" if where == "missing directory" else tmp_path
-
+    @staticmethod
+    def _refuse_runs(monkeypatch):
         def started(*args, **kwargs):
             raise AssertionError("the run started")
         for module, name in ((stochastic, "run_emc"), (stochastic, "mc_rate_study"),
                              (harness, "run_compare"), (harness, "run_convergence")):
             monkeypatch.setattr(module, name, started)
-        assert cli([command, "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("command", ["emc", "compare", "rate", "converge"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "empty",
+                                       "trailing separator"])
+    def test_bad_out_path_exits_one_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                    command, where):
+        _work_in_subdirectory(tmp_path, monkeypatch)
+        out = {"missing directory": str(tmp_path / "missing" / "x.out"),
+               "directory": str(tmp_path), "empty": "",
+               "trailing separator": str(tmp_path / "new") + os.sep}[where]
+        self._refuse_runs(monkeypatch)
+        assert cli([command, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ensfem: error: ") and err.count("\n") == 1
-        assert str(out) in err
-        assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+        assert f"output path {out} " in err or repr(out) in err
+        # no temporary file left behind
+        assert [p.name for p in tmp_path.iterdir()] == ["cwd"]
+        assert list((tmp_path / "cwd").iterdir()) == []
+
+    @pytest.mark.parametrize("j_list", ["", "2,,4", "2,x"],
+                             ids=["empty", "empty entry", "not an integer"])
+    def test_malformed_j_list_is_a_usage_error(self, tmp_path, capsys, monkeypatch, j_list):
+        self._refuse_runs(monkeypatch)
+        out = tmp_path / "r.csv"
+        assert cli(["rate", "--j-list", j_list, "--j0", "8", "--replicas", "1",
+                    "--nx", "4", "--dt", "0.05", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"ensfem: error: argument --j-list: expected comma-separated integers, " \
+               f"got {j_list!r}\n" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_rate_passes_only_the_given_flags(self, tmp_path, monkeypatch):
+        study, seen = stochastic.mc_rate_study, {}
+
+        def capture(*args, **kwargs):
+            bound = inspect.signature(study).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.update(bound.arguments)
+            raise ValueError("captured")
+        monkeypatch.setattr(stochastic, "mc_rate_study", capture)
+        assert cli(["rate", "--nx", "4", "--j0", "8", "--out", str(tmp_path / "r.csv")]) == 1
+        config = seen["config"]
+        assert (config.nx, config.seed, config.dt, config.partition) == (
+            4, defaults.RATE_STUDY["seed"], defaults.RATE_STUDY["dt"], True)
+        assert (seen["j_list"], seen["j_benchmark"], seen["replicas"]) == (
+            defaults.RATE_STUDY["j_list"], 8, defaults.RATE_STUDY["replicas"])
 
     @pytest.mark.parametrize("j_list", ["2", "2,2"])
     def test_rate_needs_two_sample_counts(self, tmp_path, capsys, j_list):
