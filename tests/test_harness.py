@@ -277,7 +277,8 @@ class TestAtomicWrite:
         for path, reason in ((str(tmp_path / "missing" / "x.txt"), "does not exist"),
                              (str(tmp_path), "is a directory"),
                              ("", "has no file name"),
-                             (str(tmp_path / "new") + os.sep, "has no file name")):
+                             (str(tmp_path / "new") + os.sep, "has no file name"),
+                             (os.path.join(tmp_path, "new", os.pardir), "has no file name")):
             with pytest.raises(ValueError, match=reason) as err:
                 write_text_atomic(path, "one\n")
             assert f"output path {path} " in str(err.value) or repr(path) in str(err.value)
