@@ -20,13 +20,15 @@ THREADS_ENV = "ENSFEM_THREADS"
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage  # of the parser that failed: a subcommand's names its flags
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; 2 is reserved for stability refusals
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self.format_usage())
 
 
 def _sample_counts(text: str) -> tuple[int, ...]:
@@ -95,7 +97,7 @@ def cli(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(parser.format_usage(), file=sys.stderr, end="")
+        print(exc.usage, file=sys.stderr, end="")
         print(f"ensfem: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

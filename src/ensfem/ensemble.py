@@ -12,6 +12,12 @@ increment, whose right-hand side needs no mass product and no group mean:
 
     (M/dt + A(abar, t1)) (u_j(t1) - u_j(t0)) = F_j(t1) - A(a_j, t1) u_j(t0)
 
+The stepper keeps each level in the solver's layout: the free DOFs in
+elimination order, padded with zero rows to the block solve's tiles, then
+the tagged DOFs, one column per member. One product with the members'
+interleaved stiffness then writes every right-hand side where the block
+solve reads it, and levels go back to DOF order only when handed out.
+
 A run may split the members into groups, each with its own mean; all groups
 step in lockstep. `independent_solve` is the reference baseline, standard
 backward Euler for every member: the same scheme on one-member groups.
@@ -243,18 +249,23 @@ class _Terms:
 class _GroupedStepper:
     """The scheme for one problem and one partition of its members into groups.
 
-    All groups advance in lockstep. Column i of every block the stepper holds,
-    its states among them, is member order[i], so each group's columns are one
-    slice; `_solve` hands states out in member order. A group's system is
-    M/dt + A(mean of its members' coefficients), solved for the increment
+    All groups advance in lockstep. The stepper holds its states, and every
+    block it builds, in the solver's layout. Rows: the constraint's free DOFs
+    in elimination order, zero rows up to the `sparse.padded_rows` of the
+    tiled solve, then the tagged DOFs; DOF k is row `position[k]`. Columns:
+    member order[i] in column i, so each group's columns are one slice.
+    `handed_out` gives a state back in DOF and member order. A group's system
+    is M/dt + A(mean of its members' coefficients), solved for the increment
     u(t1) - u(t0) of its columns against F - A(a_j) u(t0); a one-member group
-    so takes a backward-Euler step, on the same (n, 1) block path. Outside the
-    group loop a step touches the (n, J) block once: one product with the
-    members' interleaved stiffness on the C-ordered state, no load block for
-    zero sources, one gather of the free rows, one addition of u(t0) and
-    write-back. Each group refills the run's one Dirichlet constraint, lifts
-    its own columns (the coupling is its own) and solves them in place. The
-    tagged rows take g(t1).
+    so takes a backward-Euler step, on the same block path. Outside the group
+    loop a step touches the block twice: one product with the members'
+    interleaved stiffness, whose rows are the free rows only, writes every
+    right-hand side where the solve reads it, and one subtraction from the
+    loads follows (none for zero sources, whose stiffness is held negated).
+    Each group refills the run's one Dirichlet constraint, lifts its own
+    columns (the coupling is its own), solves them in place (one group its
+    block as it lies, more groups a copy of their columns each) and writes
+    u(t0) plus the increment where its columns lie. The tagged rows take g(t1).
 
     Member data are read as terms, one `_Terms` per kind, which assembles each
     part as stiffness data, a load or boundary values: a separable field's
@@ -274,14 +285,24 @@ class _GroupedStepper:
         self.scaled_mass = self.mass.data * (1.0 / self.dt)
         self.constraint = fem.DirichletConstraint(self.mass, self.space,
                                                   problem.dirichlet_tags)
+        free, tagged = self.constraint.free, self.constraint.bdofs
+        self.rows = sparse.padded_rows(self.constraint.matrix)  # free and padding rows
+        self.position = np.empty(self.space.dof_count, dtype=np.intp)
+        self.position[free] = np.arange(free.size)
+        self.position[tagged] = self.rows + np.arange(tagged.size)
+        self.shape = (self.rows + tagged.size, self.order.size)  # of the states it holds
+        self._out = np.ix_(np.argsort(self.order), self.position)
         # the evaluators hold no reference to the stepper: a cycle through it would keep
         # a finished run's matrices until the cycle collector, which arrays do not trigger
-        n, nb = self.space.dof_count, self.constraint.bdofs.size
+        n, nb = self.space.dof_count, tagged.size
         assemble = functools.partial(_assemble, self.space, self.constraint)
         self.terms = {kind: _Terms(kind, problem.members, self.order, size,
                                    functools.partial(assemble, kind))
                       for kind, size in (("a", self.mass.nnz), ("f", n), ("g", nb), ("u0", n))}
         self.static = all(self.terms[k].steady for k in ("a", "f", "g"))
+        # a static run with zero sources holds its stiffness negated, -A(a_j): the product
+        # then gives the bytes of 0 - A u0, -0.0 included, as it sums from +0.0
+        self.negated = self.static and not self.terms["f"].parts
         # every member's A(a_j), interleaved in group order, made on first use (after the
         # initial projection, not to add up in peak memory), refilled through `_order`
         self.stiffness = self._order = None
@@ -290,6 +311,13 @@ class _GroupedStepper:
         # counters of `sparse`, they exclude work done meanwhile by other runs
         self.factorizations = 0
         self.block_solves = 0
+
+    def handed_out(self, state: EnsembleState) -> EnsembleState:
+        """A copy of the state in DOF order, column j for member j: one gather.
+
+        The copy is Fortran-ordered, so a caller's reductions over it add in the
+        order they always have."""
+        return replace(state, u=state.u.T[self._out].T)
 
     def initial_state(self) -> EnsembleState:
         """L2 projection of every member's u0, tagged boundary DOFs overwritten by g(., 0).
@@ -301,8 +329,9 @@ class _GroupedStepper:
         loads = u0.rows(0, 0.0)
         if loads.any():
             loads = fem.mass_solver(self.mass)(np.ascontiguousarray(loads.T)).T
-        u = np.ascontiguousarray(u0.mix(loads, 0, 0.0).T)
-        u[self.constraint.bdofs] = self.terms["g"](0, 0.0).T
+        u = np.zeros(self.shape)
+        u[self.position] = u0.mix(loads, 0, 0.0).T
+        u[self.rows:] = self.terms["g"](0, 0.0).T
         return EnsembleState(n=0, t=0.0, u=u)
 
     def _pieces(self, n1: int):
@@ -314,16 +343,20 @@ class _GroupedStepper:
         t1 = n1 * self.dt
         members = self.terms["a"](n1, t1)
         systems = [self.scaled_mass + members[group].mean(axis=0) for group in self.groups]
+        free = self.constraint.free
         if self.stiffness is None:
             self._order = None if self.static else sparse.interleave(  # for the refills
-                self.mass, np.arange(members.size).reshape(members.shape))
-            values = sparse.interleave(self.mass, members)
+                self.mass, free, np.arange(members.size).reshape(members.shape))
+            values = sparse.interleave(self.mass, free, members)
             del members  # freed before the index arrays are made
-            self.stiffness = sparse.interleaved_block_diagonal(self.mass, values, self.order.size)
+            if self.negated:
+                np.negative(values, out=values)
+            self.stiffness = sparse.interleaved_block_diagonal(
+                self.mass, free, self.position, self.shape, values)
         else:
             np.take(members.ravel(), self._order, out=self.stiffness.data, mode="clip")
         f = self.terms["f"]
-        loads = np.ascontiguousarray(f(n1, t1).T) if f.parts else None  # f = 0: none
+        loads = f(n1, t1)[:, free].T if f.parts else None  # f = 0: none
         gvals = np.ascontiguousarray(self.terms["g"](n1, t1).T)
         pieces = (systems, self.stiffness, loads, gvals)
         if self.static:
@@ -335,21 +368,23 @@ class _GroupedStepper:
         n1 = state.n + 1
         t1 = n1 * self.dt
         systems, stiffness, loads, gvals = self._pieces(n1)
-        u0 = state.u
-        # 0 - A u0 for zero sources: the same bytes as zero loads, -0.0 included
-        rhs = (stiffness @ u0.ravel()).reshape(u0.shape)
-        np.subtract(0.0 if loads is None else loads, rhs, out=rhs)
+        u0, rows = state.u, self.rows
+        constraint = self.constraint
+        n_free = constraint.free.size
+        # the padding and tagged rows of the product are +0.0: their matrix rows are empty
+        u1 = (stiffness @ u0.ravel()).reshape(u0.shape)
+        rhs = u1[:rows]
+        if not self.negated:
+            # 0 - A u0 for zero sources: the same bytes as zero loads, -0.0 included
+            np.subtract(0.0 if loads is None else loads, rhs[:n_free], out=rhs[:n_free])
         if not np.isfinite(rhs).all():
             j = self.order[np.nonzero(~np.isfinite(rhs).all(axis=0))[0][0]]
             raise ValueError(f"non-finite right-hand side for member {j} at step {n1}")
-        constraint = self.constraint
-        u1 = np.empty_like(u0)
-        u1[constraint.bdofs] = gvals
-        boundary_increment = gvals - u0[constraint.bdofs]
-        free = rhs[constraint.free]
+        boundary_increment = gvals - u0[rows:]
         for k, (group, system) in enumerate(zip(self.groups, systems)):
             constraint.refill(system)
-            constraint.lift(free[:, group], boundary_increment[:, group])
+            columns = np.ascontiguousarray(rhs[:, group])  # rhs itself for one group
+            constraint.lift(columns[:n_free], boundary_increment[:, group])
             try:
                 factor = sparse.spd_factorize(constraint.matrix)
             except sparse.NotSpdError as exc:
@@ -359,10 +394,11 @@ class _GroupedStepper:
                 raise sparse.NotSpdError(f"system of {who} not SPD at step {n1}: {exc}",
                                          exc.pivot) from exc
             self.factorizations += 1
-            free[:, group] = factor.solve(free[:, group])
+            factor.solve(columns, overwrite_b=True)
             self.block_solves += 1
-        free += u0[constraint.free]
-        u1[constraint.free] = free
+            # u(t1) = u(t0) + increment, where the group's columns lie
+            np.add(columns, u0[:rows, group], out=rhs[:, group])
+        u1[rows:] = gvals
         return EnsembleState(n=n1, t=t1, u=u1)
 
 
@@ -370,14 +406,13 @@ def _solve(problem: EnsembleProblem, groups: Sequence[Sequence[int]],
            observer: Observer | None) -> tuple[EnsembleState, SolveStats]:
     start = time.perf_counter()
     stepper = _GroupedStepper(problem, groups)
-    inverse = np.argsort(stepper.order)  # states go out as copies in member order
     state = stepper.initial_state()
     for n in range(problem.grid.steps + 1):
         if n:
             state = stepper.step(state)
         if observer is not None:
-            observer(replace(state, u=state.u[:, inverse]))
-    final = replace(state, u=state.u[:, inverse])
+            observer(stepper.handed_out(state))
+    final = stepper.handed_out(state)
     stats = SolveStats(factorizations=stepper.factorizations,
                        block_solves=stepper.block_solves,
                        wall_time=time.perf_counter() - start)

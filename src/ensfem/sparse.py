@@ -17,9 +17,17 @@ by index. A block is wide from ceil(8 nb / (kd + 1)) columns on under tiles
 of edge `TILE` and from 12 under wider ones, the measured crossovers below
 which the per-tile BLAS calls cost more than the pbtrs sweeps they replace.
 
-`interleaved_block_diagonal` holds J members' matrices on one pattern, row
-i*J + j member j's row i, so that a product with it reads and writes a
-C-ordered (n, J) block as it lies.
+A block of `padded_rows` rows, n padded to whole tiles and zero past n, is
+solved in place (`solve(b, overwrite_b=True)`): the tiled path views it as
+its tiles, so the caller's block is the solve's, with no zero-fill and no
+copy.
+
+`interleaved_block_diagonal` holds J members' matrices on one pattern in a
+row layout of the caller's, such as the solver's: free rows in elimination
+order, padding, then the tagged rows. Matrix row r*J + j is member j's
+pattern row rows[r], so that a product with it reads and writes a C-ordered
+(size, J) block as it lies. `interleave` moves the members' data into its
+entries by one fancy index: each row's slots are a window of the data.
 
 Module-level counters record every factorization and block solve in the
 process, so that solver-call laws can be asserted by tests and measured by
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -99,32 +107,58 @@ def add_scaled(a, alpha: float, b, beta: float) -> sp.csr_matrix:
     return _as_csr(alpha * a + beta * b)
 
 
-def interleave(pattern: sp.csr_matrix, data: np.ndarray) -> np.ndarray:
+def _rows_of(pattern: sp.csr_matrix, rows: np.ndarray, data: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The entries of pattern rows `rows` in `data`, shape (..., pattern.nnz) in slot order,
+    as one block (len(rows), ..., width) for the longest row's width, gathered by one fancy
+    index of the window of `width` slots that starts at each row's first slot; and the
+    mask of each row's own slots in its window, None when every row has one length."""
+    lengths = np.diff(pattern.indptr)[rows]
+    width, starts = lengths.max(initial=0), pattern.indptr[rows]
+    # the window of a row shorter than `width` may run past the data's end: pad the data
+    beyond = starts.max(initial=0) + width - data.shape[-1]
+    if beyond > 0:
+        data = np.concatenate((data, np.zeros(data.shape[:-1] + (beyond,), data.dtype)), axis=-1)
+    windows = np.moveaxis(sliding_window_view(data, width, axis=-1), -2, 0)
+    held = np.arange(width) < lengths[:, None]
+    return windows[starts], None if held.all() else held
+
+
+def _entry_order(block: np.ndarray, held: np.ndarray | None) -> np.ndarray:
+    """The held elements of a (rows, J, width) block in C order: matrix row r J + j's
+    entries in turn."""
+    if held is None:
+        return block.ravel()
+    return block[np.repeat(held[:, None], block.shape[1], axis=1)]
+
+
+def interleave(pattern: sp.csr_matrix, rows: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Members' data, shape (J, pattern.nnz) in the pattern's slot order, as the entries of
-    their `interleaved_block_diagonal`. A run of rows of one length, slots a..b, moves
-    data[:, a:b] viewed (J, rows, length) to entries a*J..b*J viewed (rows, J, length)."""
-    j_count, lengths = len(data), np.diff(pattern.indptr)
-    firsts = np.flatnonzero(np.diff(lengths, prepend=-1))  # the first row of each run
-    entries = np.empty(data.size, data.dtype)
-    for r0, r1 in zip(firsts, np.append(firsts[1:], len(lengths))):
-        a, b, rows, length = pattern.indptr[r0], pattern.indptr[r1], r1 - r0, lengths[r0]
-        entries[a * j_count:b * j_count].reshape(rows, j_count, length)[:] = (
-            data[:, a:b].reshape(j_count, rows, length).transpose(1, 0, 2))
-    return entries
+    their `interleaved_block_diagonal` over `rows`: matrix row r J + j holds member j's
+    data of pattern row rows[r] in slot order, so that each product adds in the pattern's
+    order. Slot numbers moved through it give the index map of later refills."""
+    return _entry_order(*_rows_of(pattern, rows, data))
 
 
-def interleaved_block_diagonal(pattern: sp.csr_matrix, values: np.ndarray,
-                               j_count: int) -> sp.csr_matrix:
-    """Block-diagonal CSR of J members on `pattern`'s sparsity whose row i*J + j is member
-    j's row i: its product with a C-ordered (n, J) block's ravel is the (n, J) product's
-    ravel. `values` come from `interleave`, whose input the caller may free first."""
-    index_dtype = np.int32 if pattern.nnz * j_count <= np.iinfo(np.int32).max else np.int64
-    members = np.arange(j_count, dtype=index_dtype)
-    indptr = np.append(pattern.indptr[:-1, None].astype(index_dtype) * j_count
-                       + np.diff(pattern.indptr)[:, None] * members,
-                       index_dtype(pattern.nnz * j_count))
-    indices = interleave(pattern, pattern.indices.astype(index_dtype) * j_count + members[:, None])
-    return sp.csr_matrix((values, indices, indptr), shape=(len(indptr) - 1,) * 2)
+def interleaved_block_diagonal(pattern: sp.csr_matrix, rows: np.ndarray, position: np.ndarray,
+                               block: tuple[int, int], values: np.ndarray) -> sp.csr_matrix:
+    """J members' matrices on `pattern` as one block-diagonal CSR that acts on the ravel of
+    a C-ordered block of shape `block` = (size, J) whose row position[k] holds DOF k, each
+    member's column its own. Block row r < len(rows) is pattern row rows[r], and the
+    later block rows are empty, so the product leaves them +0.0.
+
+    `values` come from `interleave` over `rows`, whose input the caller may free first."""
+    size, j_count = block
+    index_dtype = np.int32 if max(values.size, size * j_count) <= np.iinfo(np.int32).max \
+        else np.int64
+    indptr = np.full(size * j_count + 1, values.size, dtype=index_dtype)
+    indptr[0] = 0
+    np.cumsum(np.repeat(np.diff(pattern.indptr)[rows], j_count),
+              out=indptr[1:len(rows) * j_count + 1])
+    own, held = _rows_of(pattern, rows, (position[pattern.indices] * j_count).astype(index_dtype))
+    columns = own[:, None] + np.arange(j_count, dtype=index_dtype)[:, None]  # (rows, J, width)
+    return sp.csr_matrix((values, _entry_order(columns, held), indptr),
+                         shape=(size * j_count,) * 2)
 
 
 def band_ordering(pattern) -> np.ndarray:
@@ -188,10 +222,11 @@ class _BandedPlan:
         lower, upper = self._masks
         kd, nb, item = self.bandwidth, self.edge, factor.itemsize
         flat = factor.ravel(order="F")
-        step = nb * (kd + 1) * item  # from one tile to the next
-        diagonal = as_strided(flat, (self.count, nb, nb), (step, item, kd * item))
-        corner = as_strided(flat[nb * (kd + 1) - kd * kd:], (max(self.count - 1, 0), kd, kd),
-                            (step, item, kd * item))
+        strides = (nb * (kd + 1) * item, item, kd * item)  # the first from one tile to the next
+        # views made by the ndarray constructor, which costs less than as_strided
+        diagonal = np.ndarray((self.count, nb, nb), flat.dtype, flat, 0, strides)
+        corner = np.ndarray((max(self.count - 1, 0), kd, kd), flat.dtype,
+                            flat[nb * (kd + 1) - kd * kd:], 0, strides)
         # a copy, then a product in place, runs faster than one product that reads
         # the strided views
         diagonal, corner = diagonal.copy(), corner.copy()
@@ -200,13 +235,32 @@ class _BandedPlan:
         return diagonal, corner
 
 
+def _plan_of(a: sp.csr_matrix) -> _BandedPlan:
+    """The banded plan of a's pattern, made on first use and cached on the matrix; making
+    it refuses a matrix that is not symmetric."""
+    plan = getattr(a, "_ensfem_plan", None)
+    if plan is None:
+        if a.nnz and abs(a - a.T).max() > 1e-12 * np.abs(a.data).max():
+            raise ValueError("matrix is not symmetric; the factor reads its upper triangle")
+        plan = a._ensfem_plan = _BandedPlan(a)
+    return plan
+
+
+def padded_rows(a) -> int:
+    """Rows of the blocks that `CholeskyFactor.solve` overwrites in place for matrices on
+    a's pattern: n padded to whole tiles of the tiled solve."""
+    plan = _plan_of(_as_csr(a))
+    return plan.count * plan.edge
+
+
 class CholeskyFactor:
     """Banded Cholesky factorization of a sparse SPD matrix in the order given; immutable.
 
     It reads the upper triangle only, so a matrix with max |A - A^T| above
     1e-12 max |A| is refused with a ValueError. The check runs when the
-    matrix's banded plan is made, so data later rewritten in place on that
-    matrix (as `fem.DirichletConstraint.refill` does) are not checked again.
+    matrix's banded plan is made, by the first factorization or `padded_rows`,
+    so data later rewritten in place on that matrix (as
+    `fem.DirichletConstraint.refill` does) are not checked again.
     """
 
     def __init__(self, a):
@@ -216,11 +270,7 @@ class CholeskyFactor:
         if a.nnz and not np.isfinite(a.data).all():
             raise ValueError("matrix contains non-finite entries")
         # the plan depends only on the pattern: cached on the matrix for its refactorizations
-        plan = getattr(a, "_ensfem_plan", None)
-        if plan is None:
-            if a.nnz and abs(a - a.T).max() > 1e-12 * np.abs(a.data).max():
-                raise ValueError("matrix is not symmetric; the factor reads its upper triangle")
-            plan = a._ensfem_plan = _BandedPlan(a)
+        plan = _plan_of(a)
         self._padded = plan.banded(a.data)
         self._cb, info = dpbtrf(self._padded[:, :plan.n], lower=1, overwrite_ab=1)
         if info > 0:
@@ -242,46 +292,69 @@ class CholeskyFactor:
         plan = self._plan
         return -(-8 * plan.edge // (plan.bandwidth + 1)) if plan.edge == TILE else 12
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b for a vector or an n-by-J block of right-hand sides."""
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self._plan.n:
-            raise ValueError(f"dimension mismatch: factor {self.shape}, rhs {b.shape}")
+    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+        """Solve A x = b for a vector or an n-by-J block of right-hand sides; b is left unchanged.
+
+        With `overwrite_b`, b is a C-ordered float block of `padded_rows` rows, zero past
+        row n, and the solve runs in place: x overwrites its first n rows, which are
+        returned, and the rows past n stay zero. A wide block is then solved where it
+        lies, viewed as its tiles; a narrow one by pbtrs on a copy written back."""
+        plan = self._plan
+        if overwrite_b:
+            if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.ndim == 2
+                    and b.flags.c_contiguous and b.shape[0] == plan.count * plan.edge):
+                raise ValueError(f"an in-place solve takes a C-ordered float block of "
+                                 f"{plan.count * plan.edge} rows")
+            x = b[:plan.n]
+        else:
+            x = b = np.asarray(b, dtype=float)
+            if b.shape[0] != plan.n:
+                raise ValueError(f"dimension mismatch: factor {self.shape}, rhs {b.shape}")
         if b.ndim == 2 and b.shape[1] >= self.tiled_columns:
-            x = self._solve_tiled(b)
-        elif b.size:  # pbtrs rejects the empty block of a mesh without free DOFs
-            x, info = dpbtrs(self._cb, b, lower=1)  # on a copy: b is left unchanged
+            if not overwrite_b:
+                b = np.zeros((plan.count * plan.edge, x.shape[1]))
+                b[:plan.n] = x  # rows past n stay zero
+            self._solve_tiled(b)
+            x = b[:plan.n]
+        elif x.size:  # pbtrs rejects the empty block of a mesh without free DOFs
+            y, info = dpbtrs(self._cb, x, lower=1)  # on a copy: b is left unchanged
             if info:
                 raise ValueError(f"pbtrs rejected its argument {-info}")
-        else:
+            if overwrite_b:
+                x[...] = y
+            else:
+                x = y
+        elif not overwrite_b:
             x = b.copy()
         _count_solve(1 if b.ndim == 1 else b.shape[1])
         return x
 
-    def _solve_tiled(self, b: np.ndarray) -> np.ndarray:
+    def _solve_tiled(self, b: np.ndarray) -> None:
+        """Solve in place a C-ordered block of K nb rows, zero past row n."""
         diagonal, corner = self._plan.tiles(self._padded)
         count, nb, _ = diagonal.shape
         kd = corner.shape[1]
-        z = np.zeros((count, nb, b.shape[1]))
-        z.reshape(count * nb, b.shape[1])[:len(b)] = b  # rows past n stay zero
         # a row-major tile or block is its column-major transpose, so BLAS works
         # from the right on D_k^T, C_k^T and the transposed row blocks of z,
-        # which are Fortran-contiguous and so overwritten in place
+        # which are Fortran-contiguous and so overwritten in place; the
+        # transposes are taken once, and the BLAS arguments are passed by
+        # position, which f2py parses faster than keywords:
+        # dgemm(alpha, a, b, beta, c, trans_a, trans_b, overwrite_c) and
+        # dtrsm(alpha, a, b, side, lower, trans_a, diag, overwrite_b)
+        z = b.reshape(count, nb, b.shape[1]).transpose(0, 2, 1)  # a view: b is C-ordered
+        diagonal, corner = diagonal.transpose(0, 2, 1), corner.transpose(0, 2, 1)
         # forward, L y = b: D_k Y_k = B_k - S_k Y_{k-1}, and S_k Y_{k-1} is
         # C_k Y_{k-1}[nb - kd:] in rows :kd
         for k in range(count):
             if k and kd:
-                dgemm(-1.0, z[k - 1, nb - kd:].T, corner[k - 1].T, 1.0, z[k, :kd].T,
-                      overwrite_c=1)
-            dtrsm(1.0, diagonal[k].T, z[k].T, side=1, overwrite_b=1)
+                dgemm(-1.0, z[k - 1, :, nb - kd:], corner[k - 1], 1.0, z[k, :, :kd], 0, 0, 1)
+            dtrsm(1.0, diagonal[k], z[k], 1, 0, 0, 0, 1)
         # backward, L^T x = y: D_k^T X_k = Y_k - S_{k+1}^T X_{k+1}, and S_{k+1}^T X_{k+1}
         # is C_{k+1}^T X_{k+1}[:kd] in rows nb - kd:
         for k in reversed(range(count)):
             if k < count - 1 and kd:
-                dgemm(-1.0, z[k + 1, :kd].T, corner[k].T, 1.0, z[k, nb - kd:].T,
-                      trans_b=1, overwrite_c=1)
-            dtrsm(1.0, diagonal[k].T, z[k].T, side=1, trans_a=1, overwrite_b=1)
-        return z.reshape(count * nb, b.shape[1])[:len(b)]
+                dgemm(-1.0, z[k + 1, :, :kd], corner[k], 1.0, z[k, :, nb - kd:], 0, 1, 1)
+            dtrsm(1.0, diagonal[k], z[k], 1, 0, 1, 0, 1)
 
 
 def spd_factorize(a) -> CholeskyFactor:

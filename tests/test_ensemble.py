@@ -34,8 +34,8 @@ def small_problem(members, nx=4, degree=1, t_final=0.5, steps=5):
 
 
 def member_rows(stiffness, columns):
-    """The (columns, nnz) stiffness data of each column of an interleaved block diagonal:
-    column i's row k is matrix row k*columns + i, its entries in slot order."""
+    """The stiffness data of each column of an interleaved block diagonal, shape (columns,
+    entries): column i's row k is matrix row k*columns + i, its entries in slot order."""
     rows = np.split(stiffness.data, stiffness.indptr[1:-1])
     return np.array([np.concatenate(rows[i::columns]) for i in range(columns)])
 
@@ -123,6 +123,24 @@ class TestSingleStep:
         with pytest.raises(ValueError, match="member 1 at step 1"):
             ensemble_solve(problem)
 
+    def test_nonfinite_rhs_named_under_a_partition(self, monkeypatch):
+        # the stepper's column i is member order[i], here [3, 2, 0, 1]: an error
+        # names the member, not its column, whether the source is caught where its
+        # load is assembled or a non-finite load reaches the right-hand side block
+        nan = lambda x, y, t: np.full(np.shape(x), np.nan)
+        members = [heat_member(f=constant_field(1.0)) for _ in range(4)]
+        members[2] = heat_member(f=nan)
+        problem = small_problem(members, steps=1)
+        groups = [[3, 2], [0, 1]]
+        with pytest.raises(ValueError, match="member 2 at step 1"):
+            ensemble_solve(problem, groups=groups)
+        assemble_load = fem.assemble_load
+        monkeypatch.setattr(fem, "assemble_load", lambda space, field, t: np.full(
+            space.dof_count, np.nan) if field is nan else assemble_load(space, field, t))
+        with pytest.raises(ValueError,
+                           match="^non-finite right-hand side for member 2 at step 1$"):
+            ensemble_solve(problem, groups=groups)
+
     def test_indefinite_system_reports_step(self):
         member = heat_member(a=-50.0)  # strongly negative diffusion: system loses SPD
         problem = small_problem([member], steps=1)
@@ -143,11 +161,16 @@ class TestSingleStep:
             _, stiffness, _, _ = stepper._pieces(1)
             # the stepper holds its columns in group order: column i is member order[i]
             assert np.array_equal(stepper.order, np.concatenate(groups))
-            # members interleaved: the product reads and writes the C-ordered block
-            block = (stiffness @ u.ravel()).reshape(u.shape)
+            # members interleaved in the solver's layout: the product reads and writes
+            # the C-ordered block, and its rows past the free ones are empty
+            held = np.zeros((stiffness.shape[0] // len(members), len(members)))
+            held[stepper.position] = u
+            block = (stiffness @ held.ravel()).reshape(held.shape)
+            free = stepper.constraint.free
+            assert not block[free.size:].any()
             for i, j in enumerate(stepper.order):
                 loop = assemble_stiffness(space, members[j].a, t1) @ u[:, i]
-                assert np.abs(block[:, i] - loop).max() < 1e-13
+                assert np.abs(block[:free.size, i] - loop[free]).max() < 1e-13
             data.append(member_rows(stiffness, len(members))[np.argsort(stepper.order)])
         # column i's rows are member order[i]'s own stiffness, whatever the grouping
         assert all(np.array_equal(data[0], other) for other in data[1:])
@@ -162,7 +185,11 @@ class TestSingleStep:
 
 
 def _independent_step(problem, state):
-    return _GroupedStepper(problem, [[j] for j in range(problem.size)]).step(state).u
+    """One backward-Euler step of every member from a state in DOF order."""
+    stepper = _GroupedStepper(problem, [[j] for j in range(problem.size)])
+    held = stepper.initial_state()
+    held.u[stepper.position] = state.u  # into the stepper's layout
+    return stepper.handed_out(stepper.step(held)).u
 
 
 class TestSolvers:
@@ -317,8 +344,8 @@ class TestSolvers:
         # so the solves' right-hand sides are compared as well as the levels
         zeros = lambda x, y, t: np.zeros(np.shape(x))
         solve, seen = sparse.CholeskyFactor.solve, []
-        monkeypatch.setattr(sparse.CholeskyFactor, "solve",
-                            lambda factor, b: seen[-1].append(b.tobytes()) or solve(factor, b))
+        monkeypatch.setattr(sparse.CholeskyFactor, "solve", lambda factor, b, **options:
+                            seen[-1].append(b.tobytes()) or solve(factor, b, **options))
         levels = []
         for f in (zero_field, zeros):
             members = [EnsembleMember(a=constant_field(1.0 + 0.5 * k), f=f,
@@ -610,7 +637,7 @@ class TestInitialState:
         problem = small_problem(members, nx=6, steps=1)
         stepper = _GroupedStepper(problem, [range(20, 40), range(20)])
         before = sparse.counters()
-        initial = stepper.initial_state().u
+        initial = stepper.handed_out(stepper.initial_state()).u
         after = sparse.counters()
         assert after.factorizations - before.factorizations == 1
         assert after.block_solves - before.block_solves == 1
@@ -777,13 +804,21 @@ class TestSeparableData:
             space, t1 = problem.space, problem.grid.dt
             stepper = _GroupedStepper(problem, groups)
             systems, stiffness, _, _ = stepper._pieces(1)
-            rows, scaled_mass = member_rows(stiffness, len(fields)), stepper.scaled_mass
+            # a static run with zero sources holds its stiffness negated
+            assert stepper.negated == (fields is separable)
+            rows = member_rows(stiffness, len(fields)) * (-1.0 if stepper.negated else 1.0)
+            scaled_mass = stepper.scaled_mass
+            # the interleaved stiffness holds the free rows, in elimination order
+            indptr = stepper.mass.indptr
+            slots = np.concatenate([np.arange(indptr[i], indptr[i + 1])
+                                    for i in stepper.constraint.free])
             assert np.array_equal(scaled_mass, assemble_mass(space).data * (1.0 / t1))
             for group, system, columns in zip(groups, systems, stepper.groups):
                 mine = rows[columns]  # the group's columns, in group order
-                own = np.array([assemble_stiffness(space, fields[j], t1).data for j in group])
+                own = np.array([assemble_stiffness(space, fields[j], t1).data[slots]
+                                for j in group])
                 assert np.abs(mine - own).max() <= 1e-14 * np.abs(own).max()
-                assert np.array_equal(system, scaled_mass + mine.mean(axis=0))
+                assert np.array_equal(system[slots], scaled_mass[slots] + mine.mean(axis=0))
                 values = np.mean([coefficient_values(space, fields[j], t1) for j in group],
                                  axis=0)
                 reference = scaled_mass + assemble_stiffness(space, values, t1).data

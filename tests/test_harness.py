@@ -335,6 +335,22 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ["cwd"]
         assert list((tmp_path / "cwd").iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["rate", "--j-list", ""], ["emc", "--j", "x"]],
+                             ids=["rate", "emc"])
+    def test_usage_error_prints_the_subcommand_usage(self, capsys, monkeypatch, argv):
+        # the usage line above the error names the flags of the subcommand that failed
+        self._refuse_runs(monkeypatch)
+        assert cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ensfem {argv[0]} [-h]")
+        assert f"[{argv[1]} " in err and "{converge,emc,rate,compare}" not in err
+
+    def test_bare_command_prints_the_top_level_usage(self, capsys, monkeypatch):
+        self._refuse_runs(monkeypatch)
+        assert cli([]) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage: ensfem [-h] {converge,emc,rate,compare} ...\nensfem: error: ")
+
     @pytest.mark.parametrize("j_list", ["", "2,,4", "2,x"],
                              ids=["empty", "empty entry", "not an integer"])
     def test_malformed_j_list_is_a_usage_error(self, tmp_path, capsys, monkeypatch, j_list):

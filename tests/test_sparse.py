@@ -146,28 +146,55 @@ class TestBlockDiagonal:
     def test_matches_scipy_block_diag(self):
         # the member-major block diagonal under the perfect shuffle, which takes
         # row j*n + i to row i*J + j, for one member and for four; the P1 and P2
-        # row lengths change along the rows, so the fill crosses many runs of
-        # rows of one length
+        # row lengths change along the rows, so the held slots are masked. Then in
+        # layouts of the caller's: some rows held, in a permuted order, three
+        # padding rows, then the others. Half the rows, or the rows of the greatest
+        # length, which take the path without a mask
         for degree, members in itertools.product((1, 2), (1, 4)):
             pattern = fem_system(nx=3, degree=degree)
             n = pattern.shape[0]
-            assert np.count_nonzero(np.diff(np.diff(pattern.indptr))) > 5
+            lengths = np.diff(pattern.indptr)
+            assert np.count_nonzero(np.diff(lengths)) > 5
             data = np.random.default_rng(9).normal(size=(members, pattern.nnz))
             blocks = [sp.csr_matrix((d, pattern.indices, pattern.indptr), shape=pattern.shape)
                       for d in data]
             shuffle = (np.arange(members) * n + np.arange(n)[:, None]).ravel()
             reference = sp.block_diag(blocks, format="csr")[shuffle][:, shuffle]
-            got = sparse.interleaved_block_diagonal(pattern, sparse.interleave(pattern, data),
-                                                    members)
+            identity = np.arange(n)
+            got = sparse.interleaved_block_diagonal(pattern, identity, identity, (n, members),
+                                                    sparse.interleave(pattern, identity, data))
             assert got.shape == (members * n,) * 2 and got.has_sorted_indices
             assert abs(got - reference).max() == 0.0
-            # member J-1's row 5 holds its entries in the pattern's slot order,
-            # and the interleaved slot numbers refill every entry by one take
+            # member J-1's row 5 holds its entries in the pattern's slot order
             row = members * 5 + members - 1
             assert np.array_equal(got.data[got.indptr[row]:got.indptr[row + 1]],
                                   data[-1, pattern.indptr[5]:pattern.indptr[6]])
-            order = sparse.interleave(pattern, np.arange(data.size).reshape(data.shape))
-            assert np.array_equal(got.data, data.ravel()[order])
+
+            shuffled = np.random.default_rng(degree).permutation(n)
+            longest = np.flatnonzero(lengths == lengths.max())[::-1]
+            assert longest.size > 1
+            for held in (shuffled[:n // 2], longest):
+                rest = np.setdiff1d(identity, held)
+                position = np.empty(n, dtype=np.intp)
+                position[held] = np.arange(held.size)
+                position[rest] = held.size + 3 + np.arange(rest.size)
+                got = sparse.interleaved_block_diagonal(pattern, held, position,
+                                                        (n + 3, members),
+                                                        sparse.interleave(pattern, held, data))
+                dense = reference.toarray()
+                dense[np.isin(identity, rest).repeat(members)] = 0.0  # rows not held: empty
+                spread = (position[:, None] * members + np.arange(members)).ravel()
+                want = np.zeros(((n + 3) * members,) * 2)
+                want[np.ix_(spread, spread)] = dense
+                assert got.shape == want.shape and np.array_equal(got.toarray(), want)
+                row = members * 2 + members - 1  # member J-1's entries of pattern row held[2]
+                assert np.array_equal(
+                    got.data[got.indptr[row]:got.indptr[row + 1]],
+                    data[-1, pattern.indptr[held[2]]:pattern.indptr[held[2] + 1]])
+                assert got.indptr[held.size * members] == got.nnz
+                # slot numbers moved as the data are give the index map of a refill
+                order = sparse.interleave(pattern, held, np.arange(data.size).reshape(data.shape))
+                assert np.array_equal(got.data, data.ravel()[order])
 
 
 class TestReuseAndOrdering:
@@ -232,6 +259,32 @@ class TestReuseAndOrdering:
 def banded_reference(factor, b):
     """The pbtrs solve of the factor's banded storage, whatever the column count."""
     return cho_solve_banded((factor._cb, True), b)
+
+
+def random_band_matrix(n, bandwidth, rng):
+    """A random diagonally dominant SPD matrix of order n and band width min(bandwidth, n - 1)."""
+    bandwidth = min(bandwidth, max(n - 1, 0))
+    offsets = range(1, bandwidth + 1)
+    upper = (sp.diags([rng.uniform(-1.0, 1.0, n - d) for d in offsets], list(offsets),
+                      shape=(n, n)) if bandwidth else sp.csr_matrix((n, n)))
+    return (upper + upper.T + sp.diags(abs(upper + upper.T).sum(axis=1).A1 + 1.0)).tocsr()
+
+
+# (n, band width): n % nb != 0 with band-sized tiles (kd + 1 > TILE) and with TILE
+# tiles; n < nb; n a multiple of nb; n = 0; a diagonal matrix
+band_matrix_cases = [example(n=150, bandwidth=40, seed=1), example(n=100, bandwidth=12, seed=2),
+                     example(n=20, bandwidth=5, seed=3), example(n=96, bandwidth=31, seed=4),
+                     example(n=0, bandwidth=0, seed=5), example(n=70, bandwidth=0, seed=6)]
+
+
+def band_matrices(test):
+    """Random band matrices, the cases above first, for a test taking n, bandwidth, seed."""
+    for case in reversed(band_matrix_cases):
+        test = case(test)
+    return settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])(
+        given(n=st.integers(0, 150), bandwidth=st.integers(0, 48),
+              seed=st.integers(0, 2 ** 32 - 1))(test))
 
 
 def constrained_system(nx, degree):
@@ -322,29 +375,15 @@ class TestTiledSolve:
         f.solve(np.ones((f.shape[0], tiled_from)))
         assert tiled_calls == [tiled_from]
 
-    # (n, band width): n % nb != 0 with band-sized tiles (kd + 1 > TILE) and with TILE
-    # tiles; n < nb; n a multiple of nb; n = 0; a diagonal matrix
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(n=st.integers(0, 150), bandwidth=st.integers(0, 48), seed=st.integers(0, 2 ** 32 - 1))
-    @example(n=150, bandwidth=40, seed=1)
-    @example(n=100, bandwidth=12, seed=2)
-    @example(n=20, bandwidth=5, seed=3)
-    @example(n=96, bandwidth=31, seed=4)
-    @example(n=0, bandwidth=0, seed=5)
-    @example(n=70, bandwidth=0, seed=6)
+    @band_matrices
     def test_random_band_matrices(self, tiled_calls, n, bandwidth, seed):
         # on either side of the threshold a solve agrees with pbtrs and leaves the
         # factor's band bytes as they were
         tiled_calls.clear()  # the fixture is shared by the examples
         rng = np.random.default_rng(seed)
-        bandwidth = min(bandwidth, max(n - 1, 0))
-        offsets = range(1, bandwidth + 1)
-        upper = (sp.diags([rng.uniform(-1.0, 1.0, n - d) for d in offsets], list(offsets),
-                          shape=(n, n)) if bandwidth else sp.csr_matrix((n, n)))
-        a = (upper + upper.T + sp.diags(abs(upper + upper.T).sum(axis=1).A1 + 1.0)).tocsr()
+        a = random_band_matrix(n, bandwidth, rng)
         f = spd_factorize(a)
-        assert f._plan.bandwidth == bandwidth
+        assert f._plan.bandwidth == min(bandwidth, max(n - 1, 0))
         band = f._padded.tobytes(order="F")
         for columns in (f.tiled_columns - 1, f.tiled_columns):
             b = rng.normal(size=(n, columns))
@@ -356,6 +395,36 @@ class TestTiledSolve:
                 assert np.abs(a @ x - b).max() <= 1e-12 * np.abs(a).max() * np.abs(x).max()
         assert tiled_calls == [f.tiled_columns]
         assert f._padded.tobytes(order="F") == band
+
+    @band_matrices
+    def test_in_place_solve(self, tiled_calls, n, bandwidth, seed):
+        # a block of padded_rows rows, zero past n, solved in place: the bytes of
+        # solve(b) in its first n rows, +0.0 in the rest, wide or narrow; solve(b)
+        # itself leaves b as it was
+        tiled_calls.clear()
+        rng = np.random.default_rng(seed)
+        a = random_band_matrix(n, bandwidth, rng)
+        f = spd_factorize(a)
+        rows = sparse.padded_rows(a)
+        assert rows == f._plan.count * f._plan.edge >= n
+        for columns in (1, f.tiled_columns - 1, f.tiled_columns, f.tiled_columns + 5):
+            b = rng.normal(size=(n, columns))
+            kept = b.copy()
+            want = f.solve(b)
+            assert b.tobytes() == kept.tobytes()
+            block = np.zeros((rows, columns))
+            block[:n] = b
+            x = f.solve(block, overwrite_b=True)
+            assert x.shape == (n, columns) and (np.shares_memory(x, block) or not n)
+            assert block[:n].tobytes() == want.tobytes()
+            assert block[n:].tobytes() == bytes(block[n:].nbytes)
+        assert tiled_calls == [f.tiled_columns] * 2 + [f.tiled_columns + 5] * 2
+        # only a C-ordered float block of padded_rows rows is solved in place (an
+        # empty block is both C- and Fortran-ordered)
+        for bad in (np.zeros((rows + 1, 9)), np.zeros((rows, 9), order="F")[:, :8] if n
+                    else np.zeros((1, 8)), np.zeros((rows, 9), dtype=np.float32)):
+            with pytest.raises(ValueError, match="in-place solve"):
+                f.solve(bad, overwrite_b=True)
 
     def test_factor_is_immutable(self):
         f = spd_factorize(constrained_system(8, 1))
