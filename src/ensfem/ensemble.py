@@ -261,7 +261,8 @@ class _GroupedStepper:
     loop a step touches the block twice: one product with the members'
     interleaved stiffness, whose rows are the free rows only, writes every
     right-hand side where the solve reads it, and one subtraction from the
-    loads follows (none for zero sources, whose stiffness is held negated).
+    loads follows (none in a static run with zero sources, whose stiffness is
+    held negated).
     Each group refills the run's one Dirichlet constraint, lifts its own
     columns (the coupling is its own), solves them in place (one group its
     block as it lies, more groups a copy of their columns each) and writes
