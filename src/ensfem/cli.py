@@ -139,10 +139,12 @@ def cli(argv: list[str]) -> int:
 
         if args.command == "compare":
             result = harness.run_compare(_emc_config(args, stochastic))
-            harness.write_json_atomic(args.out, result.to_json_dict())
+            record = result.to_json_dict()
+            harness.write_json_atomic(args.out, record)
             print(json.dumps({"max_field_gap": result.max_field_gap, "wall_time_s": {
                 "ensemble": result.stats_ensemble.wall_time,
-                "independent": result.stats_independent.wall_time}}))
+                "independent": result.stats_independent.wall_time},
+                **{key: record[key] for key in ("stats_ensemble", "stats_independent")}}))
             return EXIT_OK
     except stochastic.StabilityError as exc:
         print(json.dumps(exc.report.to_json_dict()), file=sys.stderr)

@@ -260,9 +260,10 @@ class _GroupedStepper:
     so takes a backward-Euler step, on the same block path. Outside the group
     loop a step touches the block twice: one product with the members'
     interleaved stiffness, whose rows are the free rows only, writes every
-    right-hand side where the solve reads it, and one subtraction from the
-    loads follows (none in a static run with zero sources, whose stiffness is
-    held negated).
+    right-hand side where the solve reads it, and the loads are added to it
+    (none for zero sources). Every run holds the stiffness as -A(a_j), so the
+    product gives the bytes of 0 - A(a_j) u(t0), -0.0 included, as it sums
+    from +0.0.
     Each group refills the run's one Dirichlet constraint, lifts its own
     columns (the coupling is its own), solves them in place (one group its
     block as it lies, more groups a copy of their columns each) and writes
@@ -301,10 +302,7 @@ class _GroupedStepper:
                                    functools.partial(assemble, kind))
                       for kind, size in (("a", self.mass.nnz), ("f", n), ("g", nb), ("u0", n))}
         self.static = all(self.terms[k].steady for k in ("a", "f", "g"))
-        # a static run with zero sources holds its stiffness negated, -A(a_j): the product
-        # then gives the bytes of 0 - A u0, -0.0 included, as it sums from +0.0
-        self.negated = self.static and not self.terms["f"].parts
-        # every member's A(a_j), interleaved in group order, made on first use (after the
+        # every member's -A(a_j), interleaved in group order, made on first use (after the
         # initial projection, not to add up in peak memory), refilled through `_order`
         self.stiffness = self._order = None
         self._cache = None
@@ -344,14 +342,13 @@ class _GroupedStepper:
         t1 = n1 * self.dt
         members = self.terms["a"](n1, t1)
         systems = [self.scaled_mass + members[group].mean(axis=0) for group in self.groups]
+        np.negative(members, out=members)  # held as -A(a_j)
         free = self.constraint.free
         if self.stiffness is None:
             self._order = None if self.static else sparse.interleave(  # for the refills
                 self.mass, free, np.arange(members.size).reshape(members.shape))
             values = sparse.interleave(self.mass, free, members)
             del members  # freed before the index arrays are made
-            if self.negated:
-                np.negative(values, out=values)
             self.stiffness = sparse.interleaved_block_diagonal(
                 self.mass, free, self.position, self.shape, values)
         else:
@@ -375,9 +372,8 @@ class _GroupedStepper:
         # the padding and tagged rows of the product are +0.0: their matrix rows are empty
         u1 = (stiffness @ u0.ravel()).reshape(u0.shape)
         rhs = u1[:rows]
-        if not self.negated:
-            # 0 - A u0 for zero sources: the same bytes as zero loads, -0.0 included
-            np.subtract(0.0 if loads is None else loads, rhs[:n_free], out=rhs[:n_free])
+        if loads is not None:
+            np.add(rhs[:n_free], loads, out=rhs[:n_free])
         if not np.isfinite(rhs).all():
             j = self.order[np.nonzero(~np.isfinite(rhs).all(axis=0))[0][0]]
             raise ValueError(f"non-finite right-hand side for member {j} at step {n1}")

@@ -328,14 +328,15 @@ def _norms(u: np.ndarray, squares: np.ndarray, tab: _Tabulation) -> float | np.n
 
 
 def error_l2(space: FeSpace, u: np.ndarray, exact: Field | np.ndarray | None,
-             t: float = 0.0, rule: QuadratureRule | None = None) -> float | np.ndarray:
-    """L2 norm of (u_h - exact); pass exact=None for the plain L2 norm of u_h.
+             t: float = 0.0) -> float | np.ndarray:
+    """L2 norm of (u_h - exact) by the space's data rule; pass exact=None for the plain
+    L2 norm of u_h.
 
     `u` is a coefficient vector, or an (ndof, K) block for one norm per column.
     `exact` is a field, evaluated at time t, or its values at the rule's points,
     shape (nt, nq), or (nt, nq, K) for one exact function per column of a block.
     """
-    tab = space.tabulation(rule if rule is not None else space.data_rule)
+    tab = space.tabulation(space.data_rule)
     d = tab.phi @ _local(space, u)  # (nt, nq, K)
     if exact is not None:
         values = _evaluate(exact, tab.xq, tab.yq, t) if callable(exact) else exact

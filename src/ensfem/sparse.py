@@ -297,35 +297,31 @@ class CholeskyFactor:
 
         With `overwrite_b`, b is a C-ordered float block of `padded_rows` rows, zero past
         row n, and the solve runs in place: x overwrites its first n rows, which are
-        returned, and the rows past n stay zero. A wide block is then solved where it
-        lies, viewed as its tiles; a narrow one by pbtrs on a copy written back."""
+        returned, and the rows past n stay zero. Without it, b is copied into such a
+        block (a vector into a vector of that length) and solved there. A wide block is
+        solved where it lies, viewed as its tiles; a narrow one, or a vector, by pbtrs,
+        whose result is written back."""
         plan = self._plan
+        rows = plan.count * plan.edge
         if overwrite_b:
             if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.ndim == 2
-                    and b.flags.c_contiguous and b.shape[0] == plan.count * plan.edge):
+                    and b.flags.c_contiguous and b.shape[0] == rows):
                 raise ValueError(f"an in-place solve takes a C-ordered float block of "
-                                 f"{plan.count * plan.edge} rows")
-            x = b[:plan.n]
+                                 f"{rows} rows")
         else:
-            x = b = np.asarray(b, dtype=float)
-            if b.shape[0] != plan.n:
-                raise ValueError(f"dimension mismatch: factor {self.shape}, rhs {b.shape}")
+            given = np.asarray(b, dtype=float)
+            if given.shape[0] != plan.n:
+                raise ValueError(f"dimension mismatch: factor {self.shape}, rhs {given.shape}")
+            b = np.zeros((rows,) + given.shape[1:])
+            b[:plan.n] = given  # rows past n stay zero
+        x = b[:plan.n]
         if b.ndim == 2 and b.shape[1] >= self.tiled_columns:
-            if not overwrite_b:
-                b = np.zeros((plan.count * plan.edge, x.shape[1]))
-                b[:plan.n] = x  # rows past n stay zero
             self._solve_tiled(b)
-            x = b[:plan.n]
         elif x.size:  # pbtrs rejects the empty block of a mesh without free DOFs
-            y, info = dpbtrs(self._cb, x, lower=1)  # on a copy: b is left unchanged
+            y, info = dpbtrs(self._cb, x, lower=1)
             if info:
                 raise ValueError(f"pbtrs rejected its argument {-info}")
-            if overwrite_b:
-                x[...] = y
-            else:
-                x = y
-        elif not overwrite_b:
-            x = b.copy()
+            x[...] = y
         _count_solve(1 if b.ndim == 1 else b.shape[1])
         return x
 

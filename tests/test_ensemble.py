@@ -169,7 +169,8 @@ class TestSingleStep:
             free = stepper.constraint.free
             assert not block[free.size:].any()
             for i, j in enumerate(stepper.order):
-                loop = assemble_stiffness(space, members[j].a, t1) @ u[:, i]
+                # every run holds -A(a_j), so the product is -A(a_j) u
+                loop = -(assemble_stiffness(space, members[j].a, t1) @ u[:, i])
                 assert np.abs(block[:free.size, i] - loop[free]).max() < 1e-13
             data.append(member_rows(stiffness, len(members))[np.argsort(stepper.order)])
         # column i's rows are member order[i]'s own stiffness, whatever the grouping
@@ -789,8 +790,10 @@ class TestSeparableData:
         assert ensemble_solve(small_problem([member, member], steps=20))[1].factorizations == 20
         assert reads == [0.025] * 4  # a and f of each column, at the first step
 
-    @pytest.mark.parametrize("degree", [1, 2])
-    def test_group_system_is_mean_of_member_stiffness(self, degree):
+    @pytest.mark.parametrize("degree, source", [
+        (1, zero_field), (2, zero_field), (1, _separable([0.5])), (2, _separable([0.5]))],
+        ids=["1", "2", "1-source", "2-source"])
+    def test_group_system_is_mean_of_member_stiffness(self, degree, source):
         # one rule for plain and separable coefficients: a group's system data
         # are M/dt plus the mean of its columns' stiffness rows, bit for bit,
         # which is M/dt + A(mean of the coefficients) up to rounding
@@ -799,14 +802,15 @@ class TestSeparableData:
         separable = [_separable(w) for w in weights]
         groups = [[3, 0, 4], [1], [2]]
         for fields in (separable, [_as_plain(a) for a in separable]):
-            problem = small_problem([dataclasses.replace(heat_member(), a=a) for a in fields],
-                                    nx=3, degree=degree, steps=2)
+            problem = small_problem([dataclasses.replace(heat_member(f=source), a=a)
+                                     for a in fields], nx=3, degree=degree, steps=2)
             space, t1 = problem.space, problem.grid.dt
             stepper = _GroupedStepper(problem, groups)
-            systems, stiffness, _, _ = stepper._pieces(1)
-            # a static run with zero sources holds its stiffness negated
-            assert stepper.negated == (fields is separable)
-            rows = member_rows(stiffness, len(fields)) * (-1.0 if stepper.negated else 1.0)
+            systems, stiffness, loads, _ = stepper._pieces(1)
+            # static and time-dependent runs, with and without sources, all hold -A(a_j)
+            assert stepper.static == (fields is separable)
+            assert (loads is None) == (source is zero_field)
+            rows = -member_rows(stiffness, len(fields))
             scaled_mass = stepper.scaled_mass
             # the interleaved stiffness holds the free rows, in elimination order
             indptr = stepper.mass.indptr

@@ -467,6 +467,20 @@ class TestCli:
         assert line["max_field_gap"] == record["max_field_gap"]
         assert set(line["wall_time_s"]) == {"ensemble", "independent"}
 
+    def test_compare_prints_both_legs_counts(self, tmp_path, capsys):
+        # the stdout line carries the file's counts of both legs: J N factorizations
+        # and solves on the independent leg, N per group on the shared one
+        out = tmp_path / "cmp.json"
+        assert cli(["compare", "--j", "3", "--seed", "1", "--nx", "4",
+                    "--dt", "0.05", "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        line = json.loads(capsys.readouterr().out)
+        steps = round(defaults.EMC["t_final"] / 0.05)
+        assert line["stats_independent"] == record["stats_independent"] == {
+            "factorizations": 3 * steps, "block_solves": 3 * steps}
+        assert line["stats_ensemble"] == record["stats_ensemble"] == {
+            "factorizations": steps, "block_solves": steps}
+
     def test_rate_output_schema(self, tmp_path):
         out = tmp_path / "rate.csv"
         assert cli(["rate", "--j-list", "2,4", "--j0", "8", "--replicas", "2",

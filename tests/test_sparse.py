@@ -418,6 +418,16 @@ class TestTiledSolve:
             assert x.shape == (n, columns) and (np.shares_memory(x, block) or not n)
             assert block[:n].tobytes() == want.tobytes()
             assert block[n:].tobytes() == bytes(block[n:].nbytes)
+        # a vector: the bytes of the first column of a padded one-column block solved in
+        # place, and left as it was
+        v = rng.normal(size=n)
+        kept = v.copy()
+        x = f.solve(v)
+        assert x.shape == (n,) and v.tobytes() == kept.tobytes()
+        block = np.zeros((rows, 1))
+        block[:n, 0] = v
+        f.solve(block, overwrite_b=True)
+        assert x.tobytes() == block[:n, 0].tobytes()
         assert tiled_calls == [f.tiled_columns] * 2 + [f.tiled_columns + 5] * 2
         # only a C-ordered float block of padded_rows rows is solved in place (an
         # empty block is both C- and Fortran-ordered)
