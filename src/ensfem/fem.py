@@ -119,7 +119,10 @@ class FeSpace:
         tab = self._tabs.get(rule.order)
         if tab is None:
             phi, dref = shape_functions(self.degree, rule.points)
-            grad = np.einsum("tij,qaj->tqai", self._inv_jt, dref)
+            # grad[t, q, a] = inv_jt[t] @ dref[q, a], the two products summed in place
+            jt = self._inv_jt[:, None, None]
+            grad = jt[..., 0] * dref[..., 0, None]
+            grad += jt[..., 1] * dref[..., 1, None]
             verts = self.mesh.vertices[self.mesh.triangles]  # (nt, 3, 2)
             pts = np.einsum("ql,tlk->tqk", rule.points, verts)
             tab = _Tabulation(phi=phi, grad=grad, xq=pts[..., 0], yq=pts[..., 1],
@@ -140,29 +143,39 @@ class FeSpace:
         is `load_operator() @ f`.
         """
         if self._load is None:
-            tab = self.tabulation(self.data_rule)
-            nt, nq = tab.xq.shape
-            local = np.einsum("qa,q,t->taq", tab.phi, tab.weights, self.areas)
-            self._load = _point_columns(self.cell_dofs, local, self.dof_count)
+            self._load = _point_columns(self.cell_dofs, _point_loads(self), self.dof_count)
         return self._load
+
+
+def _point_loads(space: FeSpace) -> np.ndarray:
+    """The load operator's entries by element, (nt, nl, nq): entry (t, a, q) is the
+    data-rule weight of point q times the area of element t times phi_a there."""
+    phi, _ = shape_functions(space.degree, space.data_rule.points)
+    return np.einsum("qa,q,t->taq", phi, space.data_rule.weights, space.areas)
+
+
+def _row_order(rows: np.ndarray, row_count: int, nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR order of the (t, m) pairs of `rows`, (nt, m), each holding nq entries:
+    the pairs stably sorted by row, and the row pointer.
+
+    No row occurs twice in one element, so no entries add up, and the stable
+    sort leaves the elements of each row ascending. Both arrays are made in
+    the index dtype scipy keeps, so that it casts none.
+    """
+    index = np.int32 if rows.size * nq <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(row_count + 1, dtype=index)
+    np.cumsum(np.bincount(rows.ravel(), minlength=row_count) * nq, out=indptr[1:])
+    return np.argsort(rows.ravel(), kind="stable").astype(index), indptr
 
 
 def _point_columns(rows: np.ndarray, values: np.ndarray, row_count: int) -> sp.csr_matrix:
     """The CSR matrix, (row_count, nt * nq), whose row rows[t, m] holds values[t, m, q] in
-    column t * nq + q, the quadrature point q of element t.
-
-    No row occurs twice in one element, so no entries add up, and a stable
-    sort of the (t, m) pairs by row leaves the columns of each row ascending.
-    The index arrays are made in the dtype scipy keeps them in, so that it
-    casts none.
-    """
+    column t * nq + q, the quadrature point q of element t, in `_row_order`."""
     nt, m, nq = values.shape
-    index = np.int32 if rows.size * nq <= np.iinfo(np.int32).max else np.int64
-    element, local = np.divmod(np.argsort(rows.ravel(), kind="stable").astype(index), index(m))
-    indptr = np.zeros(row_count + 1, dtype=index)
-    np.cumsum(np.bincount(rows.ravel(), minlength=row_count) * nq, out=indptr[1:])
+    order, indptr = _row_order(rows, row_count, nq)
+    element, local = np.divmod(order, m)
     return sp.csr_matrix((values[element, local].ravel(),
-                          (element[:, None] * index(nq) + np.arange(nq, dtype=index)).ravel(),
+                          (element[:, None] * nq + np.arange(nq, dtype=order.dtype)).ravel(),
                           indptr), shape=(row_count, nt * nq))
 
 
@@ -310,9 +323,18 @@ def integrate(space: FeSpace, u: np.ndarray) -> float | np.ndarray:
     """Integral of the FE function over the domain; a block gives one per column.
 
     The integral of phi_i is the load of the unit source, the sum of row i of
-    the load operator, so the integrals of every column are one product.
+    the load operator, so the integrals of every column are one product. The
+    row sums are taken without building the operator: its entries are
+    gathered in its CSR order and each row is summed by one `np.add.reduceat`
+    segment, the reduction `csr_matrix.sum(axis=1)` runs, so they are its
+    sums bit for bit.
     """
-    return np.asarray(space.load_operator().sum(axis=1)).ravel() @ u
+    values = _point_loads(space)
+    order, indptr = _row_order(space.cell_dofs, space.dof_count, values.shape[2])
+    sums = np.zeros(space.dof_count)
+    held = np.flatnonzero(np.diff(indptr))  # rows of DOFs in some element
+    sums[held] = np.add.reduceat(values.reshape(order.size, -1)[order].ravel(), indptr[held])
+    return sums @ u
 
 
 def _local(space: FeSpace, u: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .ensemble import TimeGrid
-from .fem import FeSpace, Field
+from .fem import FeSpace, Field, SeparableField
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,47 @@ class StabilityReport:
 def coefficient_block(coeffs: Sequence[Field], grid: SamplingGrid) -> np.ndarray:
     """Every coefficient at every grid point, shape (time levels, members, points).
 
-    Each coefficient is called once per time level; a non-finite value raises
-    naming the member.
+    A `SeparableField`'s spatial parts are evaluated once per block, each
+    distinct part once for all the members that hold it (parts are told apart
+    by identity, as the stepper tells them). At each time level the members
+    that hold the same parts in the same order read their weights into one
+    (members, terms) array and are mixed term by term, in the operations and
+    order of the field's own call, so each row is that call's value bit for
+    bit. Any other coefficient is called once per time level. After each
+    level, a non-finite value raises naming the first member that has one.
     """
     if len(coeffs) < 1:
         raise ValueError("need at least one coefficient")
     block = np.empty((grid.times.size, len(coeffs), grid.x.size))
+    parts, index, classes, plain = [], {}, {}, []  # index: id of a part -> its row in `parts`
+    for j, a in enumerate(coeffs):
+        if not isinstance(a, SeparableField):
+            plain.append(j)
+            continue
+        for _, part in a.terms:
+            if id(part) not in index:
+                index[id(part)] = len(parts)
+                parts.append(np.asarray(part(grid.x, grid.y), dtype=float))
+        classes.setdefault(tuple(index[id(part)] for _, part in a.terms), []).append(j)
     for t, level in zip(grid.times, block):
-        for j, (a, row) in enumerate(zip(coeffs, level)):
-            row[...] = np.asarray(a(grid.x, grid.y, float(t)), dtype=float)
-            if not np.isfinite(row).all():
-                raise ValueError(f"coefficient of member {j} evaluated non-finite at t={t}")
+        for positions, members in classes.items():
+            weights = np.array([coeffs[j].weights(float(t)) for j in members])
+            # a class of consecutive members, as every class of a sampled run is, is
+            # mixed in its rows of the block, so that no second block is held
+            rows = slice(members[0], members[-1] + 1)
+            inside = rows.stop - rows.start == len(members)
+            total = level[rows] if inside else np.empty((len(members), grid.x.size))
+            total[...] = 0.0
+            for k, p in enumerate(positions):
+                total += weights[:, k, None] * parts[p]
+            if not inside:
+                level[members] = total
+        for j in plain:
+            level[j] = np.asarray(coeffs[j](grid.x, grid.y, float(t)), dtype=float)
+        finite = np.isfinite(level).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"coefficient of member {int(np.argmin(finite))} "
+                             f"evaluated non-finite at t={t}")
     return block
 
 
@@ -118,8 +148,7 @@ def estimate_bounds(coeffs: Sequence[Field] | np.ndarray,
     theta_minus is measured over positive times only, since deviations may
     vanish identically at t=0, except on a one-level grid (time-invariant
     coefficients), where it is measured at that level. `coeffs` are fields,
-    each evaluated once per time level, or their values as returned by
-    `coefficient_block`.
+    evaluated by `coefficient_block`, or their values as it returns them.
     """
     return _reduce_bounds(_as_block(coeffs, grid), grid)
 
@@ -132,8 +161,8 @@ def partition_ensemble(coeffs: Sequence[Field] | np.ndarray,
     average; a new group opens whenever adding the next member would break the
     condition within the current group. Singletons always pass, so the sweep
     terminates, provided every coefficient is individually coercive. `coeffs`
-    are fields, each evaluated once per time level, or their values as
-    returned by `coefficient_block`.
+    are fields, evaluated by `coefficient_block`, or their values as it
+    returns them.
 
     A trial costs O(points): the current group is held as its running sum,
     maximum and minimum per (time level, point). Its margin is that of

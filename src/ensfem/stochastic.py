@@ -262,24 +262,28 @@ def gate_and_group(config: EmcConfig, draws: Sequence[SampleDraw], space: FeSpac
     Large ensembles realize the tails of the sample distribution, so the joint
     condition routinely fails at a few hundred samples even though every single
     field stays coercive; partitioning is then the supported way to proceed.
-    Each draw's `sample_coefficient` field, the separable coefficient that
-    `build_emc_members` gives its member, is called once, on the distinct y
-    rows of the assembly points (at the x of each row's first point), and its
-    row is spread back to every point. So the gate checks the coefficients
-    the stepper assembles. Returns the report and the groups.
+    The draws' `sample_coefficient` fields, the separable coefficients that
+    `build_emc_members` gives the members, are evaluated by `coefficient_block`
+    on the distinct y rows of the assembly points (at the x of each row's
+    first point): each of the spec's 2n+1 shared parts once, mixed with each
+    draw's weights. So the gate checks the coefficients the stepper assembles.
+    The bounds are reduced on those rows: each point's value is its row's, and
+    every reduction over points is a min or a max, so the report is that of
+    every point bit for bit. Only a failing gate with partitioning on spreads
+    the rows to every point, for the sweep's point-weighted sort scores.
+    Returns the report and the groups.
     """
     sampling = SamplingGrid.from_space(space)  # coefficients are time-invariant
     _, first, inverse = np.unique(sampling.y, return_index=True, return_inverse=True)
     rows = SamplingGrid(x=sampling.x[first], y=sampling.y[first], times=sampling.times)
-    # `take` gives a C-ordered block, so the reductions below add in the same
-    # order as on a block evaluated at every point
-    values = coefficient_block([sample_coefficient(config.spec, d) for d in draws],
-                               rows).take(inverse, axis=2)
-    report = estimate_bounds(values, sampling)
+    values = coefficient_block([sample_coefficient(config.spec, d) for d in draws], rows)
+    report = estimate_bounds(values, rows)
     if report.satisfied:
         return report, [list(range(len(draws)))]
     if config.partition:
-        return report, partition_ensemble(values, sampling)
+        # `take` gives a C-ordered block, so the sweep's reductions add in the same
+        # order as on a block evaluated at every point
+        return report, partition_ensemble(values.take(inverse, axis=2), sampling)
     raise StabilityError(report)
 
 

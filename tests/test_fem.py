@@ -11,8 +11,8 @@ from ensfem.fem import (DirichletConstraint, assemble_load, assemble_mass,
                         assemble_stiffness, build_space, coefficient_values,
                         constant_field, error_h1_semi, error_l2, integrate, mass_solver,
                         zero_field)
-from ensfem.mesh import BoundaryTag, uniform_triangulation
-from ensfem.quadrature import triangle_rule
+from ensfem.mesh import BoundaryTag, Mesh, uniform_triangulation
+from ensfem.quadrature import shape_functions, triangle_rule
 
 from _dense_oracle import p1_mass, p1_stiffness
 
@@ -468,3 +468,34 @@ class TestErrorNorms:
     def test_integrate_constant_and_nodal_linear(self, space_p1):
         assert integrate(space_p1, np.ones(space_p1.dof_count)) == pytest.approx(1.0)
         assert integrate(space_p1, space_p1.dof_coords[:, 0]) == pytest.approx(0.5)
+
+
+def moved_mesh(nx, seed):
+    """The uniform nx-by-nx mesh with every interior vertex moved by up to 0.15 of a cell
+    in each direction, so that elements differ in shape and area."""
+    mesh = uniform_triangulation(nx, nx)
+    vertices = mesh.vertices.copy()
+    inner = ((vertices > 1e-12) & (vertices < 1.0 - 1e-12)).all(axis=1)
+    vertices[inner] += np.random.default_rng(seed).uniform(-0.15, 0.15, (inner.sum(), 2)) / nx
+    return Mesh(vertices=vertices, triangles=mesh.triangles.copy(),
+                boundary_edges=mesh.boundary_edges.copy(), boundary_tags=mesh.boundary_tags)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("nx", [1, 3, 8])
+def test_integrate_and_gradients_match_operator_forms_bitwise(degree, moved, nx):
+    # `integrate` sums the load operator's rows without building it, and the tabulation's
+    # gradients skip the einsum; both must keep the bits of those forms
+    space = build_space(moved_mesh(nx, nx) if moved else uniform_triangulation(nx, nx), degree)
+    block = np.random.default_rng(nx).normal(size=(space.dof_count, 5))
+    integrals = [np.asarray(integrate(space, u)) for u in (block[:, 0], block)]
+    assert space._load is None
+    sums = np.asarray(space.load_operator().sum(axis=1)).ravel()
+    for value, u in zip(integrals, (block[:, 0], block)):
+        assert value.tobytes() == np.asarray(sums @ u).tobytes()
+    for rule in (space.assembly_rule, space.data_rule):
+        _, dref = shape_functions(degree, rule.points)
+        oracle = np.einsum("tij,qaj->tqai", space._inv_jt, dref)
+        grad = space.tabulation(rule).grad
+        assert grad.shape == oracle.shape and grad.tobytes() == oracle.tobytes()

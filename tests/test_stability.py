@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ensfem.ensemble import TimeGrid
-from ensfem.fem import assemble_stiffness, build_space, constant_field
+from ensfem.fem import SeparableField, assemble_stiffness, build_space, constant_field
 from ensfem.mesh import BoundaryTag, uniform_triangulation
 from ensfem.stability import (SamplingGrid, coefficient_block, estimate_bounds,
                               partition_ensemble)
@@ -195,6 +195,54 @@ def test_block_and_fields_agree(steps):
     for group in ([0], [1, 3], [5, 2, 4], list(range(6))):
         assert (estimate_bounds(block[:, group], grid)
                 == estimate_bounds([coeffs[i] for i in group], grid))
+
+
+# spatial parts several members may hold; a part outside this list is one member's own
+SHARED_PARTS = (lambda x, y: np.ones(np.shape(y)), lambda x, y: np.cos(np.pi * np.asarray(y)),
+                lambda x, y: np.sin(2.0 * np.asarray(x)) * np.asarray(y), lambda x, y: -0.5)
+weight = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
+term = st.tuples(st.integers(-1, len(SHARED_PARTS) - 1), weight, st.booleans())
+member = st.one_of(st.lists(term, max_size=4), st.floats(0.1, 2.0))
+
+
+def mixed_family(members):
+    """Fields from `member` draws: a list of terms (shared part or -1 for an own one, weight,
+    whether the weight is a callable of t) is a separable field, a number a plain callable."""
+    fields = []
+    for j, spec in enumerate(members):
+        if isinstance(spec, float):
+            fields.append(lambda x, y, t, c=spec: c + np.asarray(x) * np.asarray(y) * (1.0 + t))
+            continue
+        fields.append(SeparableField(tuple(
+            ((lambda t, w=w: w * (1.0 + t)) if timed else w,
+             SHARED_PARTS[p] if p >= 0 else lambda x, y, j=j: np.exp(-j * np.asarray(x)) + y)
+            for p, w, timed in spec)))
+    return fields
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(member, min_size=1, max_size=8),
+       times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_is_each_members_own_call(members, times, seed):
+    # shared parts are evaluated once and mixed class by class; every row must still be
+    # the member's own call byte for byte, -0.0 and zero-term fields included
+    points = np.random.default_rng(seed).uniform(0.0, 1.0, (2, 17))
+    grid = SamplingGrid(x=points[0], y=points[1], times=np.array(times))
+    fields = mixed_family(members)
+    block = coefficient_block(fields, grid)
+    for t, level in zip(times, block):
+        for a, row in zip(fields, level):
+            assert row.tobytes() == np.asarray(a(grid.x, grid.y, t), dtype=float).tobytes()
+
+
+def test_nonfinite_weight_named_under_its_member(static_grid):
+    # members 1..3 hold the same parts, one class; member 3's bad weight is named as 3
+    part = SHARED_PARTS[1]
+    coeffs = [const(1.0)] + [SeparableField(((w, part), (0.1, SHARED_PARTS[0])))
+                             for w in (1.0, 2.0, np.nan)]
+    with pytest.raises(ValueError, match="^coefficient of member 3 evaluated non-finite"):
+        coefficient_block(coeffs, static_grid)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -251,6 +251,24 @@ class TestGateAndGroup:
         stochastic.gate_and_group(config, draws, space)
         assert sorted(calls) == [(j, distinct, distinct) for j in range(3)]
 
+    @pytest.mark.parametrize("degree, nx, samples, distinct", [(1, 12, 60, 51), (2, 6, 30, 49)])
+    def test_each_shared_part_evaluated_once(self, degree, nx, samples, distinct):
+        # every draw's field holds the spec's 2n+1 parts; the gate evaluates each of
+        # them once for all draws, on the distinct y rows
+        config, draws, space = _gate_inputs(degree, nx, samples, 7)
+        amplitudes, parts = config.spec._expansion
+        calls = []
+
+        def counted(x, y, i, part):
+            calls.append((i, np.size(x), np.size(y)))
+            return part(x, y)
+
+        vars(config.spec)["_expansion"] = (amplitudes, [
+            lambda x, y, i=i, part=part: counted(x, y, i, part) for i, part in enumerate(parts)])
+        report, groups = stochastic.gate_and_group(config, draws, space)
+        assert sorted(calls) == [(i, distinct, distinct) for i in range(config.spec.dimension)]
+        assert len(groups) > 1  # the gate failed and the sweep ran on the spread rows
+
 
 class TestSeparableMembers:
     """emc members hold their draws' expansions as separable fields with shared parts."""
